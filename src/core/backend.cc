@@ -1,5 +1,7 @@
 #include "core/backend.h"
 
+#include <string>
+
 #include "common/check.h"
 #include "hwmodel/hardware_profiles.h"
 #include "sort/bitonic_gpu.h"
@@ -82,33 +84,59 @@ SortEngine::SortEngine(const Options& options) {
   STREAMGPU_CHECK(sorter_ != nullptr);
 }
 
-std::vector<std::unique_ptr<SortEngine>> MakeWorkerEngines(const Options& options,
-                                                           int count) {
-  STREAMGPU_CHECK_MSG(count >= 1, "worker count must be >= 1");
-  std::vector<std::unique_ptr<SortEngine>> engines;
-  engines.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    engines.push_back(std::make_unique<SortEngine>(options));
+SortStack::SortStack(const Options& options, std::uint64_t stream_id,
+                     const char* prefix)
+    : engine_(options) {
+  front_ = &engine_.sorter();
+  const obs::Observability& obs = options.obs;
+  if (options.fault.enabled()) {
+    const FaultTolerance& fault = options.fault;
+    injector_ = std::make_unique<FaultInjector>(fault.plan, stream_id);
+    injector_->set_flight_recorder(obs.flight);
+    if (engine_.device() != nullptr) engine_.device()->set_fault_hook(injector_.get());
+    if (fault.cpu_fallback) {
+      fallback_ = std::make_unique<sort::RadixMergeSorter>(hwmodel::kPentium4_3400);
+    }
+    sort::ResilienceOptions recovery;
+    recovery.max_retries = fault.max_retries;
+    recovery.max_device_losses = fault.max_device_losses;
+    recovery.cpu_fallback = fault.cpu_fallback;
+    recovery.backoff_initial_us = fault.backoff_initial_us;
+    recovery.backoff_max_us = fault.backoff_max_us;
+    resilient_ = std::make_unique<sort::ResilientSorter>(
+        front_, fallback_.get(), engine_.device(), injector_.get(), obs,
+        std::string(prefix) + ".", recovery);
+    front_ = resilient_.get();
   }
-  return engines;
+  if (obs.any()) {
+    traced_ = std::make_unique<TracingSorter>(front_, engine_.device(), obs, prefix);
+    front_ = traced_.get();
+  }
 }
 
-stream::PipelineConfig MakePipelineConfig(const Options& options,
-                                          std::uint64_t window_size,
-                                          int batch_windows,
-                                          const char* trace_label) {
-  stream::PipelineConfig config;
-  config.window_size = window_size;
-  config.trace = options.obs.trace;
-  config.trace_label = trace_label;
-  config.flight = options.obs.flight;
-  if (options.max_windows_in_flight > 0) {
-    config.max_batches_in_flight =
-        (options.max_windows_in_flight + batch_windows - 1) / batch_windows;
-    if (config.max_batches_in_flight < 1) config.max_batches_in_flight = 1;
+FaultStats SortStack::fault_stats() const {
+  FaultStats stats;
+  if (injector_ != nullptr) stats.faults_injected = injector_->fires();
+  if (resilient_ != nullptr) {
+    stats.sort_retries = resilient_->stats().sort_retries;
+    stats.cpu_fallbacks = resilient_->stats().cpu_fallbacks;
   }
-  config.drain_deadline_seconds = options.fault.drain_deadline_seconds;
-  return config;
+  return stats;
+}
+
+std::vector<std::unique_ptr<SortStack>> MakeSortStacks(const Options& options,
+                                                       int workers,
+                                                       const char* prefix) {
+  std::vector<std::unique_ptr<SortStack>> stacks;
+  if (workers < 2) {
+    stacks.push_back(std::make_unique<SortStack>(options, /*stream_id=*/0, prefix));
+    return stacks;
+  }
+  stacks.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
+    stacks.push_back(std::make_unique<SortStack>(options, i + 1, prefix));
+  }
+  return stacks;
 }
 
 }  // namespace streamgpu::core

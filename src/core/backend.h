@@ -1,5 +1,7 @@
 // Backend factory: owns the simulated GPU device (for the GPU backends) and
-// the Sorter instance the estimators drive.
+// the Sorter instance the estimators drive, plus SortStack, the one place
+// that wraps that sorter in its fault-injection, recovery, and tracing
+// decorators for the estimators and the service alike.
 
 #ifndef STREAMGPU_CORE_BACKEND_H_
 #define STREAMGPU_CORE_BACKEND_H_
@@ -8,11 +10,14 @@
 #include <memory>
 #include <vector>
 
+#include "core/fault.h"
+#include "core/instrumentation.h"
 #include "core/options.h"
 #include "gpu/device.h"
 #include "hwmodel/sort_planner.h"
+#include "sort/radix_sort.h"
+#include "sort/resilient.h"
 #include "sort/sorter.h"
-#include "stream/pipeline.h"
 
 namespace streamgpu::core {
 
@@ -52,21 +57,53 @@ class SortEngine {
   int batch_windows_ = 1;
 };
 
-/// Builds one SortEngine per pipeline sort worker. Every worker gets its own
-/// engine — and therefore, on the GPU backends, its own simulated device —
-/// so GpuStats accounting never races across threads.
-std::vector<std::unique_ptr<SortEngine>> MakeWorkerEngines(const Options& options,
-                                                           int count);
+/// One sort worker's sorter stack, built in a fixed order: engine -> fault
+/// injector (hooked into the engine's device) -> ResilientSorter ->
+/// TracingSorter. The fault layers exist only when Options::fault is
+/// enabled and the tracing layer only when Options::obs wires a sink;
+/// front() is the outermost layer present. Recovery sits inside tracing, so
+/// retried sorts appear in the trace as the longer sort spans they are.
+class SortStack {
+ public:
+  /// `stream_id` seeds the fault injector: 0 for the serial path, i + 1 for
+  /// worker i (decorrelated fault sequences, each reproducible;
+  /// docs/ROBUSTNESS.md). `prefix` scopes the decorators' metric names
+  /// ("freq", "quant", "service").
+  SortStack(const Options& options, std::uint64_t stream_id, const char* prefix);
 
-/// Pipeline configuration derived from the estimator options:
-/// Options::max_windows_in_flight (a window count) is rounded up to whole
-/// sort batches of `batch_windows` windows; 0 keeps the pipeline default.
-/// Options::obs.trace is forwarded so the pipeline threads appear in the
-/// trace under `trace_label` ("freq"/"quant").
-stream::PipelineConfig MakePipelineConfig(const Options& options,
-                                          std::uint64_t window_size,
-                                          int batch_windows,
-                                          const char* trace_label);
+  SortStack(const SortStack&) = delete;
+  SortStack& operator=(const SortStack&) = delete;
+
+  /// The sorter to drive: the outermost decorator, or the engine's sorter.
+  sort::Sorter& front() { return *front_; }
+
+  const SortEngine& engine() const { return engine_; }
+
+  /// The stack's fault injector (null without a fault plan); the executor
+  /// polls it for the queue fault site.
+  FaultInjector* injector() { return injector_.get(); }
+
+  /// Faults fired and recoveries made by this stack (zero without a plan;
+  /// quarantine is counted drain-side, from the summary cores).
+  FaultStats fault_stats() const;
+
+ private:
+  SortEngine engine_;
+  std::unique_ptr<FaultInjector> injector_;
+  std::unique_ptr<sort::RadixMergeSorter> fallback_;
+  std::unique_ptr<sort::ResilientSorter> resilient_;
+  std::unique_ptr<TracingSorter> traced_;
+  sort::Sorter* front_ = nullptr;
+};
+
+/// Builds max(1, workers) SortStacks — one per executor worker, each with
+/// its own engine and therefore, on the GPU backends, its own simulated
+/// device, so GpuStats accounting never races across threads. A single
+/// stack is the serial path (injector stream id 0); with two or more,
+/// stack i is worker i (stream id i + 1).
+std::vector<std::unique_ptr<SortStack>> MakeSortStacks(const Options& options,
+                                                       int workers,
+                                                       const char* prefix);
 
 }  // namespace streamgpu::core
 

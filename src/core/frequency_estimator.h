@@ -9,24 +9,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
-#include <vector>
 
-#include "core/backend.h"
-#include "core/costs.h"
-#include "core/fault.h"
-#include "core/instrumentation.h"
 #include "core/options.h"
 #include "core/report.h"
 #include "core/status.h"
 #include "core/summary_core.h"
-#include "durable/checkpoint.h"
-#include "gpu/stats.h"
-#include "sort/radix_sort.h"
-#include "sort/resilient.h"
-#include "stream/pipeline.h"
-#include "stream/window_buffer.h"
+#include "core/summary_estimator.h"
 
 namespace streamgpu::core {
 
@@ -45,27 +33,10 @@ namespace streamgpu::core {
 /// batch-size * window-size recent elements may still be buffered until the
 /// next batch boundary or Flush().
 ///
-/// Lifecycle: Flush() finalizes the stream — it processes the remaining
-/// partial window, is idempotent, and puts the estimator in a query-only
-/// state. Observe()/ObserveBatch() after Flush() return a
-/// kFailedPrecondition Status and change nothing (whole-history mode's error
-/// guarantee assumes full windows in the interior of the stream, so elements
-/// appended after a finalized partial window would silently void it).
-///
-/// With Options::num_sort_workers >= 2 ingestion runs through the parallel
-/// pipeline (stream::SortPipeline): window-batches are sorted concurrently
-/// and drained into the summary in order on a dedicated thread. Queries
-/// first wait for every in-flight batch, so answers — and all simulated-2005
-/// cost figures — are identical to serial execution. Observe()/Flush() and
-/// queries must come from one thread (the same contract as serial mode).
-///
-/// Observability: when Options::obs wires a MetricsRegistry and/or a
-/// TraceRecorder, the estimator records "freq."-prefixed counters, exports
-/// cost gauges through ExportMetrics(), and emits per-stage spans (ingest /
-/// sort + GPU passes / merge / drain). Both sinks default to null and the
-/// disabled path costs one pointer compare per site. docs/OBSERVABILITY.md
-/// documents the schema.
-class FrequencyEstimator {
+/// Ingest, lifecycle, threaded execution, checkpointing, and observability
+/// ("freq."-prefixed metrics and spans) are the shared SummaryEstimator's
+/// (core/summary_estimator.h), identical to QuantileEstimator's.
+class FrequencyEstimator : public SummaryEstimator<FrequencySummaryCore> {
  public:
   /// Validated construction: returns the first configuration error (see
   /// Options::Validate(), plus the frequency-specific rule that a
@@ -74,27 +45,17 @@ class FrequencyEstimator {
   static StatusOr<std::unique_ptr<FrequencyEstimator>> Create(const Options& options);
 
   /// Direct construction CHECK-aborts on invalid options; prefer Create().
-  explicit FrequencyEstimator(const Options& options);
+  explicit FrequencyEstimator(const Options& options) : SummaryEstimator(options) {}
 
-  /// Processes one stream element. Fails (and ignores the element) once the
-  /// estimator is finalized by Flush(), or — pipelined — once the pipeline
-  /// has failed (the drain thread's sticky Status, or kDeadlineExceeded when
-  /// Options::fault.drain_deadline_seconds elapses on backpressure).
-  Status Observe(float value);
-
-  /// Processes a batch of stream elements. Stops at the first failing
-  /// element and returns its Status (earlier elements stay observed).
-  Status ObserveBatch(std::span<const float> values);
-
-  /// Finalizes the stream: processes buffered windows, including a final
-  /// partial one, and puts the estimator in a query-only state. Idempotent —
-  /// repeated calls return the same Status. Returns the pipeline's failure
-  /// Status when the drain thread died or the drain deadline elapsed; the
-  /// estimator stays queryable over whatever was processed.
-  Status Flush();
-
-  /// True once Flush() has finalized the estimator.
-  bool finalized() const { return finalized_; }
+  /// Resumes from the newest usable snapshot in options.checkpoint_dir. The
+  /// returned estimator answers exactly as the checkpointed one did;
+  /// observed_length() tells the caller which input suffix to replay.
+  /// kFailedPrecondition when the directory holds no usable checkpoint
+  /// (callers typically start fresh); kInvalidArgument when the snapshot
+  /// disagrees with `options` or is corrupt — never a crash.
+  static StatusOr<std::unique_ptr<FrequencyEstimator>> Restore(const Options& options) {
+    return RestoreAs<FrequencyEstimator>(options);
+  }
 
   /// Heavy hitters at `support` over the whole history, or — in sliding
   /// mode — over the most recent `window` elements (0 = full sliding
@@ -111,149 +72,6 @@ class FrequencyEstimator {
   /// the k-th and (k+1)-th true frequencies are more than 2 * epsilon * N
   /// apart. The report's support is 0 (no threshold was applied).
   FrequencyReport TopK(std::size_t k, std::uint64_t window = 0) const;
-
-  /// Snapshots the estimator's full durable state — summary core (with its
-  /// quarantine/shed accounting), staged partial window, and watermark —
-  /// into Options::checkpoint_dir with the crash-consistent protocol of
-  /// durable/checkpoint.h. Waits for in-flight pipeline batches first, so
-  /// the snapshot is a consistent batch-boundary cut. kFailedPrecondition
-  /// without a checkpoint_dir; pipeline failures propagate. Also runs
-  /// automatically every Options::checkpoint_every_windows merged windows.
-  /// See docs/DURABILITY.md.
-  Status Checkpoint();
-
-  /// Resumes from the newest usable snapshot in options.checkpoint_dir. The
-  /// returned estimator answers exactly as the checkpointed one did;
-  /// observed_length() tells the caller which input suffix to replay.
-  /// kFailedPrecondition when the directory holds no usable checkpoint
-  /// (callers typically start fresh); kInvalidArgument when the snapshot
-  /// disagrees with `options` or is corrupt — never a crash.
-  static StatusOr<std::unique_ptr<FrequencyEstimator>> Restore(const Options& options);
-
-  /// Snapshots committed by this estimator (explicit + automatic).
-  std::uint64_t checkpoints() const {
-    return checkpoint_writer_ == nullptr ? 0 : checkpoint_writer_->commits();
-  }
-
-  /// Elements already folded into the summary.
-  std::uint64_t processed_length() const;
-
-  /// Elements observed, including still-buffered ones.
-  std::uint64_t observed_length() const { return observed_; }
-
-  /// Current summary entries (space usage).
-  std::size_t summary_size() const;
-
-  /// Accumulated per-operation costs (Fig. 5/6 source data).
-  const PipelineCosts& costs() const;
-
-  /// Serializes costs() and the stream/summary gauges into the wired
-  /// MetricsRegistry (no-op without one). Counters are always live; this
-  /// publishes the point-in-time values that have no incremental form.
-  void ExportMetrics() const;
-
-  /// Simulated end-to-end 2005-hardware seconds for everything processed.
-  double SimulatedSeconds() const;
-
-  /// Aggregated simulated-device counters (summed across pipeline workers;
-  /// all-zero for the CPU backends).
-  gpu::GpuStats device_stats() const;
-
-  /// Aggregated fault-injection/recovery accounting across the serial path
-  /// and every pipeline worker (all-zero when Options::fault is disabled).
-  /// See docs/ROBUSTNESS.md.
-  FaultStats fault_stats() const;
-
-  const Options& options() const { return options_; }
-  bool sliding() const { return core_.sliding(); }
-  bool pipelined() const { return pipeline_ != nullptr; }
-
- private:
-  /// Hot ingest path for Observe() after the lifecycle check.
-  Status ObserveValue(float value);
-
-  /// Hands the completed batch to the pipeline (or processes it inline) and
-  /// latches any pipeline failure. Called exactly when the batcher fills.
-  Status SubmitFullBatch();
-
-  /// Cadence bookkeeping after a successful batch submit: checkpoints when
-  /// checkpoint_every_windows merged windows have accumulated. Ok when no
-  /// checkpoint is due.
-  Status MaybeAutoCheckpoint();
-
-  /// Installs a validated snapshot into this freshly constructed estimator
-  /// (Restore()'s second half).
-  Status InstallSnapshot(const durable::Snapshot& snapshot);
-
-  /// Serial path: sorts the buffered windows with the backend and merges
-  /// each into the summary.
-  void ProcessBuffered();
-
-  /// Pipelined path: consumes one sorted batch on the summary thread, in
-  /// submission order. Quarantined windows (mask bit set) are skipped and
-  /// accounted instead of merged.
-  Status DrainSortedBatch(std::vector<float>&& data, const sort::SortRunInfo& run,
-                          std::uint64_t quarantine_mask);
-
-  /// Accounts one unrecoverable window (widens the reported error bound);
-  /// delegates to the shared summary core.
-  void QuarantineWindow(std::size_t elements);
-
-  /// Reduces one sorted window to a histogram and merges it into the
-  /// summary (shared by both paths; runs on the summary thread when
-  /// pipelined).
-  void MergeSortedWindow(std::span<float> window);
-
-  /// Pipelined mode: waits for in-flight batches and refreshes the pipeline
-  /// wait-stats in costs_. No-op in serial mode.
-  void Sync() const;
-
-  /// Closes the open ingest_batch span (tracing only).
-  void EndIngestSpan(std::size_t elements);
-
-  Options options_;
-  obs::Observability obs_;
-  SortEngine engine_;
-  stream::WindowBatcher batcher_;
-  /// Summary state + report construction, shared with service::StreamService
-  /// (core/summary_core.h) — the single implementation both execution paths
-  /// answer from.
-  FrequencySummaryCore core_;
-  hwmodel::CpuModel cpu_model_;
-  mutable PipelineCosts costs_;
-  std::uint64_t observed_ = 0;
-  bool finalized_ = false;
-
-  /// Durable checkpointing (null when Options::checkpoint_dir is empty).
-  std::unique_ptr<durable::CheckpointWriter> checkpoint_writer_;
-  std::uint64_t windows_since_checkpoint_ = 0;
-
-  /// Fault injection and recovery (all null / zero when Options::fault is
-  /// disabled — the hot path then never sees them).
-  std::unique_ptr<FaultInjector> fault_injector_;            ///< serial-path injector
-  std::unique_ptr<sort::RadixMergeSorter> fallback_sorter_;  ///< serial CPU fallback
-  std::unique_ptr<sort::ResilientSorter> resilient_sorter_;  ///< wraps engine_'s sorter
-  mutable Status pipeline_status_;  ///< first pipeline failure (sticky)
-
-  /// Observability wiring (null ids / null decorators when disabled).
-  EstimatorMetricIds ids_;
-  std::unique_ptr<TracingSorter> traced_sorter_;  ///< wraps engine_ (serial path)
-  sort::Sorter* sort_front_ = nullptr;            ///< engine sorter or its decorator(s)
-  std::uint64_t window_seq_ = 0;                  ///< windows merged; trace sampling
-  std::uint64_t ingest_seq_ = 0;                  ///< batches ingested; trace sampling
-  std::uint64_t drain_seq_ = 0;                   ///< serial drain batches
-  double ingest_start_us_ = -1;                   ///< open ingest span start
-
-  /// Pipelined mode only: one engine per sort worker (plus its resilience /
-  /// tracing decorators when wired), and the pipeline driving them.
-  /// Declared last so threads stop before members they reference are
-  /// destroyed.
-  std::vector<std::unique_ptr<SortEngine>> worker_engines_;
-  std::vector<std::unique_ptr<FaultInjector>> worker_injectors_;
-  std::vector<std::unique_ptr<sort::RadixMergeSorter>> worker_fallbacks_;
-  std::vector<std::unique_ptr<sort::ResilientSorter>> worker_resilient_;
-  std::vector<std::unique_ptr<TracingSorter>> traced_workers_;
-  std::unique_ptr<stream::SortPipeline> pipeline_;
 };
 
 }  // namespace streamgpu::core

@@ -29,7 +29,9 @@ HhhEstimator::HhhEstimator(const Options& options, int levels, double branch)
                    : static_cast<std::uint64_t>(std::ceil(1.0 / options.epsilon)),
                engine_.batch_windows()),
       hhh_(options.epsilon, levels, branch),
-      cpu_model_(hwmodel::kPentium4_3400) {
+      cpu_model_(hwmodel::kPentium4_3400),
+      executor_({}, {&engine_.sorter()},
+                [this](stream::WindowBatch& batch) { return MergeBatch(batch); }) {
   STREAMGPU_CHECK_MSG(options.sliding_window == 0,
                       "hierarchical heavy hitters support whole-history queries only");
   STREAMGPU_CHECK_MSG(batcher_.window_size() <= hhh_.window_width(),
@@ -40,7 +42,7 @@ void HhhEstimator::Observe(float value) {
   if (engine_.is_gpu() && options_.gpu_format == gpu::Format::kFloat16) {
     value = gpu::QuantizeToHalf(value);
   }
-  if (batcher_.Push(value)) ProcessBuffered();
+  if (batcher_.Push(value)) executor_.SubmitStaged(batcher_);
 }
 
 void HhhEstimator::ObserveBatch(std::span<const float> values) {
@@ -48,23 +50,20 @@ void HhhEstimator::ObserveBatch(std::span<const float> values) {
 }
 
 void HhhEstimator::Flush() {
-  if (!batcher_.empty()) ProcessBuffered();
+  if (!batcher_.empty()) executor_.SubmitStaged(batcher_);
 }
 
-void HhhEstimator::ProcessBuffered() {
-  std::vector<std::span<float>> windows = batcher_.Windows();
-  engine_.sorter().SortRuns(windows);
-  costs_.sort += engine_.sorter().last_run();
-
-  for (std::span<float> window : windows) {
+Status HhhEstimator::MergeBatch(stream::WindowBatch& batch) {
+  costs_.sort += batch.run;
+  batch.ForEachWindow([this](const stream::WindowChunk&, std::span<float> window, bool) {
     Timer hist_timer;
     hhh_.AddSortedWindow(window);
     costs_.histogram_wall_seconds += hist_timer.ElapsedSeconds();
     // One linear histogram scan per hierarchy level, all off the same sort.
     costs_.histogram_elements +=
         window.size() * (static_cast<std::uint64_t>(hhh_.levels()) + 1);
-  }
-  batcher_.Clear();
+  });
+  return Status::Ok();
 }
 
 std::uint64_t HhhEstimator::EstimateCount(float prefix, int level) const {

@@ -16,6 +16,7 @@
 #include "core/options.h"
 #include "sketch/hierarchical.h"
 #include "stream/window_buffer.h"
+#include "stream/window_executor.h"
 
 namespace streamgpu::core {
 
@@ -56,7 +57,9 @@ class HhhEstimator {
   const Options& options() const { return options_; }
 
  private:
-  void ProcessBuffered();
+  /// The executor's drain: feeds each sorted window to every hierarchy
+  /// level (one sort serves them all).
+  Status MergeBatch(stream::WindowBatch& batch);
 
   Options options_;
   SortEngine engine_;
@@ -64,6 +67,8 @@ class HhhEstimator {
   sketch::HierarchicalHeavyHitters hhh_;
   hwmodel::CpuModel cpu_model_;
   PipelineCosts costs_;
+  /// Inline (one-sorter) executor; declared last, after what its drain uses.
+  stream::WindowExecutor executor_;
 };
 
 }  // namespace streamgpu::core

@@ -248,6 +248,15 @@ double QuantileSummaryCore::histogram_wall_seconds() const {
                            : histogram_wall_seconds_;
 }
 
+void QuantileSummaryCore::MirrorCosts(PipelineCosts* costs) const {
+  costs->histogram_wall_seconds = histogram_wall_seconds();
+  costs->histogram_elements = histogram_elements_;
+  costs->merge_wall_seconds = merge_seconds();
+  costs->compress_wall_seconds = compress_seconds();
+  costs->merged_entries = merged_tuples();
+  costs->compressed_entries = pruned_tuples();
+}
+
 FrequencySummaryCore::FrequencySummaryCore(double epsilon,
                                            std::uint64_t window_size,
                                            std::uint64_t sliding_window)
@@ -418,6 +427,17 @@ std::size_t FrequencySummaryCore::summary_size() const {
 
 const sketch::SummaryOpCosts* FrequencySummaryCore::op_costs() const {
   return whole_.has_value() ? &whole_->op_costs() : nullptr;
+}
+
+void FrequencySummaryCore::MirrorCosts(PipelineCosts* costs) const {
+  costs->histogram_wall_seconds = histogram_wall_seconds_;
+  costs->histogram_elements = histogram_elements_;
+  if (const sketch::SummaryOpCosts* ops = op_costs(); ops != nullptr) {
+    costs->merge_wall_seconds = ops->merge_seconds;
+    costs->compress_wall_seconds = ops->compress_seconds;
+    costs->merged_entries = ops->merged_entries;
+    costs->compressed_entries = ops->compressed_entries;
+  }
 }
 
 }  // namespace streamgpu::core

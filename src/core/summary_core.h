@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "core/costs.h"
 #include "core/report.h"
 #include "core/status.h"
 #include "sketch/lossy_counting.h"
@@ -115,6 +116,10 @@ class QuantileSummaryCore {
   double histogram_wall_seconds() const;
   std::uint64_t histogram_elements() const { return histogram_elements_; }
 
+  /// Mirrors the summary-maintenance costs above into an estimator's cost
+  /// record (the histogram/merge/compress fields; the rest stay untouched).
+  void MirrorCosts(PipelineCosts* costs) const;
+
  private:
   std::uint64_t Coverage(std::uint64_t window) const;
   std::uint64_t ErrorBound() const;
@@ -176,6 +181,9 @@ class FrequencySummaryCore {
   const sketch::SummaryOpCosts* op_costs() const;
   double histogram_wall_seconds() const { return histogram_wall_seconds_; }
   std::uint64_t histogram_elements() const { return histogram_elements_; }
+
+  /// Mirrors the histogram and (whole-history) op costs into `costs`.
+  void MirrorCosts(PipelineCosts* costs) const;
 
  private:
   std::uint64_t Coverage(std::uint64_t window) const;

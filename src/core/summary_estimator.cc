@@ -1,0 +1,423 @@
+#include "core/summary_estimator.h"
+
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "common/check.h"
+#include "common/timer.h"
+#include "gpu/half.h"
+#include "hwmodel/hardware_profiles.h"
+
+namespace streamgpu::core {
+
+namespace {
+
+// Validates user-provided options at the API boundary; constructor path, so
+// violations abort (Create() returns them as Status instead).
+const Options& ValidatedOptions(const Options& options) {
+  const Status status = options.Validate();
+  STREAMGPU_CHECK_MSG(status.ok(), status.ToString().c_str());
+  return options;
+}
+
+}  // namespace
+
+template <typename Core>
+SummaryEstimator<Core>::SummaryEstimator(const Options& options)
+    : options_(ValidatedOptions(options)),
+      obs_(options.obs),
+      core_(Traits::MakeCore(options, Traits::Window(options))),
+      stacks_(MakeSortStacks(options, options.num_sort_workers, Traits::kPrefix)),
+      batcher_(Traits::Window(options), stacks_[0]->engine().batch_windows()),
+      cpu_model_(hwmodel::kPentium4_3400) {
+  // The paper streams 16-bit floating point data (§5); the GPU path
+  // quantizes on ingestion so summaries and queries agree bit-exactly.
+  quantize_ = stacks_[0]->engine().is_gpu() && options.gpu_format == gpu::Format::kFloat16;
+  ids_ = EstimatorMetricIds::Register(obs_.metrics, Traits::kPrefix, batcher_.window_size());
+  if (obs_.trace != nullptr) obs_.trace->NameCurrentThread("ingest");
+  if (obs_.trace != nullptr && obs_.metrics != nullptr) {
+    // Span-cap overflow becomes visible as obs.trace.spans_dropped.
+    obs_.trace->BindDropCounter(obs_.metrics);
+  }
+  if (!options.checkpoint_dir.empty()) {
+    checkpoint_writer_ = std::make_unique<durable::CheckpointWriter>(options.checkpoint_dir);
+    checkpoint_writer_->SetObservability(obs_);
+  }
+
+  stream::WindowExecutor::Config config;
+  config.trace = obs_.trace;
+  config.trace_label = Traits::kPrefix;
+  config.flight = obs_.flight;
+  config.drain_deadline_seconds = options.fault.drain_deadline_seconds;
+  if (options.max_windows_in_flight > 0) {
+    // A window count, rounded up to whole sort batches.
+    const int batch_windows = batcher_.batch_windows();
+    config.max_batches_in_flight = std::max(
+        1, (options.max_windows_in_flight + batch_windows - 1) / batch_windows);
+  }
+  if (options.fault.enabled()) {
+    config.queue_stall_hook = [this](int worker_index) {
+      return stacks_[static_cast<std::size_t>(worker_index)]->injector()->PollQueueStall();
+    };
+  }
+  std::vector<sort::Sorter*> sorters;
+  for (const auto& stack : stacks_) sorters.push_back(&stack->front());
+  executor_ = std::make_unique<stream::WindowExecutor>(
+      config, std::move(sorters),
+      [this](stream::WindowBatch& batch) { return DrainBatch(batch); });
+}
+
+template <typename Core>
+SummaryEstimator<Core>::~SummaryEstimator() = default;
+
+template <typename Core>
+Status SummaryEstimator<Core>::Observe(float value) {
+  if (finalized_) {
+    return Status::FailedPrecondition(
+        "Observe() after Flush(): the estimator is finalized and query-only");
+  }
+  return ObserveValue(value);
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::ObserveBatch(std::span<const float> values) {
+  if (finalized_) {
+    return Status::FailedPrecondition(
+        "ObserveBatch() after Flush(): the estimator is finalized and query-only");
+  }
+  // Bulk fast path: the lifecycle and backend checks above are hoisted out
+  // of the loop, and whole spans are copied (or binary16-quantized) straight
+  // into batch storage instead of pushing one element at a time. Batch
+  // boundaries, counters, and trace spans land exactly as the per-element
+  // path produces them.
+  std::size_t consumed = 0;
+  while (consumed < values.size()) {
+    if (obs_.trace != nullptr && ingest_start_us_ < 0) {
+      ingest_start_us_ = obs_.trace->NowMicros();
+    }
+    const std::span<float> slot = batcher_.Claim(values.size() - consumed);
+    if (quantize_) {
+      for (std::size_t i = 0; i < slot.size(); ++i) {
+        slot[i] = gpu::QuantizeToHalf(values[consumed + i]);
+      }
+    } else {
+      std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(consumed),
+                  slot.size(), slot.begin());
+    }
+    consumed += slot.size();
+    observed_ += slot.size();
+    if (obs_.metrics != nullptr) {
+      obs_.metrics->Add(ids_.elements_observed, slot.size());
+    }
+    if (batcher_.full()) {
+      EndIngestSpan(batcher_.buffered());
+      const Status status = SubmitBatch();
+      if (!status.ok()) return status;
+      const Status checkpoint = MaybeAutoCheckpoint();
+      if (!checkpoint.ok()) return checkpoint;
+    }
+  }
+  return Status::Ok();
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::ObserveValue(float value) {
+  ++observed_;
+  if (obs_.metrics != nullptr) obs_.metrics->Add(ids_.elements_observed);
+  if (obs_.trace != nullptr && ingest_start_us_ < 0) {
+    ingest_start_us_ = obs_.trace->NowMicros();
+  }
+  if (quantize_) value = gpu::QuantizeToHalf(value);
+  if (batcher_.Push(value)) {
+    EndIngestSpan(batcher_.buffered());
+    const Status status = SubmitBatch();
+    if (!status.ok()) return status;
+    return MaybeAutoCheckpoint();
+  }
+  return Status::Ok();
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::SubmitBatch() {
+  const Status status = executor_->SubmitStaged(batcher_);
+  // A wedged or dead executor surfaces as a Status to the caller instead of
+  // blocking on a cap nobody will ever free (docs/ROBUSTNESS.md).
+  if (!status.ok() && executor_status_.ok()) executor_status_ = status;
+  return status;
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::EndIngestSpan(std::size_t elements) {
+  if (obs_.trace == nullptr) return;
+  const std::uint64_t seq = ingest_seq_++;
+  if (ingest_start_us_ >= 0 && obs_.trace->Sampled(seq)) {
+    // The span covers accumulating one batch in the WindowBatcher, from the
+    // batch's first element to its hand-off.
+    obs_.trace->AddSpan("ingest_batch", "ingest", ingest_start_us_,
+                        obs_.trace->NowMicros() - ingest_start_us_,
+                        {{"seq", static_cast<double>(seq)},
+                         {"elements", static_cast<double>(elements)}});
+  }
+  ingest_start_us_ = -1;
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::Flush() {
+  if (finalized_) return executor_status_;
+  finalized_ = true;
+  if (!batcher_.empty()) {
+    EndIngestSpan(batcher_.buffered());
+    SubmitBatch();
+  }
+  Sync();
+  return executor_status_;
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::DrainBatch(stream::WindowBatch& batch) {
+  // Runs in submission order — on the drain thread, or inline on the
+  // caller's — so the cost record (including the floating-point
+  // simulated-seconds sums) accumulates in the same order either way.
+  costs_.sort += batch.run;
+  Timer drain_timer;
+  batch.ForEachWindow(
+      [this](const stream::WindowChunk&, std::span<float> window, bool quarantined) {
+        if (quarantined) {
+          core_.QuarantineWindow(window.size());
+        } else {
+          MergeSortedWindow(window);
+        }
+      });
+  if (obs_.metrics != nullptr) {
+    obs_.metrics->Observe(ids_.drain_latency, drain_timer.ElapsedSeconds() * 1e6);
+  }
+  return Status::Ok();
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::MergeSortedWindow(std::span<float> window) {
+  const std::uint64_t seq = window_seq_++;
+  const bool traced = obs_.trace != nullptr && obs_.trace->Sampled(seq);
+  const double t0 = traced ? obs_.trace->NowMicros() : 0;
+
+  Timer merge_timer;
+  const std::size_t entries = core_.MergeSortedWindow(window);
+
+  if (obs_.metrics != nullptr) {
+    obs_.metrics->Add(ids_.windows_merged);
+    obs_.metrics->Add(ids_.elements_merged, window.size());
+    obs_.metrics->Record(ids_.window_elements, static_cast<double>(window.size()));
+    obs_.metrics->Observe(ids_.merge_latency, merge_timer.ElapsedSeconds() * 1e6);
+  }
+  if (traced) {
+    obs_.trace->AddSpan("window_merge", "merge", t0, obs_.trace->NowMicros() - t0,
+                        {{"window", static_cast<double>(seq)},
+                         {"elements", static_cast<double>(window.size())},
+                         {Traits::kMergeArg, static_cast<double>(entries)}});
+  }
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::Sync() const {
+  if (!executor_->threaded()) return;  // inline: every batch already drained
+  const Status status = executor_->WaitIdle();
+  if (!status.ok() && executor_status_.ok()) executor_status_ = status;
+  const stream::PipelineWaitStats stats = executor_->stats();
+  costs_.ingest_stall_seconds = stats.ingest_stall_seconds;
+  costs_.sort_queue_wait_seconds = stats.sort_queue_wait_seconds;
+  costs_.drain_queue_wait_seconds = stats.drain_queue_wait_seconds;
+  costs_.sort_wall_seconds = stats.sort_wall_seconds;
+  costs_.drain_wall_seconds = stats.drain_wall_seconds;
+  costs_.pipelined_batches = stats.batches;
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::MaybeAutoCheckpoint() {
+  if (options_.checkpoint_every_windows == 0) return Status::Ok();
+  windows_since_checkpoint_ += static_cast<std::uint64_t>(batcher_.batch_windows());
+  if (windows_since_checkpoint_ < options_.checkpoint_every_windows) {
+    return Status::Ok();
+  }
+  return Checkpoint();
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::Checkpoint() {
+  if (checkpoint_writer_ == nullptr) {
+    return Status::FailedPrecondition(
+        "Checkpoint() requires Options::checkpoint_dir");
+  }
+  // A consistent cut: every submitted batch is merged before the snapshot,
+  // so the summary core, the staged partial window, and observed_ agree.
+  Sync();
+  if (!executor_status_.ok()) return executor_status_;
+
+  checkpoint_writer_->Begin();
+  durable::SnapshotHeader header;
+  header.mode = Traits::kMode;
+  header.kind = Traits::Kind(core_);
+  header.epsilon = options_.epsilon;
+  header.window_size = batcher_.window_size();
+  header.aux = options_.expected_stream_length;
+  std::vector<std::uint8_t> header_payload;
+  durable::AppendSnapshotHeader(header, &header_payload);
+  checkpoint_writer_->Add(durable::RecordType::kSnapshotHeader, header_payload);
+
+  std::vector<std::uint8_t> state;
+  if (Status s = core_.AppendCheckpointState(&state); !s.ok()) return s;
+  checkpoint_writer_->Add(Traits::kStateRecord, state);
+
+  if (!batcher_.empty()) {
+    std::vector<std::uint8_t> staged;
+    durable::AppendWindowBuffer(batcher_.contents(), &staged);
+    checkpoint_writer_->Add(durable::RecordType::kWindowBuffer, staged);
+  }
+  const Status status = checkpoint_writer_->Commit(observed_);
+  if (status.ok()) windows_since_checkpoint_ = 0;
+  return status;
+}
+
+template <typename Core>
+Status SummaryEstimator<Core>::InstallSnapshot(const durable::Snapshot& snapshot) {
+  if (snapshot.records.empty()) {
+    return Status::InvalidArgument("snapshot has no records");
+  }
+  durable::SnapshotHeader header;
+  if (!durable::ReadSnapshotHeader(snapshot.records[0].payload, &header)) {
+    return Status::InvalidArgument("malformed snapshot header");
+  }
+  if (header.mode != Traits::kMode) {
+    return Status::InvalidArgument(
+        "checkpoint was written by a different subsystem (header mode " +
+        std::to_string(header.mode) + ")");
+  }
+  if (header.kind != Traits::Kind(core_) || header.epsilon != options_.epsilon ||
+      header.window_size != batcher_.window_size() ||
+      header.aux != options_.expected_stream_length) {
+    return Status::InvalidArgument(
+        "checkpoint configuration does not match Options (epsilon, window "
+        "size, sketch kind, and expected stream length must equal the "
+        "writer's)");
+  }
+
+  const std::string state_name = std::string(Traits::kName) + "-state record";
+  const durable::OwnedRecord* state = nullptr;
+  const durable::OwnedRecord* staged = nullptr;
+  for (std::size_t i = 1; i < snapshot.records.size(); ++i) {
+    const durable::OwnedRecord& record = snapshot.records[i];
+    if (record.type == Traits::kStateRecord) {
+      if (state != nullptr) return Status::InvalidArgument("duplicate " + state_name);
+      state = &record;
+    } else if (record.type == durable::RecordType::kWindowBuffer) {
+      if (staged != nullptr) {
+        return Status::InvalidArgument("duplicate window-buffer record");
+      }
+      staged = &record;
+    } else {
+      return Status::InvalidArgument(
+          std::string("unexpected ") + durable::RecordTypeName(record.type) +
+          " record in a " + Traits::kName + "-estimator snapshot");
+    }
+  }
+  if (state == nullptr) {
+    return Status::InvalidArgument("snapshot is missing its " + state_name);
+  }
+  if (Status s = core_.RestoreCheckpointState(state->payload); !s.ok()) return s;
+
+  if (staged != nullptr) {
+    std::vector<float> buffered;
+    if (!durable::ReadWindowBuffer(staged->payload, &buffered)) {
+      return Status::InvalidArgument("malformed window-buffer record");
+    }
+    const std::size_t capacity =
+        batcher_.window_size() * static_cast<std::size_t>(batcher_.batch_windows());
+    if (buffered.empty() || buffered.size() >= capacity) {
+      return Status::InvalidArgument(
+          "window-buffer record stages " + std::to_string(buffered.size()) +
+          " elements; a checkpoint stages between 1 and " +
+          std::to_string(capacity - 1));
+    }
+    // The staged elements were quantized at original ingest; copy them back
+    // verbatim instead of re-quantizing.
+    const std::span<float> slot = batcher_.Claim(buffered.size());
+    std::copy(buffered.begin(), buffered.end(), slot.begin());
+  }
+
+  const std::uint64_t covered = core_.processed() + core_.elements_dropped() +
+                                core_.elements_shed() + batcher_.buffered();
+  if (snapshot.watermark != covered) {
+    return Status::InvalidArgument(
+        "snapshot watermark " + std::to_string(snapshot.watermark) +
+        " does not cover the restored state (" + std::to_string(covered) + ")");
+  }
+  observed_ = snapshot.watermark;
+  if (obs_.metrics != nullptr && observed_ > 0) {
+    // Re-seed the live counter so exports stay continuous across restarts.
+    obs_.metrics->Add(ids_.elements_observed, observed_);
+  }
+  return Status::Ok();
+}
+
+template <typename Core>
+std::uint64_t SummaryEstimator<Core>::processed_length() const {
+  Sync();
+  return core_.processed();
+}
+
+template <typename Core>
+std::size_t SummaryEstimator<Core>::summary_size() const {
+  Sync();
+  return core_.summary_size();
+}
+
+template <typename Core>
+gpu::GpuStats SummaryEstimator<Core>::device_stats() const {
+  Sync();
+  gpu::GpuStats total;
+  for (const auto& stack : stacks_) {
+    if (stack->engine().device() != nullptr) total += stack->engine().device()->stats();
+  }
+  return total;
+}
+
+template <typename Core>
+FaultStats SummaryEstimator<Core>::fault_stats() const {
+  Sync();
+  FaultStats stats;
+  for (const auto& stack : stacks_) stats += stack->fault_stats();
+  // Quarantine is taken from the summary core's drain-side counters — the
+  // same numbers the reports state — rather than the sorters' totals.
+  stats.windows_quarantined = core_.windows_quarantined();
+  stats.elements_dropped = core_.elements_dropped();
+  return stats;
+}
+
+template <typename Core>
+const PipelineCosts& SummaryEstimator<Core>::costs() const {
+  Sync();
+  core_.MirrorCosts(&costs_);
+  return costs_;
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::ExportMetrics() const {
+  if (obs_.metrics == nullptr) return;
+  ExportPipelineCosts(obs_.metrics, Traits::kPrefix, costs(), cpu_model_);
+  const auto set = [&](const char* name, double value) {
+    obs_.metrics->Set(obs_.metrics->Gauge(std::string(Traits::kPrefix) + name), value);
+  };
+  set(".stream.observed", static_cast<double>(observed_));
+  set(".stream.processed", static_cast<double>(processed_length()));
+  set(".summary.entries", static_cast<double>(summary_size()));
+}
+
+template <typename Core>
+double SummaryEstimator<Core>::SimulatedSeconds() const {
+  return costs().SimulatedTotalSeconds(cpu_model_);
+}
+
+template class SummaryEstimator<QuantileSummaryCore>;
+template class SummaryEstimator<FrequencySummaryCore>;
+
+}  // namespace streamgpu::core

@@ -18,9 +18,6 @@ namespace wire = sketch::wire;
 
 constexpr std::size_t kDefaultBatchElements = std::size_t{1} << 16;
 
-// Window-group width per SortRuns call (see shard_dispatcher.cc).
-constexpr std::size_t kMaxRunsPerGroup = 64;
-
 int ResolveShards(const ServiceConfig& config) {
   if (config.num_shards > 0) return config.num_shards;
   return 4 * std::max(config.num_workers, 1);
@@ -69,14 +66,15 @@ StreamService::StreamService(const ServiceConfig& config)
   shards_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
 
-  // One engine (and on GPU backends one simulated device) per worker; the
-  // per-stream fields of Options are irrelevant to engine construction.
+  // One sorter stack (and on GPU backends one simulated device) per worker;
+  // the per-stream fields of Options are irrelevant to sorter construction.
   core::Options engine_options;
   engine_options.backend = config_.backend;
   engine_options.planner = config_.planner;
   engine_options.gpu_format = config_.gpu_format;
-  engines_ = core::MakeWorkerEngines(engine_options, config_.num_workers);
-  quantize_ = engines_[0]->is_gpu() && config_.gpu_format == gpu::Format::kFloat16;
+  engine_options.obs = obs_;
+  stacks_ = core::MakeSortStacks(engine_options, config_.num_workers, "service");
+  quantize_ = stacks_[0]->engine().is_gpu() && config_.gpu_format == gpu::Format::kFloat16;
 
   if (obs_.metrics != nullptr) {
     m_observed_ = obs_.metrics->Counter("service.elements_observed");
@@ -90,17 +88,16 @@ StreamService::StreamService(const ServiceConfig& config)
     s_merge_query_ = obs_.metrics->Summary("service.merge.query_seconds");
   }
 
-  if (config_.num_workers >= 2) {
-    std::vector<sort::Sorter*> sorters;
-    sorters.reserve(engines_.size());
-    for (auto& engine : engines_) sorters.push_back(&engine->sorter());
-    ShardDispatcher::Config dispatcher_config;
-    dispatcher_config.max_batches_in_flight = config_.max_batches_in_flight;
-    dispatcher_config.flight = obs_.flight;
-    dispatcher_ = std::make_unique<ShardDispatcher>(
-        dispatcher_config, std::move(sorters),
-        [this](ShardBatch&& batch) { return MergeBatch(batch); });
-  }
+  stream::WindowExecutor::Config executor_config;
+  executor_config.max_batches_in_flight = config_.max_batches_in_flight;
+  executor_config.trace = obs_.trace;
+  executor_config.trace_label = "service";
+  executor_config.flight = obs_.flight;
+  std::vector<sort::Sorter*> sorters;
+  for (const auto& stack : stacks_) sorters.push_back(&stack->front());
+  executor_ = std::make_unique<stream::WindowExecutor>(
+      executor_config, std::move(sorters),
+      [this](stream::WindowBatch& batch) { return MergeBatch(batch); });
 }
 
 StreamService::~StreamService() = default;
@@ -277,7 +274,7 @@ core::Status StreamService::StageWindow(StreamState& state, bool final_partial) 
     if (shard.used_chunks == shard.pending.chunks.size()) {
       shard.pending.chunks.emplace_back();
     }
-    StreamChunk& chunk = shard.pending.chunks[shard.used_chunks];
+    stream::WindowChunk& chunk = shard.pending.chunks[shard.used_chunks];
     STREAMGPU_DCHECK(chunk.data.empty());
     chunk.stream = state.index;
     chunk.window_size = state.window_size;
@@ -285,7 +282,7 @@ core::Status StreamService::StageWindow(StreamState& state, bool final_partial) 
     state.pending_chunk = static_cast<int>(shard.used_chunks);
     ++shard.used_chunks;
   }
-  StreamChunk& chunk =
+  stream::WindowChunk& chunk =
       shard.pending.chunks[static_cast<std::size_t>(state.pending_chunk)];
   const std::span<const float> elements = state.batcher.contents();
   chunk.data.insert(chunk.data.end(), elements.begin(), elements.end());
@@ -301,7 +298,6 @@ core::Status StreamService::StageWindow(StreamState& state, bool final_partial) 
 core::Status StreamService::DispatchShard(std::uint32_t shard_index) {
   Shard& shard = *shards_[shard_index];
   if (shard.pending.elements == 0) return core::Status::Ok();
-  shard.pending.shard = shard_index;
   admission_.OnDispatched(shard_index, shard.pending.elements);
   for (std::size_t c = 0; c < shard.used_chunks; ++c) {
     streams_[shard.pending.chunks[c].stream]->pending_chunk = -1;
@@ -310,55 +306,33 @@ core::Status StreamService::DispatchShard(std::uint32_t shard_index) {
   ++stats_.batches_dispatched;
   if (obs_.metrics != nullptr) obs_.metrics->Add(m_batches_);
 
-  if (dispatcher_ != nullptr) {
-    const core::Status status = dispatcher_->Submit(std::move(shard.pending));
-    shard.pending = dispatcher_->AcquireBatch();
-    return status;
-  }
-
-  // Single-worker mode: sort and merge synchronously on the ingest thread,
-  // then recycle the batch storage in place.
-  inline_scratch_.clear();
-  for (StreamChunk& chunk : shard.pending.chunks) {
-    AppendChunkWindows(chunk, &inline_scratch_);
-  }
-  sort::Sorter& sorter = engines_[0]->sorter();
-  shard.pending.run = sort::SortRunInfo{};
-  for (std::size_t off = 0; off < inline_scratch_.size();
-       off += kMaxRunsPerGroup) {
-    const std::size_t count =
-        std::min(kMaxRunsPerGroup, inline_scratch_.size() - off);
-    sorter.SortRuns(
-        std::span<std::span<float>>(inline_scratch_.data() + off, count));
-    shard.pending.run += sorter.last_run();
-    STREAMGPU_CHECK_MSG(sorter.last_quarantine_mask() == 0,
-                        "service sorters wire no fault injection");
-  }
-  const core::Status status = MergeBatch(shard.pending);
-  for (StreamChunk& chunk : shard.pending.chunks) {
-    chunk.data.clear();
-    chunk.final_partial = false;
-  }
-  shard.pending.elements = 0;
+  // One worker sorts and merges inline on the ingest thread; more hand the
+  // batch to the pool. Either way the drained storage comes back for reuse.
+  const core::Status status = executor_->Submit(std::move(shard.pending));
+  shard.pending = executor_->AcquireBatch();
   return status;
 }
 
-core::Status StreamService::MergeBatch(ShardBatch& batch) {
-  Shard& shard = *shards_[batch.shard];
+core::Status StreamService::MergeBatch(stream::WindowBatch& batch) {
+  // Every chunk of a batch belongs to one shard; chunk 0 is always in use.
+  Shard& shard = *shards_[streams_[batch.chunks.front().stream]->shard];
   std::uint64_t windows = 0;
   {
     std::lock_guard<std::mutex> lock(shard.summary_mu);
-    for (StreamChunk& chunk : batch.chunks) {
-      if (chunk.data.empty()) continue;
-      drain_scratch_.clear();
-      AppendChunkWindows(chunk, &drain_scratch_);
+    batch.ForEachWindow([&](const stream::WindowChunk& chunk,
+                            std::span<float> window, bool quarantined) {
       StreamState& state = *streams_[chunk.stream];
-      for (const std::span<float> window : drain_scratch_) {
-        if (state.quantiles) state.quantiles->MergeSortedWindow(window);
-        if (state.frequencies) state.frequencies->MergeSortedWindow(window);
-        ++windows;
+      if (quarantined) {
+        // Unrecoverable window: lost coverage, accounted in the stream's
+        // reported bound exactly as a dedicated estimator accounts it.
+        if (state.quantiles) state.quantiles->QuarantineWindow(window.size());
+        if (state.frequencies) state.frequencies->QuarantineWindow(window.size());
+        return;
       }
-    }
+      if (state.quantiles) state.quantiles->MergeSortedWindow(window);
+      if (state.frequencies) state.frequencies->MergeSortedWindow(window);
+      ++windows;
+    });
   }
   windows_merged_.fetch_add(windows, std::memory_order_relaxed);
   if (obs_.metrics != nullptr) obs_.metrics->Add(m_windows_, windows);
@@ -395,7 +369,7 @@ core::Status StreamService::WaitIdle() {
     const core::Status status = DispatchShard(s);
     if (!status.ok()) return status;
   }
-  return dispatcher_ != nullptr ? dispatcher_->WaitIdle() : core::Status::Ok();
+  return executor_->WaitIdle();
 }
 
 core::Status StreamService::ResumeDispatch() {

@@ -6,16 +6,19 @@
 // thread pool per stream — untenable at 100k streams. The service instead
 // shards streams by key onto a fixed set of ingress shards, coalesces small
 // per-stream writes into per-shard micro-batches, and dispatches those
-// batches to a single ShardDispatcher worker pool: one queue operation and
-// one sorter invocation amortize across many streams, so aggregate ingest
-// throughput tracks the worker count, not the stream count.
+// batches to one stream::WindowExecutor — the same executor the dedicated
+// estimators run on: one queue operation and one sorter invocation amortize
+// across many streams, so aggregate ingest throughput tracks the worker
+// count, not the stream count.
 //
 // Per-stream answers stay bit-identical to a dedicated estimator pipeline:
 // both sides delegate summary maintenance to the same
 // core::{Quantile,Frequency}SummaryCore, every backend sorts a window to the
-// same permutation regardless of batching, and the dispatcher's ordered
+// same permutation regardless of batching, and the executor's ordered
 // drain merges each stream's windows in ingest order (docs/SERVICE.md,
-// "Bit-identity").
+// "Bit-identity"). Sorters come from the same core::SortStack as the
+// estimators', so a window the sorter cannot recover is quarantined and
+// widens its stream's bound instead of aborting the service.
 //
 // Admission control (the §1 load-shedding DSMS frontend, live): each shard's
 // backlog of admitted-but-undispatched elements is bounded by
@@ -54,10 +57,10 @@
 #include "durable/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
-#include "service/shard_dispatcher.h"
 #include "sketch/quantile_sketch.h"
 #include "stream/dsms.h"
 #include "stream/window_buffer.h"
+#include "stream/window_executor.h"
 
 namespace streamgpu::service {
 
@@ -132,7 +135,7 @@ struct ServiceConfig {
   gpu::Format gpu_format = gpu::Format::kFloat16;
 
   /// Sort workers in the shared pool. 1 = synchronous dispatch on the
-  /// ingest thread (no threads spawned); >= 2 runs the ShardDispatcher.
+  /// ingest thread (no threads spawned); >= 2 runs the executor threaded.
   int num_workers = 1;
 
   /// Ingress shards streams hash onto. 0 = 4 * num_workers (enough
@@ -144,11 +147,11 @@ struct ServiceConfig {
   /// bound per-stream merge latency.
   std::size_t shard_batch_elements = 0;
 
-  /// Dispatcher backpressure cap; 0 = num_workers + 2 batches.
+  /// Executor backpressure cap in shard batches; 0 = num_workers + 2.
   int max_batches_in_flight = 0;
 
   /// What Append() does when a shard's ingress backlog is full: kBlock
-  /// (default) relies on dispatcher backpressure; kShed drops the excess
+  /// (default) relies on executor backpressure; kShed drops the excess
   /// and widens the affected streams' error bounds (docs/SERVICE.md).
   stream::AdmissionPolicy admission = stream::AdmissionPolicy::kBlock;
 
@@ -211,7 +214,7 @@ class StreamService {
   /// values.size() under kBlock; possibly fewer under kShed — the admitted
   /// count is the exact prefix of `values` that entered the stream, so a
   /// caller can mirror it elsewhere). Returns kInvalidArgument for an
-  /// unknown key, kFailedPrecondition after Flush(key), or the dispatcher's
+  /// unknown key, kFailedPrecondition after Flush(key), or the executor's
   /// sticky failure.
   core::StatusOr<std::size_t> Append(const StreamKey& key,
                                      std::span<const float> values);
@@ -355,7 +358,7 @@ class StreamService {
   /// One ingress shard: the micro-batch being coalesced (ingest thread) and
   /// the lock serializing summary merges against queries.
   struct Shard {
-    ShardBatch pending;
+    stream::WindowBatch pending;
     std::size_t used_chunks = 0;
     mutable std::mutex summary_mu;
   };
@@ -375,9 +378,10 @@ class StreamService {
   /// micro-batch.
   core::Status DispatchShard(std::uint32_t shard_index);
 
-  /// Drain side: merges every chunk's windows into its stream's summary
-  /// cores under the shard's summary lock.
-  core::Status MergeBatch(ShardBatch& batch);
+  /// The executor's drain: merges every chunk's windows into its stream's
+  /// summary cores under the shard's summary lock; quarantined windows are
+  /// accounted against their stream instead.
+  core::Status MergeBatch(stream::WindowBatch& batch);
 
   /// Accounts `dropped` shed elements against the stream (summary cores,
   /// counters, flight event).
@@ -421,14 +425,11 @@ class StreamService {
   obs::MetricId m_merge_shards_ = obs::kInvalidMetric;
   obs::MetricId s_merge_query_ = obs::kInvalidMetric;
 
-  /// One engine per worker (each owning its Sorter and, on GPU backends,
-  /// its simulated device). engines_[0] serves the synchronous single-
-  /// worker mode. Declared before the dispatcher so worker threads stop
-  /// before the sorters they borrow are destroyed.
-  std::vector<std::unique_ptr<core::SortEngine>> engines_;
-  std::vector<std::span<float>> inline_scratch_;  ///< single-worker SortRuns spans
-  std::vector<std::span<float>> drain_scratch_;   ///< drain-side window splitting
-  std::unique_ptr<ShardDispatcher> dispatcher_;
+  /// One sorter stack per worker (each owning its engine and, on GPU
+  /// backends, its simulated device). Declared before the executor so worker
+  /// threads stop before the sorters they borrow are destroyed.
+  std::vector<std::unique_ptr<core::SortStack>> stacks_;
+  std::unique_ptr<stream::WindowExecutor> executor_;
 };
 
 }  // namespace streamgpu::service

@@ -13,7 +13,7 @@
 // Repeated device loss permanently degrades the wrapper to the CPU fallback
 // (the worker's device is considered gone). Quarantined runs are restored to
 // their pre-sort contents and flagged in last_quarantine_mask(); the caller
-// (the estimators) skips them and widens its reported error bound instead of
+// (the window executor's drain) skips them and widens its reported error bound instead of
 // ingesting garbage. See docs/ROBUSTNESS.md.
 
 #ifndef STREAMGPU_SORT_RESILIENT_H_
@@ -44,7 +44,7 @@ struct ResilienceOptions {
 };
 
 /// Verifies and heals an inner sorter. Batches are limited to 64 runs (the
-/// quarantine mask width); every caller batches at most 4 (the RGBA packing).
+/// quarantine mask width); stream::WindowExecutor groups at most that many.
 class ResilientSorter final : public Sorter {
  public:
   /// Recovery/accounting totals since construction.

@@ -76,10 +76,10 @@ class WindowBatcher {
   void Clear() { buffer_.clear(); }
 
   /// Moves the buffered elements out (leaving the batcher empty), for
-  /// handing a whole batch to a SortPipeline without copying. `replacement`
-  /// becomes the new staging storage — pass a recycled buffer (e.g. from
-  /// SortPipeline::AcquireBuffer()) and the steady-state ingest loop never
-  /// allocates; the default grows a fresh buffer.
+  /// handing a whole batch to a WindowExecutor without copying.
+  /// `replacement` becomes the new staging storage — pass a recycled buffer
+  /// (e.g. a chunk from WindowExecutor::AcquireBatch()) and the steady-state
+  /// ingest loop never allocates; the default grows a fresh buffer.
   std::vector<float> TakeBuffer(std::vector<float>&& replacement = {}) {
     std::vector<float> out = std::move(buffer_);
     buffer_ = std::move(replacement);

@@ -2,7 +2,7 @@
 //
 // The zero-allocation window path (docs/ARCHITECTURE.md, "Buffer recycling")
 // promises that once the rings and pools are warm, the per-window loop —
-// WindowBatcher staging, SortPipeline submit/sort/reorder/drain, sorter
+// WindowBatcher staging, WindowExecutor submit/sort/reorder/drain, sorter
 // scratch, simulated-device storage — performs no heap allocations at all.
 // This binary overrides global operator new/delete with a counting hook and
 // holds the pipeline to that promise: warm up, snapshot the counter, stream
@@ -38,8 +38,8 @@
 #include "sort/cpu_sort.h"
 #include "sort/pbsn_gpu.h"
 #include "stream/generator.h"
-#include "stream/pipeline.h"
 #include "stream/window_buffer.h"
+#include "stream/window_executor.h"
 
 namespace {
 
@@ -139,9 +139,9 @@ TEST(AllocTest, SteadyStatePipelineLoopIsAllocationFree) {
   EXPECT_LE(after - before, 12u * 32u) << "per-window allocations in the estimator loop";
 }
 
-// The pipeline in isolation (no summary structures): strictly zero
-// allocations per steady-state batch.
-TEST(AllocTest, SortPipelineAloneIsAllocationFree) {
+// The executor in isolation (no summary structures): strictly zero
+// allocations per steady-state batch, inline (one sorter) and threaded.
+TEST(AllocTest, WindowExecutorAloneIsAllocationFree) {
   if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
 
   constexpr std::uint64_t kWindow = 1 << 10;
@@ -150,59 +150,57 @@ TEST(AllocTest, SortPipelineAloneIsAllocationFree) {
 
   sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
   sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
-  std::uint64_t drained = 0;
-  stream::PipelineConfig config;
-  config.window_size = kWindow;
-  config.max_batches_in_flight = 4;
-  stream::SortPipeline pipeline(
-      config, {&sorter_a, &sorter_b},
-      [&drained](std::vector<float>&& data, const sort::SortRunInfo&,
-                 std::uint64_t) {
-        drained += data.size();  // read-only drain; storage stays recyclable
-        return streamgpu::core::Status::Ok();
-      });
+  for (const std::vector<sort::Sorter*>& sorters :
+       {std::vector<sort::Sorter*>{&sorter_a},
+        std::vector<sort::Sorter*>{&sorter_a, &sorter_b}}) {
+    SCOPED_TRACE(testing::Message() << "sorters=" << sorters.size());
+    std::uint64_t drained = 0;
+    stream::WindowExecutor::Config config;
+    config.max_batches_in_flight = 4;
+    stream::WindowExecutor executor(
+        config, sorters, [&drained](stream::WindowBatch& batch) {
+          drained += batch.elements;  // read-only drain; storage stays recyclable
+          return streamgpu::core::Status::Ok();
+        });
 
-  stream::StreamGenerator gen(
-      {.distribution = stream::Distribution::kUniformReal, .seed = 11});
-  stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
+    stream::StreamGenerator gen(
+        {.distribution = stream::Distribution::kUniformReal, .seed = 11});
+    stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
 
-  auto stream_batches = [&](std::size_t batches) {
-    for (std::size_t b = 0; b < batches; ++b) {
-      const auto data = gen.Take(kBatchElements);
-      for (float v : data) {
-        if (batcher.Push(v)) {
-          pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
+    auto stream_batches = [&](std::size_t batches) {
+      for (std::size_t b = 0; b < batches; ++b) {
+        const auto data = gen.Take(kBatchElements);
+        for (float v : data) {
+          if (batcher.Push(v)) executor.SubmitStaged(batcher);
         }
       }
-    }
-    pipeline.WaitIdle();
-  };
+      executor.WaitIdle();
+    };
 
-  stream_batches(12);  // warm-up: rings, pool, worker scratch, sorter scratch
+    stream_batches(12);  // warm-up: rings, pool, worker scratch, sorter scratch
 
-  // gen.Take above allocates; measure only the ingest->drain loop.
-  std::vector<std::vector<float>> prepared;
-  for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));
+    // gen.Take above allocates; measure only the ingest->drain loop.
+    std::vector<std::vector<float>> prepared;
+    for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));
 
-  const std::uint64_t before = AllocCount();
-  for (const auto& data : prepared) {
-    for (float v : data) {
-      if (batcher.Push(v)) {
-        pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
+    const std::uint64_t before = AllocCount();
+    for (const auto& data : prepared) {
+      for (float v : data) {
+        if (batcher.Push(v)) executor.SubmitStaged(batcher);
       }
     }
-  }
-  pipeline.WaitIdle();
-  const std::uint64_t after = AllocCount();
+    executor.WaitIdle();
+    const std::uint64_t after = AllocCount();
 
-  EXPECT_EQ(after - before, 0u) << "steady-state pipeline loop allocated";
-  EXPECT_EQ(drained, kBatchElements * 28);
+    EXPECT_EQ(after - before, 0u) << "steady-state executor loop allocated";
+    EXPECT_EQ(drained, kBatchElements * 28);
+  }
 }
 
 // Same strict-zero contract, with the simulated-GPU sorters: covers the
 // device texture/framebuffer arena, the sorter's staging plane, and the
-// rasterizer's per-thread scratch on top of the pipeline rings.
-TEST(AllocTest, GpuSortPipelineIsAllocationFree) {
+// rasterizer's per-thread scratch on top of the executor rings.
+TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
   if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
 
   constexpr std::uint64_t kWindow = 1 << 10;
@@ -218,14 +216,11 @@ TEST(AllocTest, GpuSortPipelineIsAllocationFree) {
   sort::PbsnGpuSorter sorter_b(&device_b, hwmodel::kGeForce6800Ultra,
                                hwmodel::kPentium4_3400, opt);
   std::uint64_t drained = 0;
-  stream::PipelineConfig config;
-  config.window_size = kWindow;
+  stream::WindowExecutor::Config config;
   config.max_batches_in_flight = 4;
-  stream::SortPipeline pipeline(
-      config, {&sorter_a, &sorter_b},
-      [&drained](std::vector<float>&& data, const sort::SortRunInfo&,
-                 std::uint64_t) {
-        drained += data.size();
+  stream::WindowExecutor executor(
+      config, {&sorter_a, &sorter_b}, [&drained](stream::WindowBatch& batch) {
+        drained += batch.elements;
         return streamgpu::core::Status::Ok();
       });
 
@@ -236,12 +231,10 @@ TEST(AllocTest, GpuSortPipelineIsAllocationFree) {
   for (int b = 0; b < 12; ++b) {  // warm-up
     const auto data = gen.Take(kBatchElements);
     for (float v : data) {
-      if (batcher.Push(v)) {
-        pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
-      }
+      if (batcher.Push(v)) executor.SubmitStaged(batcher);
     }
   }
-  pipeline.WaitIdle();
+  executor.WaitIdle();
 
   std::vector<std::vector<float>> prepared;
   for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));
@@ -249,15 +242,13 @@ TEST(AllocTest, GpuSortPipelineIsAllocationFree) {
   const std::uint64_t before = AllocCount();
   for (const auto& data : prepared) {
     for (float v : data) {
-      if (batcher.Push(v)) {
-        pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
-      }
+      if (batcher.Push(v)) executor.SubmitStaged(batcher);
     }
   }
-  pipeline.WaitIdle();
+  executor.WaitIdle();
   const std::uint64_t after = AllocCount();
 
-  EXPECT_EQ(after - before, 0u) << "steady-state GPU sort pipeline allocated";
+  EXPECT_EQ(after - before, 0u) << "steady-state GPU executor loop allocated";
   EXPECT_EQ(drained, kBatchElements * 28);
 }
 

@@ -27,7 +27,7 @@
 #include "hwmodel/hardware_profiles.h"
 #include "sort/pbsn_gpu.h"
 #include "stream/generator.h"
-#include "stream/pipeline.h"
+#include "stream/window_executor.h"
 #include "stream/window_buffer.h"
 
 namespace streamgpu {
@@ -54,7 +54,7 @@ class ScopedRasterPath {
   gpu::RasterPath saved_;
 };
 
-// Streams `data` through a WindowBatcher -> SortPipeline with `workers`
+// Streams `data` through a WindowBatcher -> WindowExecutor with `workers`
 // PBSN sorters (one simulated device each) under the given raster path.
 RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
                       const std::vector<float>& data) {
@@ -74,26 +74,19 @@ RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
 
   RunResult result;
   {
-    stream::PipelineConfig config;
-    config.window_size = kWindow;
-    stream::SortPipeline pipeline(
-        config, sorter_ptrs,
-        [&result](std::vector<float>&& batch, const sort::SortRunInfo& run,
-                  std::uint64_t) {
-          result.sorted.insert(result.sorted.end(), batch.begin(), batch.end());
-          result.simulated_seconds += run.simulated_seconds;
+    stream::WindowExecutor executor(
+        {}, sorter_ptrs, [&result](stream::WindowBatch& batch) {
+          const std::vector<float>& sorted = batch.chunks.front().data;
+          result.sorted.insert(result.sorted.end(), sorted.begin(), sorted.end());
+          result.simulated_seconds += batch.run.simulated_seconds;
           return core::Status::Ok();
         });
     stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
     for (float v : data) {
-      if (batcher.Push(v)) {
-        pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
-      }
+      if (batcher.Push(v)) executor.SubmitStaged(batcher);
     }
-    if (!batcher.empty()) {
-      pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
-    }
-    pipeline.WaitIdle();
+    if (!batcher.empty()) executor.SubmitStaged(batcher);
+    executor.WaitIdle();
   }
   for (const auto& d : devices) result.stats += d.stats();
   return result;

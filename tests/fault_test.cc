@@ -5,16 +5,14 @@
 // seeds — the property the recovery path rests on), healing equivalence
 // (reports under transient faults are bit-identical to fault-free runs, both
 // serial and pipelined), honest accounting when recovery is impossible
-// (quarantine widens the reported bounds), and the pipeline failure paths
-// (dead drain thread propagates a Status instead of hanging; the drain
-// deadline turns indefinite backpressure into kDeadlineExceeded).
+// (quarantine widens the reported bounds). The executor's own failure paths
+// (dead drain, drain deadline) live in pipeline_test.cc, which the
+// ThreadSanitizer job also runs.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,7 +27,6 @@
 #include "sort/cpu_sort.h"
 #include "sort/resilient.h"
 #include "stream/generator.h"
-#include "stream/pipeline.h"
 
 namespace streamgpu::core {
 namespace {
@@ -381,62 +378,6 @@ TEST(FaultRecoveryTest, QuarantineWidensReportedBounds) {
   EXPECT_GT(median.windows_quarantined, 0u);
   EXPECT_GT(median.elements_dropped, 0u);
   EXPECT_GT(median.rank_error_bound, baseline.median.rank_error_bound);
-}
-
-// --- Pipeline failure paths (satellite bugfix) ----------------------------
-
-TEST(PipelineFailureTest, DeadDrainPropagatesStatusInsteadOfHanging) {
-  // Regression: a DrainFn failure used to kill the drain thread silently;
-  // once the in-flight cap filled, Observe() blocked forever. Now the first
-  // failure poisons the pipeline and Submit()/WaitIdle() return it.
-  constexpr std::uint64_t kWindow = 64;
-  sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
-  sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
-  stream::PipelineConfig config;
-  config.window_size = kWindow;
-  config.max_batches_in_flight = 2;
-  int drained = 0;
-  stream::SortPipeline pipeline(
-      config, {&sorter_a, &sorter_b},
-      [&drained](std::vector<float>&&, const sort::SortRunInfo&, std::uint64_t) {
-        ++drained;
-        return Status::Internal("summary thread exploded");
-      });
-
-  Status status = Status::Ok();
-  for (int b = 0; b < 50 && status.ok(); ++b) {
-    std::vector<float> batch(kWindow, static_cast<float>(b));
-    status = pipeline.Submit(std::move(batch));
-  }
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), Status::Code::kInternal);
-  EXPECT_EQ(drained, 1);  // the poisoned drain stopped consuming
-  EXPECT_EQ(pipeline.WaitIdle().code(), Status::Code::kInternal);
-}
-
-TEST(PipelineFailureTest, DrainDeadlineTurnsBackpressureIntoStatus) {
-  // One slow drain + a cap of one batch: Submit() blocks on backpressure and
-  // must give up with kDeadlineExceeded after the configured deadline rather
-  // than waiting indefinitely.
-  constexpr std::uint64_t kWindow = 64;
-  sort::StdSortSorter sorter(hwmodel::kPentium4_3400);
-  stream::PipelineConfig config;
-  config.window_size = kWindow;
-  config.max_batches_in_flight = 1;
-  config.drain_deadline_seconds = 0.05;
-  stream::SortPipeline pipeline(
-      config, {&sorter},
-      [](std::vector<float>&&, const sort::SortRunInfo&, std::uint64_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        return Status::Ok();
-      });
-
-  Status status = Status::Ok();
-  for (int b = 0; b < 8 && status.ok(); ++b) {
-    std::vector<float> batch(kWindow, static_cast<float>(b));
-    status = pipeline.Submit(std::move(batch));
-  }
-  EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
-// Pipeline determinism suite: the parallel multi-window ingest pipeline
-// (stream::SortPipeline and its wiring through the core estimators) must be
-// an execution-mode change only. For every backend, worker count, and seed,
+// Pipeline determinism suite: the threaded window executor
+// (stream::WindowExecutor and its wiring through the core estimators) must
+// be an execution-mode change only. For every backend, worker count, and seed,
 // pipelined execution has to produce byte-identical query answers and
 // identical operation counts / simulated-2005 times to serial execution,
 // because the single summary thread drains sorted windows in submission
-// order. Plus shutdown/flush-mid-window edge cases.
+// order. Plus shutdown/flush-mid-window edge cases, the executor's
+// quarantine hand-off, and its failure paths (a dead drain, the drain
+// deadline).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,8 +23,8 @@
 #include "obs/metrics.h"
 #include "sort/cpu_sort.h"
 #include "stream/generator.h"
-#include "stream/pipeline.h"
 #include "stream/window_buffer.h"
+#include "stream/window_executor.h"
 
 namespace streamgpu::core {
 namespace {
@@ -300,9 +304,23 @@ TEST(PipelineObservabilityTest, CountersBitIdenticalAcrossWorkerCounts) {
   // Gauges (wall-clock readings) carry no such guarantee — only their names.
 }
 
-// Direct SortPipeline exercise: drain order must equal submission order even
+// Submits `data` to `executor` as a one-chunk batch of `window`-wide
+// windows (the last may be partial), the way a dedicated estimator does.
+Status SubmitChunk(stream::WindowExecutor& executor, std::vector<float>&& data,
+                   std::uint64_t window) {
+  stream::WindowBatch batch = executor.AcquireBatch();
+  if (batch.chunks.empty()) batch.chunks.emplace_back();
+  stream::WindowChunk& chunk = batch.chunks.front();
+  chunk.window_size = window;
+  chunk.final_partial = true;
+  chunk.data = std::move(data);
+  batch.elements = chunk.data.size();
+  return executor.Submit(std::move(batch));
+}
+
+// Direct executor exercise: drain order must equal submission order even
 // with many workers racing, and every window must come back sorted.
-TEST(SortPipelineTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
+TEST(WindowExecutorTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
   constexpr int kWorkers = 4;
   constexpr std::uint64_t kWindow = 64;
   constexpr int kBatches = 50;
@@ -316,14 +334,11 @@ TEST(SortPipelineTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
   std::vector<float> drained_markers;  // first element of each drained batch
   std::uint64_t drained_elements = 0;
   bool all_sorted = true;
-  stream::PipelineConfig config;
-  config.window_size = kWindow;
-  stream::SortPipeline pipeline(
-      config, sorter_ptrs,
-      [&](std::vector<float>&& batch, const sort::SortRunInfo& run,
-          std::uint64_t) {
+  stream::WindowExecutor executor(
+      {}, sorter_ptrs, [&](stream::WindowBatch& drained) {
         // Batches are marked by their first window's minimum: batch i holds
         // values in [i*1000, i*1000 + size).
+        const std::vector<float>& batch = drained.chunks.front().data;
         drained_markers.push_back(batch.front());
         drained_elements += batch.size();
         for (std::size_t off = 0; off < batch.size(); off += kWindow) {
@@ -332,7 +347,7 @@ TEST(SortPipelineTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
             if (batch[j - 1] > batch[j]) all_sorted = false;
           }
         }
-        EXPECT_GT(run.comparisons, 0u);
+        EXPECT_GT(drained.run.comparisons, 0u);
         return core::Status::Ok();
       });
 
@@ -346,9 +361,9 @@ TEST(SortPipelineTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
       batch[j] = static_cast<float>(b * 1000 + (size - 1 - j));
     }
     submitted_elements += size;
-    pipeline.Submit(std::move(batch));
+    SubmitChunk(executor, std::move(batch), kWindow);
   }
-  pipeline.WaitIdle();
+  executor.WaitIdle();
 
   ASSERT_EQ(drained_markers.size(), static_cast<std::size_t>(kBatches));
   for (int b = 0; b < kBatches; ++b) {
@@ -361,10 +376,156 @@ TEST(SortPipelineTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
   }
   EXPECT_TRUE(all_sorted);
   EXPECT_EQ(drained_elements, submitted_elements);
-  EXPECT_EQ(pipeline.stats().batches, static_cast<std::uint64_t>(kBatches));
+  EXPECT_EQ(executor.stats().batches, static_cast<std::uint64_t>(kBatches));
 }
 
-TEST(SortPipelineTest, WindowBatcherTakeBufferMovesAndResets) {
+// Sorts every run and reports a fixed quarantine mask for one chosen
+// SortRuns call (the `flagged_call`-th, counting from 0), the way a
+// ResilientSorter reports windows it could not recover.
+class StubQuarantineSorter final : public sort::Sorter {
+ public:
+  StubQuarantineSorter(int flagged_call, std::uint64_t mask)
+      : flagged_call_(flagged_call), mask_(mask) {}
+
+  void Sort(std::span<float> data) override { std::sort(data.begin(), data.end()); }
+  void SortRuns(std::span<std::span<float>> runs) override {
+    for (std::span<float> run : runs) Sort(run);
+    last_mask_ = calls_++ == flagged_call_ ? mask_ : 0;
+  }
+  const sort::SortRunInfo& last_run() const override { return run_; }
+  std::uint64_t last_quarantine_mask() const override { return last_mask_; }
+  const char* name() const override { return "stub"; }
+
+ protected:
+  void set_last_run(const sort::SortRunInfo& info) override { run_ = info; }
+
+ private:
+  const int flagged_call_;
+  const std::uint64_t mask_;
+  int calls_ = 0;
+  std::uint64_t last_mask_ = 0;
+  sort::SortRunInfo run_;
+};
+
+// Quarantine flags must survive the executor's grouping: a batch of more
+// than 64 windows is sorted in several SortRuns calls, and the mask of the
+// second call must land on exactly the windows it covers — here windows of
+// the batch's later chunks — in both inline and threaded mode.
+TEST(WindowExecutorTest, QuarantineFlagsCrossSortGroupsAndChunks) {
+  constexpr std::uint64_t kWindow = 8;
+  constexpr std::size_t kChunks = 5;
+  constexpr std::size_t kWindowsPerChunk = 20;  // 100 windows: groups of 64 + 36
+  // Bits 1, 5 and 30 of the second group: batch windows 65, 69 and 94, i.e.
+  // chunk 3's windows 5 and 9 and chunk 4's window 14.
+  constexpr std::uint64_t kMask = (1ull << 1) | (1ull << 5) | (1ull << 30);
+  const std::vector<std::size_t> expected = {65, 69, 94};
+
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    // Every worker flags its second SortRuns call; each batch has exactly
+    // two groups, so whichever worker sorts the batch flags group two.
+    std::vector<StubQuarantineSorter> sorters(static_cast<std::size_t>(workers),
+                                              StubQuarantineSorter(1, kMask));
+    std::vector<sort::Sorter*> sorter_ptrs;
+    for (auto& s : sorters) sorter_ptrs.push_back(&s);
+
+    std::vector<std::size_t> flagged;
+    std::vector<std::uint32_t> flagged_streams;
+    std::size_t windows_seen = 0;
+    stream::WindowExecutor executor(
+        {}, sorter_ptrs, [&](stream::WindowBatch& batch) {
+          EXPECT_EQ(batch.quarantined.size(), kChunks * kWindowsPerChunk);
+          std::size_t index = 0;
+          batch.ForEachWindow([&](const stream::WindowChunk& chunk,
+                                  std::span<float> window, bool quarantined) {
+            EXPECT_EQ(window.size(), kWindow);
+            if (quarantined) {
+              flagged.push_back(index);
+              flagged_streams.push_back(chunk.stream);
+            }
+            ++index;
+          });
+          windows_seen += index;
+          return core::Status::Ok();
+        });
+
+    stream::WindowBatch batch;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      stream::WindowChunk chunk;
+      chunk.stream = static_cast<std::uint32_t>(c);
+      chunk.window_size = kWindow;
+      chunk.data.resize(kWindowsPerChunk * kWindow);
+      for (std::size_t j = 0; j < chunk.data.size(); ++j) {
+        chunk.data[j] = static_cast<float>(chunk.data.size() - j);
+      }
+      batch.elements += chunk.data.size();
+      batch.chunks.push_back(std::move(chunk));
+    }
+    ASSERT_TRUE(executor.Submit(std::move(batch)).ok());
+    ASSERT_TRUE(executor.WaitIdle().ok());
+
+    EXPECT_EQ(windows_seen, kChunks * kWindowsPerChunk);
+    EXPECT_EQ(flagged, expected);
+    EXPECT_EQ(flagged_streams, (std::vector<std::uint32_t>{3, 3, 4}));
+  }
+}
+
+// --- Executor failure paths -------------------------------------------------
+
+TEST(PipelineFailureTest, DeadDrainPropagatesStatusInsteadOfHanging) {
+  // Regression: a DrainFn failure used to kill the drain thread silently;
+  // once the in-flight cap filled, Observe() blocked forever. Now the first
+  // failure poisons the executor and Submit()/WaitIdle() return it.
+  constexpr std::uint64_t kWindow = 64;
+  sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
+  sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
+  stream::WindowExecutor::Config config;
+  config.max_batches_in_flight = 2;
+  int drained = 0;
+  stream::WindowExecutor executor(config, {&sorter_a, &sorter_b},
+                                  [&drained](stream::WindowBatch&) {
+                                    ++drained;
+                                    return Status::Internal("summary thread exploded");
+                                  });
+
+  Status status = Status::Ok();
+  for (int b = 0; b < 50 && status.ok(); ++b) {
+    std::vector<float> batch(kWindow, static_cast<float>(b));
+    status = SubmitChunk(executor, std::move(batch), kWindow);
+  }
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), Status::Code::kInternal);
+  EXPECT_EQ(drained, 1);  // the poisoned drain stopped consuming
+  EXPECT_EQ(executor.WaitIdle().code(), Status::Code::kInternal);
+}
+
+TEST(PipelineFailureTest, DrainDeadlineTurnsBackpressureIntoStatus) {
+  // One slow drain + a cap of one batch: Submit() blocks on backpressure and
+  // must give up with kDeadlineExceeded after the configured deadline rather
+  // than waiting indefinitely. Threaded mode (two workers): inline mode
+  // never blocks.
+  constexpr std::uint64_t kWindow = 64;
+  sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
+  sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
+  stream::WindowExecutor::Config config;
+  config.max_batches_in_flight = 1;
+  config.drain_deadline_seconds = 0.05;
+  stream::WindowExecutor executor(config, {&sorter_a, &sorter_b},
+                                  [](stream::WindowBatch&) {
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(400));
+                                    return Status::Ok();
+                                  });
+
+  Status status = Status::Ok();
+  for (int b = 0; b < 8 && status.ok(); ++b) {
+    std::vector<float> batch(kWindow, static_cast<float>(b));
+    status = SubmitChunk(executor, std::move(batch), kWindow);
+  }
+  EXPECT_EQ(status.code(), Status::Code::kDeadlineExceeded);
+}
+
+TEST(WindowExecutorTest, WindowBatcherTakeBufferMovesAndResets) {
   stream::WindowBatcher batcher(4, 2);
   for (int i = 0; i < 7; ++i) EXPECT_FALSE(batcher.Push(static_cast<float>(i)));
   EXPECT_TRUE(batcher.Push(7.0f));

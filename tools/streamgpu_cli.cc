@@ -32,7 +32,8 @@
 //   --sliding W            sliding-window width          (default off)
 //   --workers N            sort-worker threads; >= 2 enables the parallel
 //                          ingest pipeline                (default 1: serial)
-//   --in-flight M          max windows buffered in the pipeline (default auto)
+//   --in-flight M          max windows buffered in the pipeline; under serve,
+//                          max shard batches in flight     (default auto)
 //   --expect-range LO,HI   a-priori value range, validated against the
 //                          backend's precision            (default unknown)
 //
@@ -53,7 +54,9 @@
 //                          (chrome://tracing or https://ui.perfetto.dev)
 //   --trace-sample-every K record every K-th span per stage (default 1: all)
 //
-// Multi-tenant service (serve command only; docs/SERVICE.md):
+// Multi-tenant service (serve command only; docs/SERVICE.md). serve always
+// synthesizes its streams and wires no fault injection: it rejects --input
+// and the fault-injection flags below with exit status 2.
 //   --streams N            streams multiplexed onto the worker pool
 //                          (default 1000); --n is the per-stream length
 //   --tenants T            tenants the streams are spread across (default 10)
@@ -118,6 +121,7 @@
 //       --metrics-out metrics.json --trace-out trace.json  (one command line)
 //   streamgpu_cli sort --n 262144 --sort-backend pbsn
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -199,6 +203,7 @@ struct CliOptions {
                "  --sort-backend auto|pbsn|sample|bitonic|cpu|radix|stdsort\n"
                "  --sliding W\n"
                "  --workers N --in-flight M --expect-range LO,HI\n"
+               "    (--in-flight counts windows; shard batches under serve)\n"
                "  --metrics-out PATH --metrics-format json|prom\n"
                "  --metrics-export-every SECS --flight-out PATH\n"
                "  --trace-out PATH --trace-sample-every K\n"
@@ -239,8 +244,18 @@ CliOptions ParseArgs(int argc, char** argv) {
     }
     first = 3;
   }
+  // Flags serve parses but cannot honor: the service synthesizes its
+  // streams and has no fault-injection or drain-deadline wiring.
+  static const std::vector<std::string> kServeRejects = {
+      "--input", "--fault-plan", "--fault-seed", "--fault-retries",
+      "--no-cpu-fallback", "--drain-deadline"};
+  std::vector<std::string> rejected;
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
+    if (opt.command == "serve" &&
+        std::find(kServeRejects.begin(), kServeRejects.end(), flag) != kServeRejects.end()) {
+      rejected.push_back(flag);
+    }
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) Usage(("missing value for " + flag).c_str());
       return argv[++i];
@@ -335,6 +350,12 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else {
       Usage(("unexpected argument " + flag).c_str());
     }
+  }
+  if (!rejected.empty()) {
+    for (const std::string& flag : rejected) {
+      std::fprintf(stderr, "error: serve does not support %s\n", flag.c_str());
+    }
+    std::exit(2);
   }
   if (opt.restore && opt.checkpoint_dir.empty()) {
     Usage("restore needs --checkpoint-dir");
