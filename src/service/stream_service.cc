@@ -383,8 +383,20 @@ core::Status StreamService::ResumeDispatch() {
   return core::Status::Ok();
 }
 
+namespace {
+
+/// kInvalidArgument unless phi is in (0, 1]; NaN fails too.
+core::Status CheckPhi(double phi) {
+  if (phi > 0.0 && phi <= 1.0) return core::Status::Ok();
+  return core::Status::InvalidArgument("phi must be in (0, 1], got " +
+                                       std::to_string(phi));
+}
+
+}  // namespace
+
 core::StatusOr<core::QuantileReport> StreamService::Quantile(
     const StreamKey& key, double phi, std::uint64_t window) const {
+  if (core::Status s = CheckPhi(phi); !s.ok()) return s;
   StreamState* state = Find(key);
   if (state == nullptr) return core::Status::InvalidArgument("unknown stream");
   if (!state->quantiles) {
@@ -436,6 +448,7 @@ core::StatusOr<core::QuantileReport> StreamService::MergedQuantile(
   if (keys.empty()) {
     return core::Status::InvalidArgument("MergedQuantile needs at least one key");
   }
+  if (core::Status s = CheckPhi(phi); !s.ok()) return s;
   Timer timer;
   sketch::QuantileShardCombiner combiner;
   std::uint64_t windows_quarantined = 0;

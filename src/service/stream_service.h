@@ -244,8 +244,8 @@ class StreamService {
   /// The phi-quantile of one stream over the windows drained so far. The
   /// report's error bound includes quarantine and shed widening; its
   /// elements_shed field carries the stream's shed count explicitly.
-  /// Returns kInvalidArgument for an unknown key or a stream that does not
-  /// track quantiles.
+  /// Returns kInvalidArgument for phi outside (0, 1] (NaN included), an
+  /// unknown key or a stream that does not track quantiles.
   core::StatusOr<core::QuantileReport> Quantile(const StreamKey& key, double phi,
                                                 std::uint64_t window = 0) const;
 
@@ -277,14 +277,17 @@ class StreamService {
   /// serialized exports in canonical order (sketch/combiner.h), so the
   /// answer is bit-identical regardless of key order. All streams must
   /// track quantiles in whole-history mode with the same backend kind (and,
-  /// KLL, the same epsilon).
+  /// KLL, the same epsilon). Returns kInvalidArgument for phi outside
+  /// (0, 1] (NaN included).
   core::StatusOr<core::QuantileReport> MergedQuantile(
       std::span<const StreamKey> keys, double phi) const;
 
   /// Batch query: the phi-quantile of every key, in order. Groups keys by
   /// shard and takes each shard's summary lock once, so snapshotting
   /// thousands of reports costs one lock round per shard, not per stream.
-  /// Every key must be registered and track quantiles (CHECKed).
+  /// Every key must be registered and track quantiles (CHECKed), and phi
+  /// must be in (0, 1]: unlike Quantile, this call has no Status to reject
+  /// it with, so validate phi first (a GK stream CHECK-fails on it).
   std::vector<core::QuantileReport> BatchQuantiles(
       std::span<const StreamKey> keys, double phi,
       std::uint64_t window = 0) const;

@@ -8,6 +8,52 @@
 
 namespace streamgpu::sketch {
 
+namespace {
+
+/// Merges two ascending runs with GkSummary::Merge's tie rule — a's value
+/// first when a <= b, b's otherwise (so also when either is NaN) — so
+/// Exact(result) == Merge(Exact(a), Exact(b)).
+std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b) {
+  std::vector<float> out(a.size() + b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t k = 0;
+  while (i < a.size() && j < b.size()) {
+    const bool take_a = a[i] <= b[j];
+    out[k++] = take_a ? a[i] : b[j];
+    i += take_a ? 1 : 0;
+    j += take_a ? 0 : 1;
+  }
+  const auto tail = std::copy(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(),
+                              out.begin() + static_cast<std::ptrdiff_t>(k));
+  std::copy(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(), tail);
+  return out;
+}
+
+}  // namespace
+
+EhBucket EhBucket::FromSorted(std::span<const float> sorted_window,
+                              double target_epsilon) {
+  EhBucket bucket;
+  if (GkSummary::SamplingStep(sorted_window.size(), target_epsilon) == 1) {
+    bucket.run.assign(sorted_window.begin(), sorted_window.end());
+  } else {
+    bucket.summary = GkSummary::FromSorted(sorted_window, target_epsilon);
+  }
+  return bucket;
+}
+
+EhBucket EhBucket::FromSummary(GkSummary summary) {
+  EhBucket bucket;
+  if (!summary.empty() && summary.IsExact()) {
+    bucket.run.reserve(summary.size());
+    for (const GkTuple& t : summary.tuples()) bucket.run.push_back(t.value);
+  } else {
+    bucket.summary = std::move(summary);
+  }
+  return bucket;
+}
+
 EhQuantileSummary::EhQuantileSummary(double epsilon, std::uint64_t window_size,
                                      std::uint64_t expected_length)
     : epsilon_(epsilon), window_size_(window_size) {
@@ -24,7 +70,6 @@ EhQuantileSummary::EhQuantileSummary(double epsilon, std::uint64_t window_size,
   // eps/(2*(levels+1)), i.e. 1/(2*prune_tuples) <= eps/(2*(levels+1)).
   prune_tuples_ = static_cast<std::size_t>(
       std::ceil(static_cast<double>(levels_ + 1) / epsilon_));
-  buckets_.resize(static_cast<std::size_t>(levels_) + 8);
 }
 
 bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
@@ -37,17 +82,29 @@ bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
   // history cannot legitimately occupy more than ~64 ids past the
   // provisioned levels. Anything deeper is corrupted input.
   EhQuantileSummary fresh(epsilon, window_size, expected_length);
-  if (buckets.size() > fresh.buckets_.size() + 64) return false;
+  if (buckets.size() > fresh.slots() + 64) return false;
   std::uint64_t total = 0;
-  for (const GkSummary& bucket : buckets) total += bucket.count();
-  if (total != count) return false;
-  if (buckets.size() > fresh.buckets_.size()) fresh.buckets_.resize(buckets.size());
   for (std::size_t i = 0; i < buckets.size(); ++i) {
-    fresh.buckets_[i] = std::move(buckets[i]);
+    // A bucket looser than its id's budget would make the stated
+    // epsilon*count bound a lie.
+    if (!buckets[i].empty() &&
+        !(buckets[i].epsilon() <= fresh.LevelBudget(static_cast<int>(i) + 1) + 1e-12)) {
+      return false;
+    }
+    total += buckets[i].count();
+  }
+  if (total != count) return false;
+  fresh.buckets_.resize(buckets.size());
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    fresh.buckets_[i] = EhBucket::FromSummary(std::move(buckets[i]));
   }
   fresh.count_ = count;
   *out = std::move(fresh);
   return true;
+}
+
+std::size_t EhQuantileSummary::slots() const {
+  return std::max(buckets_.size(), static_cast<std::size_t>(levels_) + 8);
 }
 
 double EhQuantileSummary::LevelBudget(int bucket_id) const {
@@ -56,45 +113,90 @@ double EhQuantileSummary::LevelBudget(int bucket_id) const {
 }
 
 void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
-  if (window_summary.empty()) return;
-  STREAMGPU_CHECK_MSG(window_summary.epsilon() <= LevelBudget(1) + 1e-12,
-                      "window summary must be (epsilon/2)-approximate");
-  count_ += window_summary.count();
+  AddWindow(EhBucket::FromSummary(std::move(window_summary)));
+}
 
-  GkSummary carry = std::move(window_summary);
+void EhQuantileSummary::AddWindow(EhBucket window) {
+  if (window.empty()) return;
+  STREAMGPU_CHECK_MSG(window.epsilon() <= LevelBudget(1) + 1e-12,
+                      "window summary must be (epsilon/2)-approximate");
+  count_ += window.count();
+
+  EhBucket carry = std::move(window);
   std::size_t id = 1;
   while (id <= buckets_.size() && !buckets_[id - 1].empty()) {
-    // Combine the two same-id buckets: merge, then prune with the error
-    // parameter of bucket id + 1 (§5.2).
-    Timer merge_timer;
-    GkSummary merged = GkSummary::Merge(carry, buckets_[id - 1]);
-    merge_seconds_ += merge_timer.ElapsedSeconds();
-    merged_tuples_ += merged.size();
-
-    Timer compress_timer;
-    pruned_tuples_ += merged.size();
-    carry = merged.Prune(prune_tuples_);
-    compress_seconds_ += compress_timer.ElapsedSeconds();
-
-    buckets_[id - 1] = GkSummary();
+    carry = Combine(std::move(carry), std::move(buckets_[id - 1]));
+    buckets_[id - 1] = EhBucket();
     ++id;
   }
   if (id > buckets_.size()) buckets_.resize(id);
   buckets_[id - 1] = std::move(carry);
 }
 
+EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
+  // Merge, then prune with the error parameter of bucket id + 1 (§5.2). Both
+  // counters count the merged summary's tuples, implicit ones included.
+  const std::size_t merged_size = carry.size() + bucket.size();
+  merged_tuples_ += merged_size;
+  pruned_tuples_ += merged_size;
+  EhBucket out;
+  if (!carry.run.empty() && !bucket.run.empty()) {
+    // Two exact buckets: their merge is exact, a merge of the values.
+    Timer merge_timer;
+    std::vector<float> merged = MergeRuns(carry.run, bucket.run);
+    merge_seconds_ += merge_timer.ElapsedSeconds();
+    Timer compress_timer;
+    if (merged.size() > prune_tuples_ + 1) {
+      out.summary = GkSummary::PruneExact(merged, prune_tuples_);
+    } else {
+      out.run = std::move(merged);
+    }
+    compress_seconds_ += compress_timer.ElapsedSeconds();
+    return out;
+  }
+  Timer merge_timer;
+  if (!carry.run.empty()) carry.summary = GkSummary::Exact(carry.run);
+  if (!bucket.run.empty()) bucket.summary = GkSummary::Exact(bucket.run);
+  GkSummary merged = GkSummary::Merge(carry.summary, bucket.summary);
+  merge_seconds_ += merge_timer.ElapsedSeconds();
+  Timer compress_timer;
+  out.summary = std::move(merged).Prune(prune_tuples_);
+  compress_seconds_ += compress_timer.ElapsedSeconds();
+  return out;
+}
+
 float EhQuantileSummary::Query(double phi) const {
   STREAMGPU_CHECK_MSG(count_ > 0, "query on empty summary");
-  GkSummary all;
-  for (const GkSummary& bucket : buckets_) {
-    if (!bucket.empty()) all = GkSummary::Merge(all, bucket);
+  return Flatten().Query(phi);
+}
+
+GkSummary EhQuantileSummary::Flatten() const {
+  // The leading runs merge as values, which keeps them exact, so their
+  // tuples are built once.
+  std::vector<float> run;
+  std::size_t i = 0;
+  for (; i < buckets_.size(); ++i) {
+    const EhBucket& bucket = buckets_[i];
+    if (bucket.empty()) continue;
+    if (bucket.run.empty()) break;
+    run = MergeRuns(run, bucket.run);
   }
-  return all.Query(phi);
+  GkSummary flat = GkSummary::Exact(run);
+  for (; i < buckets_.size(); ++i) {
+    const EhBucket& bucket = buckets_[i];
+    if (bucket.empty()) continue;
+    if (bucket.run.empty()) {
+      flat = GkSummary::Merge(flat, bucket.summary);
+    } else {
+      flat = GkSummary::Merge(flat, GkSummary::Exact(bucket.run));
+    }
+  }
+  return flat;
 }
 
 std::size_t EhQuantileSummary::TotalTuples() const {
   std::size_t total = 0;
-  for (const GkSummary& bucket : buckets_) total += bucket.size();
+  for (const EhBucket& bucket : buckets_) total += bucket.size();
   return total;
 }
 

@@ -14,11 +14,37 @@
 #define STREAMGPU_SKETCH_EXPONENTIAL_HISTOGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sketch/gk_summary.h"
 
 namespace streamgpu::sketch {
+
+/// One exponential-histogram bucket. An exact bucket — GkSummary::Exact of
+/// its values, as every window summary and every combine below the first
+/// prune is at the default window size — keeps only its ascending values in
+/// `run`, 4 bytes per element instead of a 24-byte GkTuple, with tuple i
+/// implicitly (run[i], i+1, i+1). Every other bucket keeps its `summary`.
+/// At most one of the two is non-empty.
+struct EhBucket {
+  std::vector<float> run;
+  GkSummary summary;
+
+  /// The (target_epsilon)-approximate summary of an ascending-sorted window:
+  /// GkSummary::FromSorted, kept as a run when its sampling step is 1.
+  static EhBucket FromSorted(std::span<const float> sorted_window,
+                             double target_epsilon);
+
+  /// `summary`, kept as a run when it is exact (GkSummary::IsExact).
+  static EhBucket FromSummary(GkSummary summary);
+
+  bool empty() const { return run.empty() && summary.empty(); }
+  std::uint64_t count() const { return run.empty() ? summary.count() : run.size(); }
+  /// Tuples of the bucket's summary, implicit ones included.
+  std::size_t size() const { return run.empty() ? summary.size() : run.size(); }
+  double epsilon() const { return run.empty() ? summary.epsilon() : 0.0; }
+};
 
 /// Whole-stream epsilon-approximate quantile summary maintained as an
 /// exponential histogram of GK summaries. The stream length N is known a
@@ -32,22 +58,34 @@ class EhQuantileSummary {
                     std::uint64_t expected_length);
 
   /// Inserts the summary of one new window at bucket id 1 and performs the
-  /// combine cascade. `window_summary` must be an (epsilon/2)-approximate
-  /// summary (e.g. GkSummary::FromSorted(sorted_window, epsilon/2)).
+  /// combine cascade. `window` must be (epsilon/2)-approximate (e.g.
+  /// EhBucket::FromSorted(sorted_window, epsilon/2)).
+  void AddWindow(EhBucket window);
+
+  /// AddWindow(EhBucket::FromSummary(window_summary)).
   void AddWindowSummary(GkSummary window_summary);
 
   /// Reconstructs a summary from checkpointed parts (the durability restore
-  /// path, docs/DURABILITY.md). `buckets` uses the buckets() layout: index i
+  /// path, docs/DURABILITY.md). `buckets` lists slots() slots: index i
   /// holds bucket id i+1, empty() = vacant. The configuration arguments must
   /// match the original constructor call. Validates that the bucket counts
-  /// sum to `count` and the bucket list stays within a sane cascade depth;
-  /// returns false on violation, leaving `out` untouched.
+  /// sum to `count`, that the bucket list stays within a sane cascade depth
+  /// and that every bucket's epsilon is within its id's LevelBudget; returns
+  /// false on violation, leaving `out` untouched. Exact buckets are stored
+  /// as runs.
   static bool FromParts(double epsilon, std::uint64_t window_size,
                         std::uint64_t expected_length, std::uint64_t count,
                         std::vector<GkSummary> buckets, EhQuantileSummary* out);
 
   /// Epsilon-approximate phi-quantile over everything inserted so far.
   float Query(double phi) const;
+
+  /// One GkSummary over everything inserted: the buckets merged in id order
+  /// (GkSummary::Merge(flat, bucket)). Each bucket is at most
+  /// epsilon-approximate (LevelBudget) and MERGE keeps max(epsilon), so the
+  /// result is epsilon-approximate. Query answers from it; the mergeable
+  /// export (sketch/quantile_sketch.cc) serializes it.
+  GkSummary Flatten() const;
 
   /// Elements covered so far.
   std::uint64_t count() const { return count_; }
@@ -67,10 +105,16 @@ class EhQuantileSummary {
   /// Tuple budget used by each combine's prune step.
   std::size_t prune_tuples() const { return prune_tuples_; }
 
-  /// The bucket summaries (index i holds bucket id i+1; empty() = vacant).
-  /// Exposed so the mergeable-summary export can flatten the histogram into
-  /// one GkSummary via repeated GkSummary::Merge (sketch/quantile_sketch.cc).
-  const std::vector<GkSummary>& buckets() const { return buckets_; }
+  /// The buckets (index i holds bucket id i+1; empty() = vacant). The list
+  /// grows with the highest id the cascade reaches, so a fresh histogram
+  /// allocates none; ids past its end are vacant. Exposed for the
+  /// checkpoint, which serializes each bucket's summary
+  /// (sketch/quantile_sketch.cc).
+  const std::vector<EhBucket>& buckets() const { return buckets_; }
+
+  /// Bucket slots a checkpoint lists: levels() + 8, or buckets().size()
+  /// once the cascade has outgrown that.
+  std::size_t slots() const;
 
   /// Merge/compress wall costs, for Fig. 6-style breakdowns.
   double merge_seconds() const { return merge_seconds_; }
@@ -81,12 +125,16 @@ class EhQuantileSummary {
   std::uint64_t pruned_tuples() const { return pruned_tuples_; }
 
  private:
+  /// Merges two same-id buckets (`carry` first on ties) and prunes the
+  /// result with the error parameter of the next id.
+  EhBucket Combine(EhBucket carry, EhBucket bucket);
+
   double epsilon_;
   std::uint64_t window_size_;
   int levels_;
   std::size_t prune_tuples_;
   std::uint64_t count_ = 0;
-  std::vector<GkSummary> buckets_;  ///< index i holds bucket id i+1; empty = vacant
+  std::vector<EhBucket> buckets_;  ///< index i holds bucket id i+1; empty = vacant
   double merge_seconds_ = 0;
   double compress_seconds_ = 0;
   std::uint64_t merged_tuples_ = 0;

@@ -15,8 +15,7 @@ GkSummary GkSummary::FromSorted(std::span<const float> sorted_window,
   if (w == 0) return out;
   out.count_ = w;
 
-  const auto step = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(2.0 * target_epsilon * static_cast<double>(w)));
+  const std::uint64_t step = SamplingStep(w, target_epsilon);
   for (std::uint64_t r = 0; r < w; r += step) {
     STREAMGPU_DCHECK(r == 0 || sorted_window[r - 1] <= sorted_window[r]);
     out.tuples_.push_back({sorted_window[r], r + 1, r + 1});
@@ -27,6 +26,29 @@ GkSummary GkSummary::FromSorted(std::span<const float> sorted_window,
   // at most floor(step/2).
   out.epsilon_ = static_cast<double>(step / 2) / static_cast<double>(w);
   return out;
+}
+
+std::uint64_t GkSummary::SamplingStep(std::uint64_t w, double target_epsilon) {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(2.0 * target_epsilon * static_cast<double>(w)));
+}
+
+GkSummary GkSummary::Exact(std::span<const float> sorted) {
+  GkSummary out;
+  out.count_ = sorted.size();
+  out.tuples_.resize(sorted.size());
+  for (std::uint64_t r = 0; r < sorted.size(); ++r) {
+    out.tuples_[r] = {sorted[r], r + 1, r + 1};
+  }
+  return out;
+}
+
+bool GkSummary::IsExact() const {
+  if (epsilon_ != 0.0 || tuples_.size() != count_) return false;
+  for (std::uint64_t r = 0; r < tuples_.size(); ++r) {
+    if (tuples_[r].rmin != r + 1 || tuples_[r].rmax != r + 1) return false;
+  }
+  return true;
 }
 
 bool GkSummary::FromParts(std::vector<GkTuple> tuples, std::uint64_t count,
@@ -55,7 +77,7 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
   GkSummary out;
   out.count_ = a.count_ + b.count_;
   out.epsilon_ = std::max(a.epsilon_, b.epsilon_);
-  out.tuples_.reserve(a.size() + b.size());
+  out.tuples_.resize(a.size() + b.size());
 
   // Equal values are ordered consistently — every element of `a` precedes
   // every equal-valued element of `b`. A consistent tie order keeps the rank
@@ -63,59 +85,92 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
   // the interval of a repeated value by the partner's multiplicity and the
   // epsilon invariant collapses.
   //
-  // For a tuple x from `a`: the b-elements certainly before x are those
-  // covered by the largest b-tuple with value < x, and at most
-  // rmax(first b-tuple with value >= x) - 1 of b's elements can precede x.
-  // For a tuple y from `b` the comparisons flip to <= and >.
-  std::size_t i = 0;  // next a-tuple
-  std::size_t j = 0;  // next b-tuple
-
-  while (i < a.size() || j < b.size()) {
-    const bool take_a =
-        j >= b.size() || (i < a.size() && a.tuples_[i].value <= b.tuples_[j].value);
-    if (take_a) {
-      const GkTuple& t = a.tuples_[i];
-      // First b-tuple with value >= t.value. b.tuples_[j-1].value < t.value
-      // is guaranteed by the merge order, so j itself is the boundary after
-      // advancing over smaller values.
-      std::size_t ge = j;
-      while (ge < b.size() && b.tuples_[ge].value < t.value) ++ge;
-      std::uint64_t rmin = t.rmin;
-      std::uint64_t rmax = t.rmax;
-      if (ge > 0) rmin += b.tuples_[ge - 1].rmin;
-      rmax += ge < b.size() ? b.tuples_[ge].rmax - 1 : b.count_;
-      out.tuples_.push_back({t.value, rmin, rmax});
-      ++i;
-    } else {
-      const GkTuple& t = b.tuples_[j];
-      // First a-tuple with value > t.value (a precedes b on ties).
-      std::size_t gt = i;
-      while (gt < a.size() && a.tuples_[gt].value <= t.value) ++gt;
-      std::uint64_t rmin = t.rmin;
-      std::uint64_t rmax = t.rmax;
-      if (gt > 0) rmin += a.tuples_[gt - 1].rmin;
-      rmax += gt < a.size() ? a.tuples_[gt].rmax - 1 : a.count_;
-      out.tuples_.push_back({t.value, rmin, rmax});
-      ++j;
-    }
+  // The merge takes a's tuple x exactly when x.value <= b[j].value, so every
+  // b-tuple already taken lies before x and b[j] does not: the b-elements
+  // certainly before x are those covered by the last b-tuple taken, and at
+  // most b[j].rmax - 1 of b's elements can precede x. A tuple taken from `b`
+  // mirrors this against `a`. Carrying the last taken rmin of each side
+  // makes every output tuple O(1); the side is chosen by masks, not by a
+  // branch the random order of the values would mispredict.
+  const GkTuple* pa = a.tuples_.data();
+  const GkTuple* pb = b.tuples_.data();
+  const GkTuple* const a_end = pa + a.size();
+  const GkTuple* const b_end = pb + b.size();
+  GkTuple* o = out.tuples_.data();
+  std::uint64_t a_below = 0;  // rmin of the last a-tuple taken
+  std::uint64_t b_below = 0;  // rmin of the last b-tuple taken
+  while (pa < a_end && pb < b_end) {
+    const std::uint64_t take_a = pa->value <= pb->value ? 1 : 0;
+    const std::uint64_t mask = 0 - take_a;
+    const GkTuple* t = take_a != 0 ? pa : pb;
+    o->value = t->value;
+    o->rmin = t->rmin + ((b_below & mask) | (a_below & ~mask));
+    o->rmax = t->rmax + ((pb->rmax & mask) | (pa->rmax & ~mask)) - 1;
+    ++o;
+    a_below = (pa->rmin & mask) | (a_below & ~mask);
+    b_below = (b_below & mask) | (pb->rmin & ~mask);
+    pa += take_a;
+    pb += 1 - take_a;
   }
+  for (; pa < a_end; ++pa, ++o) *o = {pa->value, pa->rmin + b_below, pa->rmax + b.count_};
+  for (; pb < b_end; ++pb, ++o) *o = {pb->value, pb->rmin + a_below, pb->rmax + a.count_};
   return out;
 }
 
-GkSummary GkSummary::Prune(std::size_t max_tuples) const {
+namespace {
+
+/// Target rank i of Prune(max_tuples), i = 0..max_tuples: evenly spaced over
+/// [1, count] and nondecreasing in i.
+std::uint64_t PruneRank(std::size_t i, std::uint64_t count, std::size_t max_tuples) {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::llround(static_cast<double>(i) * static_cast<double>(count) /
+                          static_cast<double>(max_tuples))));
+}
+
+}  // namespace
+
+GkSummary GkSummary::Prune(std::size_t max_tuples) const& {
   STREAMGPU_CHECK(max_tuples >= 1);
   if (size() <= max_tuples + 1) return *this;
+  return Pruned(max_tuples);
+}
 
+GkSummary GkSummary::Prune(std::size_t max_tuples) && {
+  STREAMGPU_CHECK(max_tuples >= 1);
+  if (size() <= max_tuples + 1) return std::move(*this);
+  return Pruned(max_tuples);
+}
+
+GkSummary GkSummary::Pruned(std::size_t max_tuples) const {
   GkSummary out;
   out.count_ = count_;
   out.epsilon_ = epsilon_ + 1.0 / (2.0 * static_cast<double>(max_tuples));
   out.tuples_.reserve(max_tuples + 1);
+  // The target ranks never decrease, so neither does the first tuple with
+  // rmin + rmax >= 2*rank that BestTupleForRank binary-searches for: one
+  // sweep finds it for every target.
+  std::size_t first = 0;
   for (std::size_t i = 0; i <= max_tuples; ++i) {
-    const auto rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::llround(static_cast<double>(i) * static_cast<double>(count_) /
-                            static_cast<double>(max_tuples))));
-    const GkTuple& t = tuples_[BestTupleForRank(rank)];
+    const std::uint64_t rank = PruneRank(i, count_, max_tuples);
+    while (first < tuples_.size() && tuples_[first].rmin + tuples_[first].rmax < 2 * rank) {
+      ++first;
+    }
+    const GkTuple& t = tuples_[BestTupleNear(first, rank)];
+    if (out.tuples_.empty() || !(out.tuples_.back() == t)) out.tuples_.push_back(t);
+  }
+  return out;
+}
+
+GkSummary GkSummary::PruneExact(std::span<const float> sorted, std::size_t max_tuples) {
+  STREAMGPU_CHECK(max_tuples >= 1 && sorted.size() > max_tuples + 1);
+  GkSummary out;
+  out.count_ = sorted.size();
+  out.epsilon_ = 1.0 / (2.0 * static_cast<double>(max_tuples));
+  out.tuples_.reserve(max_tuples + 1);
+  for (std::size_t i = 0; i <= max_tuples; ++i) {
+    const std::uint64_t rank = PruneRank(i, out.count_, max_tuples);
+    const GkTuple t{sorted[rank - 1], rank, rank};
     if (out.tuples_.empty() || !(out.tuples_.back() == t)) out.tuples_.push_back(t);
   }
   return out;
@@ -129,16 +184,19 @@ std::size_t GkSummary::BestTupleForRank(std::uint64_t rank) const {
   // unimodal and its minimum sits at the first tuple with
   // rmin + rmax >= 2r — a binary-searchable monotone predicate (rmin and
   // rmax are both nondecreasing). Compare that tuple with its predecessor.
+  const auto it = std::partition_point(
+      tuples_.begin(), tuples_.end(),
+      [rank](const GkTuple& t) { return t.rmin + t.rmax < 2 * rank; });
+  return BestTupleNear(static_cast<std::size_t>(it - tuples_.begin()), rank);
+}
+
+std::size_t GkSummary::BestTupleNear(std::size_t first, std::uint64_t rank) const {
   const auto cost = [rank](const GkTuple& t) {
     const std::uint64_t lo = t.rmin > rank ? t.rmin - rank : rank - t.rmin;
     const std::uint64_t hi = t.rmax > rank ? t.rmax - rank : rank - t.rmax;
     return std::max(lo, hi);
   };
-  const auto it = std::partition_point(
-      tuples_.begin(), tuples_.end(),
-      [rank](const GkTuple& t) { return t.rmin + t.rmax < 2 * rank; });
-  std::size_t best = it == tuples_.end() ? tuples_.size() - 1
-                                         : static_cast<std::size_t>(it - tuples_.begin());
+  std::size_t best = first == tuples_.size() ? tuples_.size() - 1 : first;
   if (best > 0 && cost(tuples_[best - 1]) < cost(tuples_[best])) --best;
   return best;
 }

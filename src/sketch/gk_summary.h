@@ -3,7 +3,7 @@
 // (value, rmin, rmax) tuples built from a sorted window by rank sampling,
 // and summaries support the classic MERGE (union with rank recombination)
 // and PRUNE (requery at B+1 evenly spaced ranks, adding 1/(2B) error)
-// operations.
+// operations. Both are single linear passes over the tuples.
 
 #ifndef STREAMGPU_SKETCH_GK_SUMMARY_H_
 #define STREAMGPU_SKETCH_GK_SUMMARY_H_
@@ -37,6 +37,19 @@ class GkSummary {
   static GkSummary FromSorted(std::span<const float> sorted_window,
                               double target_epsilon);
 
+  /// FromSorted's rank-sampling step for a w-element window. At step 1 the
+  /// summary is exact: see Exact().
+  static std::uint64_t SamplingStep(std::uint64_t w, double target_epsilon);
+
+  /// The exact summary of an ascending-sorted run: tuple i is
+  /// (sorted[i], i+1, i+1) and epsilon() is 0 — FromSorted at step 1.
+  static GkSummary Exact(std::span<const float> sorted);
+
+  /// Exact(sorted).Prune(max_tuples) for a run longer than max_tuples + 1,
+  /// without building the run's tuples: on exact ranks the tuple closest to
+  /// rank r is element r - 1.
+  static GkSummary PruneExact(std::span<const float> sorted, std::size_t max_tuples);
+
   /// Reconstructs a summary from its components (deserialization path).
   /// Validates the structural invariants — values ascending, rmin <= rmax,
   /// rmin/rmax nondecreasing and within [1, count] — and returns false on
@@ -47,13 +60,18 @@ class GkSummary {
   /// Combines two summaries covering disjoint element sets. The union of
   /// tuples is kept with recombined rank bounds; the result is
   /// max(a.epsilon(), b.epsilon())-approximate for a.count() + b.count()
-  /// elements ([21]'s merge).
+  /// elements ([21]'s merge). On equal values every tuple of `a` precedes
+  /// those of `b`; a NaN on either side orders `b`'s tuple first. The merge
+  /// of two exact summaries is exact.
   static GkSummary Merge(const GkSummary& a, const GkSummary& b);
 
   /// Reduces the summary to at most max_tuples + 1 tuples by querying it at
   /// ranks i*count()/max_tuples, i = 0..max_tuples, at the price of
-  /// 1/(2*max_tuples) additional error ([21]'s prune; §5.2's compress).
-  GkSummary Prune(std::size_t max_tuples) const;
+  /// 1/(2*max_tuples) additional error ([21]'s prune; §5.2's compress). A
+  /// summary already within the budget is returned unchanged — moved, not
+  /// copied, from an rvalue.
+  GkSummary Prune(std::size_t max_tuples) const&;
+  GkSummary Prune(std::size_t max_tuples) &&;
 
   /// Value whose rank is within epsilon()*count() of ceil(phi * count()),
   /// phi in (0, 1].
@@ -72,10 +90,21 @@ class GkSummary {
   bool empty() const { return tuples_.empty(); }
   const std::vector<GkTuple>& tuples() const { return tuples_; }
 
+  /// True when this is Exact() of its values: epsilon 0 and tuple i is
+  /// (v, i+1, i+1) for every i.
+  bool IsExact() const;
+
  private:
   /// Index of the tuple minimizing the worst-case rank deviation from
   /// `rank`.
   std::size_t BestTupleForRank(std::uint64_t rank) const;
+
+  /// BestTupleForRank given `first`, the first tuple with
+  /// rmin + rmax >= 2*rank (size() when there is none).
+  std::size_t BestTupleNear(std::size_t first, std::uint64_t rank) const;
+
+  /// Prune for a summary over the budget.
+  GkSummary Pruned(std::size_t max_tuples) const;
 
   std::vector<GkTuple> tuples_;  ///< ascending by value
   std::uint64_t count_ = 0;

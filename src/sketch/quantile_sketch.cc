@@ -29,10 +29,9 @@ core::Status TruncatedState(const char* what) {
 }
 
 /// The paper's backend (§5.2): per-window GK summaries maintained in an
-/// exponential histogram. The mergeable export flattens the buckets into one
-/// GkSummary — each bucket is at most epsilon-approximate (LevelBudget), and
-/// GK MERGE preserves max(epsilon) over the combined count, so the flattened
-/// summary is epsilon-approximate for everything covered.
+/// exponential histogram. The mergeable export is the histogram's
+/// EhQuantileSummary::Flatten, which is epsilon-approximate for everything
+/// covered.
 class GkEhSketch final : public QuantileSketch {
  public:
   GkEhSketch(double epsilon, std::uint64_t window_size,
@@ -41,10 +40,10 @@ class GkEhSketch final : public QuantileSketch {
 
   std::size_t AddSortedWindow(std::span<const float> window) override {
     Timer timer;
-    GkSummary summary = GkSummary::FromSorted(window, epsilon_ / 2.0);
+    EhBucket window_summary = EhBucket::FromSorted(window, epsilon_ / 2.0);
     summarize_seconds_ += timer.ElapsedSeconds();
-    const std::size_t tuples = summary.size();
-    eh_.AddWindowSummary(std::move(summary));
+    const std::size_t tuples = window_summary.size();
+    eh_.AddWindow(std::move(window_summary));
     return tuples;
   }
 
@@ -56,25 +55,26 @@ class GkEhSketch final : public QuantileSketch {
   }
 
   core::Status AppendWireSummary(std::vector<std::uint8_t>* out) const override {
-    GkSummary flat;
-    for (const GkSummary& bucket : eh_.buckets()) {
-      if (!bucket.empty()) flat = GkSummary::Merge(flat, bucket);
-    }
-    return SerializeSummary(flat, out);
+    return SerializeSummary(eh_.Flatten(), out);
   }
 
   // Full state: the bucket cascade itself. Layout: count u64, slot count
   // u32, then per slot a present byte followed (when present) by the
-  // bucket's nested SGMS GK envelope.
+  // bucket's nested SGMS GK envelope — a run's exact tuples, built here.
   core::Status AppendCheckpointState(std::vector<std::uint8_t>* out) const override {
     wire::Append<std::uint64_t>(out, eh_.count());
     const auto& buckets = eh_.buckets();
-    wire::Append<std::uint32_t>(out, static_cast<std::uint32_t>(buckets.size()));
-    for (const GkSummary& bucket : buckets) {
-      wire::Append<std::uint8_t>(out, bucket.empty() ? 0 : 1);
-      if (!bucket.empty()) {
-        if (core::Status s = SerializeSummary(bucket, out); !s.ok()) return s;
-      }
+    const std::size_t slots = eh_.slots();
+    wire::Append<std::uint32_t>(out, static_cast<std::uint32_t>(slots));
+    for (std::size_t i = 0; i < slots; ++i) {
+      const bool present = i < buckets.size() && !buckets[i].empty();
+      wire::Append<std::uint8_t>(out, present ? 1 : 0);
+      if (!present) continue;
+      const EhBucket& bucket = buckets[i];
+      const core::Status s = bucket.run.empty()
+                                 ? SerializeSummary(bucket.summary, out)
+                                 : SerializeSummary(GkSummary::Exact(bucket.run), out);
+      if (!s.ok()) return s;
     }
     return core::Status::Ok();
   }
@@ -113,7 +113,8 @@ class GkEhSketch final : public QuantileSketch {
     if (!EhQuantileSummary::FromParts(epsilon_, window_size, expected_length,
                                       count, std::move(buckets), &restored)) {
       return core::Status::InvalidArgument(
-          "gk checkpoint state violates the exponential-histogram invariants");
+          "gk checkpoint state violates the exponential-histogram invariants "
+          "(bucket counts, depth or per-level error budget)");
     }
     eh_ = std::move(restored);
     return core::Status::Ok();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -35,7 +36,7 @@ GkSummary SensorTreeAggregator::AggregateAtNode(std::vector<GkSummary> children,
     tuples_transmitted_ += child.size();
     merged = GkSummary::Merge(merged, child);
   }
-  GkSummary compressed = merged.Prune(compress_tuples_);
+  GkSummary compressed = std::move(merged).Prune(compress_tuples_);
   STREAMGPU_CHECK_MSG(compressed.epsilon() <= LevelBudget(node_height) + 1e-12,
                       "node summary exceeded its level budget");
   return compressed;

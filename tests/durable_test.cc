@@ -688,6 +688,58 @@ TEST_F(CorruptionCorpus, WatermarkMismatchIsRejected) {
   EXPECT_EQ(restored.status().code(), core::Status::Code::kInvalidArgument);
 }
 
+TEST_F(CorruptionCorpus, BucketEpsilonOverLevelBudgetIsRejected) {
+  // A well-formed, CRC-valid snapshot whose GK bucket claims more error
+  // than its bucket id's LevelBudget: installed, the stream would state an
+  // epsilon*N bound it does not meet, so restore must refuse it.
+  auto parsed = ParseSnapshot(pristine_);
+  ASSERT_TRUE(parsed.ok());
+  std::vector<std::uint8_t> mutant;
+  bool loosened = false;
+  for (const OwnedRecord& record : parsed->records) {
+    if (record.type != RecordType::kQuantileState) {
+      AppendRecord(record.type, record.payload, &mutant);
+      continue;
+    }
+    // Layout: four u64 summary-core counters, then the GK state — count
+    // u64, slot count u32, and per slot a present byte plus a GK envelope.
+    std::span<const std::uint8_t> in(record.payload);
+    constexpr std::size_t kPrefix = 5 * sizeof(std::uint64_t);
+    ASSERT_GE(in.size(), kPrefix);
+    std::vector<std::uint8_t> state(in.begin(), in.begin() + kPrefix);
+    in = in.subspan(kPrefix);
+    std::uint32_t slots = 0;
+    ASSERT_TRUE(wire::Read(&in, &slots));
+    wire::Append(&state, slots);
+    for (std::uint32_t i = 0; i < slots; ++i) {
+      std::uint8_t present = 0;
+      ASSERT_TRUE(wire::Read(&in, &present));
+      wire::Append(&state, present);
+      if (present == 0) continue;
+      auto bucket = sketch::DeserializeGkSummary(&in);
+      ASSERT_TRUE(bucket.ok());
+      if (!loosened) {
+        sketch::GkSummary loose;
+        ASSERT_TRUE(sketch::GkSummary::FromParts(bucket->tuples(), bucket->count(),
+                                                 0.5, &loose));
+        *bucket = std::move(loose);
+        loosened = true;
+      }
+      ASSERT_TRUE(sketch::SerializeSummary(*bucket, &state).ok());
+    }
+    ASSERT_TRUE(in.empty());
+    AppendRecord(record.type, state, &mutant);
+  }
+  ASSERT_TRUE(loosened);
+  std::vector<std::uint8_t> footer;
+  wire::Append<std::uint64_t>(&footer, parsed->records.size());
+  wire::Append<std::uint64_t>(&footer, watermark_);
+  AppendRecord(RecordType::kSnapshotFooter, footer, &mutant);
+  const core::Status status = RestoreMutant(mutant);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), core::Status::Code::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Service checkpoint/restore
 

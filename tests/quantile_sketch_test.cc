@@ -1,10 +1,17 @@
 // Property tests for the quantile machinery: Greenwald-Khanna summaries
 // (sketch/gk_summary.h) and the exponential histogram of summaries
-// (sketch/exponential_histogram.h, §5.2).
+// (sketch/exponential_histogram.h, §5.2), plus a differential check of the
+// histogram against a tuple-only reference cascade.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +20,10 @@
 #include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
 #include "sketch/kll.h"
+#include "sketch/quantile_sketch.h"
+#include "sketch/serialize.h"
+#include "sketch/wire.h"
+#include "sort/radix_sort.h"
 
 namespace streamgpu::sketch {
 namespace {
@@ -503,6 +514,487 @@ TEST(KllTest, SpaceIsSmallerThanChainedGkMerges) {
   EXPECT_LT(kll.summary_size(), gk.size());
   // And the sketch itself stays within its schedule, independent of n.
   EXPECT_LE(kll.summary_size(), 8 * kll.k());
+}
+
+// --- Differential check against the tuple-only cascade. ---
+//
+// `ref` is the exponential histogram with every bucket a GkTuple list: MERGE
+// locating each tuple's partner bounds by scanning, PRUNE by one binary
+// search per target rank. The production cascade (one-pass prune, two-
+// pointer merge, exact buckets as value runs) must match it bucket by
+// bucket, answer by answer and byte by byte.
+
+namespace ref {
+
+struct Summary {
+  std::vector<GkTuple> tuples;
+  std::uint64_t count = 0;
+  double epsilon = 0;
+
+  bool empty() const { return tuples.empty(); }
+};
+
+Summary FromSorted(std::span<const float> w, double target_epsilon) {
+  Summary out;
+  const std::uint64_t n = w.size();
+  if (n == 0) return out;
+  out.count = n;
+  const auto step = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(2.0 * target_epsilon * static_cast<double>(n)));
+  for (std::uint64_t r = 0; r < n; r += step) out.tuples.push_back({w[r], r + 1, r + 1});
+  if (out.tuples.back().rmin != n) out.tuples.push_back({w[n - 1], n, n});
+  out.epsilon = static_cast<double>(step / 2) / static_cast<double>(n);
+  return out;
+}
+
+Summary Merge(const Summary& a, const Summary& b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  Summary out;
+  out.count = a.count + b.count;
+  out.epsilon = std::max(a.epsilon, b.epsilon);
+  const std::size_t na = a.tuples.size();
+  const std::size_t nb = b.tuples.size();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < na || j < nb) {
+    const bool take_a = j >= nb || (i < na && a.tuples[i].value <= b.tuples[j].value);
+    if (take_a) {
+      const GkTuple& t = a.tuples[i];
+      std::size_t ge = j;
+      while (ge < nb && b.tuples[ge].value < t.value) ++ge;
+      std::uint64_t rmin = t.rmin;
+      std::uint64_t rmax = t.rmax;
+      if (ge > 0) rmin += b.tuples[ge - 1].rmin;
+      rmax += ge < nb ? b.tuples[ge].rmax - 1 : b.count;
+      out.tuples.push_back({t.value, rmin, rmax});
+      ++i;
+    } else {
+      const GkTuple& t = b.tuples[j];
+      std::size_t gt = i;
+      while (gt < na && a.tuples[gt].value <= t.value) ++gt;
+      std::uint64_t rmin = t.rmin;
+      std::uint64_t rmax = t.rmax;
+      if (gt > 0) rmin += a.tuples[gt - 1].rmin;
+      rmax += gt < na ? a.tuples[gt].rmax - 1 : a.count;
+      out.tuples.push_back({t.value, rmin, rmax});
+      ++j;
+    }
+  }
+  return out;
+}
+
+std::size_t BestTupleForRank(const Summary& s, std::uint64_t rank) {
+  const auto cost = [rank](const GkTuple& t) {
+    const std::uint64_t lo = t.rmin > rank ? t.rmin - rank : rank - t.rmin;
+    const std::uint64_t hi = t.rmax > rank ? t.rmax - rank : rank - t.rmax;
+    return std::max(lo, hi);
+  };
+  const auto it = std::partition_point(
+      s.tuples.begin(), s.tuples.end(),
+      [rank](const GkTuple& t) { return t.rmin + t.rmax < 2 * rank; });
+  std::size_t best = it == s.tuples.end() ? s.tuples.size() - 1
+                                          : static_cast<std::size_t>(it - s.tuples.begin());
+  if (best > 0 && cost(s.tuples[best - 1]) < cost(s.tuples[best])) --best;
+  return best;
+}
+
+Summary Prune(const Summary& s, std::size_t max_tuples) {
+  if (s.tuples.size() <= max_tuples + 1) return s;
+  Summary out;
+  out.count = s.count;
+  out.epsilon = s.epsilon + 1.0 / (2.0 * static_cast<double>(max_tuples));
+  for (std::size_t i = 0; i <= max_tuples; ++i) {
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::llround(static_cast<double>(i) * static_cast<double>(s.count) /
+                            static_cast<double>(max_tuples))));
+    const GkTuple& t = s.tuples[BestTupleForRank(s, rank)];
+    if (out.tuples.empty() || !(out.tuples.back() == t)) out.tuples.push_back(t);
+  }
+  return out;
+}
+
+float Query(const Summary& s, double phi) {
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(s.count))));
+  return s.tuples[BestTupleForRank(s, rank)].value;
+}
+
+/// The histogram's cascade over tuple lists only.
+class Eh {
+ public:
+  Eh(double epsilon, std::uint64_t window_size, std::uint64_t expected_length) {
+    const std::uint64_t windows =
+        std::max<std::uint64_t>(1, (expected_length + window_size - 1) / window_size);
+    const int levels =
+        static_cast<int>(std::ceil(std::log2(static_cast<double>(windows) + 1.0))) + 1;
+    prune_tuples_ = static_cast<std::size_t>(
+        std::ceil(static_cast<double>(levels + 1) / epsilon));
+    buckets_.resize(static_cast<std::size_t>(levels) + 8);
+  }
+
+  void AddWindowSummary(Summary carry) {
+    if (carry.empty()) return;
+    count_ += carry.count;
+    std::size_t id = 1;
+    while (id <= buckets_.size() && !buckets_[id - 1].empty()) {
+      const Summary merged = Merge(carry, buckets_[id - 1]);
+      merged_tuples_ += merged.tuples.size();
+      pruned_tuples_ += merged.tuples.size();
+      carry = Prune(merged, prune_tuples_);
+      buckets_[id - 1] = Summary();
+      ++id;
+    }
+    if (id > buckets_.size()) buckets_.resize(id);
+    buckets_[id - 1] = std::move(carry);
+  }
+
+  Summary Flatten() const {
+    Summary all;
+    for (const Summary& bucket : buckets_) {
+      if (!bucket.empty()) all = Merge(all, bucket);
+    }
+    return all;
+  }
+
+  std::size_t TotalTuples() const {
+    std::size_t total = 0;
+    for (const Summary& bucket : buckets_) total += bucket.tuples.size();
+    return total;
+  }
+
+  const std::vector<Summary>& buckets() const { return buckets_; }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t merged_tuples() const { return merged_tuples_; }
+  std::uint64_t pruned_tuples() const { return pruned_tuples_; }
+
+ private:
+  std::size_t prune_tuples_ = 0;
+  std::vector<Summary> buckets_;
+  std::uint64_t count_ = 0;
+  std::uint64_t merged_tuples_ = 0;
+  std::uint64_t pruned_tuples_ = 0;
+};
+
+GkSummary ToGk(const Summary& s) {
+  GkSummary out;
+  EXPECT_TRUE(GkSummary::FromParts(s.tuples, s.count, s.epsilon, &out));
+  return out;
+}
+
+/// GkEhSketch::AppendWireSummary of the same cascade.
+std::vector<std::uint8_t> WireBytes(const Eh& eh) {
+  std::vector<std::uint8_t> out;
+  EXPECT_TRUE(SerializeSummary(ToGk(eh.Flatten()), &out).ok());
+  return out;
+}
+
+/// GkEhSketch::AppendCheckpointState of the same cascade.
+std::vector<std::uint8_t> CheckpointBytes(const Eh& eh) {
+  std::vector<std::uint8_t> out;
+  wire::Append<std::uint64_t>(&out, eh.count());
+  wire::Append<std::uint32_t>(&out, static_cast<std::uint32_t>(eh.buckets().size()));
+  for (const Summary& bucket : eh.buckets()) {
+    wire::Append<std::uint8_t>(&out, bucket.empty() ? 0 : 1);
+    if (!bucket.empty()) {
+      EXPECT_TRUE(SerializeSummary(ToGk(bucket), &out).ok());
+    }
+  }
+  return out;
+}
+
+}  // namespace ref
+
+constexpr double kDiffPhis[] = {1e-4, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0};
+
+bool SameBits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+::testing::AssertionResult SameSummary(const GkSummary& got, const ref::Summary& want) {
+  if (got.count() != want.count || got.epsilon() != want.epsilon ||
+      got.size() != want.tuples.size()) {
+    return ::testing::AssertionFailure()
+           << "count/epsilon/size " << got.count() << "/" << got.epsilon() << "/"
+           << got.size() << " vs " << want.count << "/" << want.epsilon << "/"
+           << want.tuples.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const GkTuple& a = got.tuples()[i];
+    const GkTuple& b = want.tuples[i];
+    if (!SameBits(a.value, b.value) || a.rmin != b.rmin || a.rmax != b.rmax) {
+      return ::testing::AssertionFailure()
+             << "tuple " << i << ": (" << a.value << "," << a.rmin << "," << a.rmax
+             << ") vs (" << b.value << "," << b.rmin << "," << b.rmax << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Sorts a window in the backends' canonical bit-pattern order (-0.0 before
+/// +0.0, NaNs at the ends), as every sort backend hands windows over.
+void SortCanonical(std::vector<float>* w) {
+  std::sort(w->begin(), w->end(), [](float a, float b) {
+    return sort::FloatToOrderedKey(std::bit_cast<std::uint32_t>(a)) <
+           sort::FloatToOrderedKey(std::bit_cast<std::uint32_t>(b));
+  });
+}
+
+/// A copy of the bucket's summary, a run's implicit tuples built.
+GkSummary BucketSummary(const EhBucket& bucket) {
+  return bucket.run.empty() ? bucket.summary : GkSummary::Exact(bucket.run);
+}
+
+void ExpectSameHistogram(const EhQuantileSummary& eh, const ref::Eh& want) {
+  ASSERT_EQ(eh.count(), want.count());
+  EXPECT_EQ(eh.TotalTuples(), want.TotalTuples());
+  EXPECT_EQ(eh.merged_tuples(), want.merged_tuples());
+  EXPECT_EQ(eh.pruned_tuples(), want.pruned_tuples());
+  ASSERT_EQ(eh.slots(), want.buckets().size());
+  ASSERT_LE(eh.buckets().size(), eh.slots());
+  const EhBucket vacant;
+  for (std::size_t i = 0; i < want.buckets().size(); ++i) {
+    const EhBucket& bucket = i < eh.buckets().size() ? eh.buckets()[i] : vacant;
+    ASSERT_EQ(bucket.empty(), want.buckets()[i].empty()) << "bucket id " << i + 1;
+    if (bucket.empty()) continue;
+    // A bucket is a run exactly when its summary is exact.
+    EXPECT_EQ(!bucket.run.empty(), BucketSummary(bucket).IsExact()) << "bucket id " << i + 1;
+    EXPECT_EQ(bucket.count(), want.buckets()[i].count) << "bucket id " << i + 1;
+    EXPECT_TRUE(SameSummary(BucketSummary(bucket), want.buckets()[i])) << "bucket id " << i + 1;
+  }
+  EXPECT_TRUE(SameSummary(eh.Flatten(), want.Flatten()));
+  if (want.count() == 0) return;
+  const ref::Summary flat = want.Flatten();
+  for (double phi : kDiffPhis) {
+    EXPECT_TRUE(SameBits(eh.Query(phi), ref::Query(flat, phi))) << "phi=" << phi;
+  }
+}
+
+/// `restored`: the sketch was restored from a checkpoint, whose operation
+/// counters restart at zero. `bytes`: compare the wire and checkpoint bytes.
+void ExpectSameSketch(const QuantileSketch& sketch, const ref::Eh& want, bool restored,
+                      bool bytes) {
+  ASSERT_EQ(sketch.count(), want.count());
+  EXPECT_EQ(sketch.summary_size(), want.TotalTuples());
+  if (!restored) {
+    EXPECT_EQ(sketch.merged_tuples(), want.merged_tuples());
+    EXPECT_EQ(sketch.pruned_tuples(), want.pruned_tuples());
+  }
+  if (bytes) {
+    std::vector<std::uint8_t> wire_bytes;
+    ASSERT_TRUE(sketch.AppendWireSummary(&wire_bytes).ok());
+    EXPECT_EQ(wire_bytes, ref::WireBytes(want));
+    std::vector<std::uint8_t> state;
+    ASSERT_TRUE(sketch.AppendCheckpointState(&state).ok());
+    EXPECT_EQ(state, ref::CheckpointBytes(want));
+  }
+  if (want.count() == 0) return;
+  const ref::Summary flat = want.Flatten();
+  for (double phi : kDiffPhis) {
+    EXPECT_TRUE(SameBits(sketch.Query(phi), ref::Query(flat, phi))) << "phi=" << phi;
+  }
+}
+
+/// Feeds `stream`, cut into windows whose sizes cycle through
+/// `window_sizes`, to the reference, to EhQuantileSummary through both entry
+/// points, and to the GK QuantileSketch; the sketch is also checkpointed
+/// after `restore_after` windows and a restored copy continues alongside.
+/// Everything is compared every 97 windows and at the end. restore_after 0
+/// skips the checkpoint and the byte comparisons, for streams whose
+/// summaries the GK decoder rejects. Returns whether a run bucket ever sat
+/// above a tuple bucket (Flatten's non-leading runs).
+bool ExpectSameAsReference(double eps, const std::vector<std::size_t>& window_sizes,
+                           const std::vector<float>& stream, std::size_t restore_after) {
+  const std::uint64_t n = stream.size();
+  const std::uint64_t window = window_sizes.front();
+  ref::Eh want(eps, window, n);
+  EhQuantileSummary by_window(eps, window, n);
+  EhQuantileSummary by_summary(eps, window, n);
+  auto sketch = QuantileSketch::Create(QuantileSketchKind::kGk, eps, window, n);
+  EXPECT_TRUE(sketch.ok());
+  std::unique_ptr<QuantileSketch> restored;
+  bool run_above_tuples = false;
+
+  std::size_t windows = 0;
+  for (std::size_t off = 0; off < stream.size(); ++windows) {
+    const std::size_t len =
+        std::min<std::size_t>(window_sizes[windows % window_sizes.size()], n - off);
+    std::vector<float> w(stream.begin() + static_cast<std::ptrdiff_t>(off),
+                         stream.begin() + static_cast<std::ptrdiff_t>(off + len));
+    off += len;
+    SortCanonical(&w);
+    want.AddWindowSummary(ref::FromSorted(w, eps / 2.0));
+    by_window.AddWindow(EhBucket::FromSorted(w, eps / 2.0));
+    by_summary.AddWindowSummary(GkSummary::FromSorted(w, eps / 2.0));
+    (*sketch)->AddSortedWindow(w);
+    if (restored != nullptr) restored->AddSortedWindow(w);
+
+    bool tuples_below = false;
+    for (const EhBucket& bucket : by_window.buckets()) {
+      if (!bucket.summary.empty()) tuples_below = true;
+      if (!bucket.run.empty() && tuples_below) run_above_tuples = true;
+    }
+    if (windows + 1 == restore_after) {
+      std::vector<std::uint8_t> state;
+      EXPECT_TRUE((*sketch)->AppendCheckpointState(&state).ok());
+      auto back = QuantileSketch::RestoreCheckpointState(QuantileSketchKind::kGk, eps,
+                                                         window, n, state);
+      EXPECT_TRUE(back.ok()) << back.status().ToString();
+      if (back.ok()) restored = std::move(back).value();
+    }
+    if (windows % 97 == 0 || off == stream.size()) {
+      SCOPED_TRACE("after window " + std::to_string(windows));
+      ExpectSameHistogram(by_window, want);
+      ExpectSameHistogram(by_summary, want);
+      ExpectSameSketch(**sketch, want, /*restored=*/false, restore_after != 0);
+      if (restored != nullptr) {
+        ExpectSameSketch(*restored, want, /*restored=*/true, /*bytes=*/true);
+      }
+    }
+  }
+  if (restore_after != 0) {
+    EXPECT_NE(restored, nullptr) << "the stream ended before the restore point";
+  }
+  return run_above_tuples;
+}
+
+TEST(EhDifferential, DefaultWindowsWithPartialLastWindow) {
+  // epsilon * w = 1: every window summary is exact. 1,049 full windows plus
+  // a partial one.
+  const std::vector<float> stream = RandomValues(1049 * 100 + 37, 201);
+  ExpectSameAsReference(0.01, {100}, stream, 600);
+}
+
+TEST(EhDifferential, SampledWindows) {
+  // w > 1/epsilon: sampling step 2, so the window summaries are not exact.
+  // The partial last window (40 elements) is, and combines with a tuple
+  // bucket.
+  const std::vector<float> stream = RandomValues(251 * 250 + 40, 202);
+  ExpectSameAsReference(0.01, {250}, stream, 120);
+}
+
+TEST(EhDifferential, MixedWindowSizes) {
+  // Exact and sampled windows interleave, so combines mix runs with tuple
+  // summaries and runs land above tuple buckets.
+  const std::vector<float> stream = RandomValues(120000, 203);
+  EXPECT_TRUE(ExpectSameAsReference(0.01, {100, 37, 250, 100, 180, 1, 60}, stream, 333));
+}
+
+TEST(EhDifferential, DuplicateHeavyZipf) {
+  std::mt19937 rng(204);
+  std::vector<double> weights(40);
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    weights[k] = 1.0 / std::pow(static_cast<double>(k + 1), 1.3);
+  }
+  std::discrete_distribution<int> zipf(weights.begin(), weights.end());
+  std::vector<float> stream(90000);
+  for (float& v : stream) v = static_cast<float>(zipf(rng));
+  ExpectSameAsReference(0.01, {100}, stream, 450);
+  ExpectSameAsReference(0.02, {50, 200}, stream, 150);
+}
+
+TEST(EhDifferential, SortedInput) {
+  std::vector<float> stream(80000);
+  for (std::size_t i = 0; i < stream.size(); ++i) stream[i] = static_cast<float>(i / 3);
+  ExpectSameAsReference(0.01, {100}, stream, 400);
+}
+
+std::vector<float> DrawFrom(const std::vector<float>& pool, std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+  std::vector<float> out(n);
+  for (float& v : out) v = pool[pick(rng)];
+  return out;
+}
+
+TEST(EhDifferential, SignedZerosAndNaNs) {
+  // -0.0 and +0.0 compare equal (a tie, resolved by the merge's tie rule)
+  // but are different bits; NaNs compare false both ways, and the merge
+  // takes the second side's value against one.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> stream =
+      DrawFrom({-0.0f, 0.0f, nan, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 205);
+  ExpectSameAsReference(0.01, {100}, stream, 300);
+  ExpectSameAsReference(0.01, {100, 250, 7}, stream, 100);
+  // A negative NaN sorts first, and that NaN rule then interleaves the
+  // merged values out of ascending order, so the GK decoder rejects these
+  // summaries (the tuple-only cascade builds the same ones): compare tuples
+  // and answers only.
+  const std::vector<float> negative_nans =
+      DrawFrom({-0.0f, 0.0f, nan, -nan, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 207);
+  ExpectSameAsReference(0.01, {100}, negative_nans, 0);
+  ExpectSameAsReference(0.01, {100, 250, 7}, negative_nans, 0);
+}
+
+TEST(GkDifferential, MergeAndPruneMatchReference) {
+  // The two-pointer merge and the one-pass prune against the scanning merge
+  // and the binary-search prune, on continuous, duplicate-heavy and
+  // NaN-bearing inputs.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::mt19937 rng(206);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int domain = trial % 3 == 0 ? 0 : (trial % 3 == 1 ? 7 : 300);
+    std::vector<float> a = RandomValues(200 + 37 * static_cast<std::size_t>(trial), rng(), domain);
+    std::vector<float> b = RandomValues(150 + 53 * static_cast<std::size_t>(trial), rng(), domain);
+    if (trial % 5 == 0) {
+      a[0] = nan;
+      b[b.size() / 2] = -nan;
+      b[1] = -0.0f;
+      a[a.size() - 1] = 0.0f;
+    }
+    SortCanonical(&a);
+    SortCanonical(&b);
+    const double eps_a = trial % 2 == 0 ? 0.0001 : 0.01;
+    const double eps_b = trial % 4 == 0 ? 0.0001 : 0.02;
+    const ref::Summary ra = ref::FromSorted(a, eps_a);
+    const ref::Summary rb = ref::FromSorted(b, eps_b);
+    const GkSummary ga = GkSummary::FromSorted(a, eps_a);
+    const GkSummary gb = GkSummary::FromSorted(b, eps_b);
+    ASSERT_TRUE(SameSummary(ga, ra));
+    const ref::Summary rm = ref::Merge(ra, rb);
+    const GkSummary gm = GkSummary::Merge(ga, gb);
+    ASSERT_TRUE(SameSummary(gm, rm)) << "trial " << trial;
+    ASSERT_TRUE(SameSummary(GkSummary::Merge(gb, ga), ref::Merge(rb, ra))) << "trial " << trial;
+    // Every budget up to the summary's size: each targets a different rank
+    // grid, which exercises the sweep's ties between neighbouring tuples.
+    for (std::size_t budget = 1; budget <= gm.size(); budget += 1 + budget / 16) {
+      ASSERT_TRUE(SameSummary(gm.Prune(budget), ref::Prune(rm, budget)))
+          << "trial " << trial << " budget " << budget;
+      if (ga.IsExact() && ga.size() > budget + 1) {
+        ASSERT_TRUE(SameSummary(GkSummary::PruneExact(a, budget), ref::Prune(ra, budget)))
+            << "trial " << trial << " budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(GkDifferential, PruneMatchesReferenceOnAnyValidSummary) {
+  // FromParts accepts any nondecreasing rank bounds — a decoded shard or
+  // checkpoint need not have the strictly increasing rmax that FromSorted,
+  // Merge and Prune produce — so ties between neighbouring tuples' costs
+  // must resolve as the binary search does.
+  std::mt19937 rng(208);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t size = 2 + rng() % 300;
+    std::vector<GkTuple> tuples(size);
+    std::uint64_t rmin = 1;
+    std::uint64_t rmax = 1;
+    for (std::size_t i = 0; i < size; ++i) {
+      rmin += rng() % 3;
+      rmax = std::max(rmax, rmin) + rng() % 3;
+      tuples[i] = {static_cast<float>(i / 2), rmin, rmax};
+    }
+    const std::uint64_t count = rmax + rng() % 3;
+    GkSummary got;
+    ASSERT_TRUE(GkSummary::FromParts(tuples, count, 0.01, &got));
+    const ref::Summary want{tuples, count, 0.01};
+    for (std::size_t budget = 1; budget <= size; ++budget) {
+      ASSERT_TRUE(SameSummary(got.Prune(budget), ref::Prune(want, budget)))
+          << "trial " << trial << " budget " << budget;
+    }
+  }
 }
 
 }  // namespace

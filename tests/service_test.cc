@@ -545,6 +545,52 @@ TEST(StreamServiceTest, ExportedSummariesMergeOffline) {
   EXPECT_FALSE(service.MergedQuantile(std::vector<StreamKey>{}, 0.5).ok());
 }
 
+TEST(StreamServiceTest, OutOfRangePhiIsInvalidArgument) {
+  // Quantile and MergedQuantile return Status, so a phi outside (0, 1] —
+  // NaN included — must come back as kInvalidArgument on every backend, not
+  // abort the process (GK) or answer an arbitrary value (KLL).
+  ServiceConfig config;
+  auto service_or = StreamService::Create(config);
+  ASSERT_TRUE(service_or.ok());
+  StreamService& service = **service_or;
+
+  for (const sketch::QuantileSketchKind kind :
+       {sketch::QuantileSketchKind::kGk, sketch::QuantileSketchKind::kKll}) {
+    StreamConfig stream_config;
+    stream_config.epsilon = 0.01;
+    stream_config.quantile_sketch = kind;
+    const std::uint64_t tenant = kind == sketch::QuantileSketchKind::kGk ? 1 : 2;
+    const std::vector<StreamKey> keys = {{tenant, 0}, {tenant, 1}};
+    for (const StreamKey& key : keys) {
+      ASSERT_TRUE(service.Register(key, stream_config).ok());
+      ASSERT_TRUE(service.Append(key, MakeStream(key.stream + 40, 5000)).ok());
+    }
+    ASSERT_TRUE(service.FlushAll().ok());
+    // An idle stream (coverage 0) validates phi too.
+    const StreamKey idle{tenant, 2};
+    ASSERT_TRUE(service.Register(idle, stream_config).ok());
+
+    const char* name = sketch::QuantileSketchKindName(kind);
+    for (const double phi : {0.0, -0.25, 1.5, std::nan("")}) {
+      for (const StreamKey& key : {keys[0], idle}) {
+        const auto report = service.Quantile(key, phi);
+        ASSERT_FALSE(report.ok()) << name << " phi=" << phi;
+        EXPECT_EQ(report.status().code(), core::Status::Code::kInvalidArgument)
+            << name << " phi=" << phi;
+      }
+      const auto merged = service.MergedQuantile(keys, phi);
+      ASSERT_FALSE(merged.ok()) << name << " phi=" << phi;
+      EXPECT_EQ(merged.status().code(), core::Status::Code::kInvalidArgument)
+          << name << " phi=" << phi;
+    }
+    // The endpoints of (0, 1] still answer.
+    for (const double phi : {1e-9, 1.0}) {
+      EXPECT_TRUE(service.Quantile(keys[0], phi).ok()) << name << " phi=" << phi;
+      EXPECT_TRUE(service.MergedQuantile(keys, phi).ok()) << name << " phi=" << phi;
+    }
+  }
+}
+
 TEST(StreamServiceTest, KllBackedStreamsMatchDedicatedEstimator) {
   // The redesigned sketch API end-to-end: a KLL-backed service stream answers
   // bit-identically to a dedicated KLL-backed estimator fed the same prefix.

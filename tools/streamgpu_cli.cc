@@ -211,7 +211,7 @@ struct CliOptions {
                "  --report-out PATH\n"
                "  --fault-plan SPEC --fault-seed SEED --fault-retries N\n"
                "  --no-cpu-fallback --drain-deadline SECS\n"
-               "  --phi P1,P2,...    (quantiles)\n"
+               "  --phi P1,P2,...    (quantiles; each in (0, 1])\n"
                "  --support S        (frequencies)\n"
                "  --streams N --tenants T --shed-capacity CAP --shard-batch N  (serve)\n");
   std::exit(2);
@@ -224,6 +224,27 @@ std::vector<double> ParseDoubleList(const std::string& raw) {
     std::size_t end = raw.find(',', start);
     if (end == std::string::npos) end = raw.size();
     out.push_back(std::strtod(raw.substr(start, end - start).c_str(), nullptr));
+    start = end + 1;
+  }
+  return out;
+}
+
+/// Parses --phi: a comma-separated list of quantiles, each fully numeric and
+/// in (0, 1]. Anything else — NaN, 0, 1.5, trailing text, an empty item —
+/// is a usage error.
+std::vector<double> ParsePhiList(const std::string& raw) {
+  std::vector<double> out;
+  std::size_t start = 0;
+  while (start <= raw.size()) {
+    std::size_t end = raw.find(',', start);
+    if (end == std::string::npos) end = raw.size();
+    const std::string item = raw.substr(start, end - start);
+    char* parsed_end = nullptr;
+    const double phi = std::strtod(item.c_str(), &parsed_end);
+    if (item.empty() || *parsed_end != '\0' || !(phi > 0.0 && phi <= 1.0)) {
+      Usage(("--phi values must be numbers in (0, 1], got '" + item + "'").c_str());
+    }
+    out.push_back(phi);
     start = end + 1;
   }
   return out;
@@ -324,7 +345,7 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (flag == "--shard-batch") {
       opt.shard_batch = std::strtoull(next().c_str(), nullptr, 10);
     } else if (flag == "--phi") {
-      opt.phis = ParseDoubleList(next());
+      opt.phis = ParsePhiList(next());
     } else if (flag == "--support") {
       opt.support = std::strtod(next().c_str(), nullptr);
     } else if (flag == "--quantile-sketch") {
@@ -647,7 +668,6 @@ int RunQuantiles(const CliOptions& opt) {
               opt.epsilon, opt.backend.c_str(), opt.sliding != 0 ? " (sliding)" : "",
               opt.workers);
   for (double phi : opt.phis) {
-    if (phi <= 0.0 || phi > 1.0) continue;
     const core::QuantileReport report = qe->Quantile(phi);
     report_out.Printf("q%-8g %-12g (rank +- %llu of %llu)\n", phi, report.value,
                       static_cast<unsigned long long>(report.rank_error_bound),
@@ -764,7 +784,6 @@ int RunMerge(const CliOptions& opt) {
   std::vector<std::uint8_t> merged_bytes;
   if (quantile) {
     for (double phi : opt.phis) {
-      if (phi <= 0.0 || phi > 1.0) continue;
       const core::QuantileReport report = quantiles.Quantile(phi);
       std::printf("q%-8g %-12g (rank +- %llu of %llu)\n", phi, report.value,
                   static_cast<unsigned long long>(report.rank_error_bound),
@@ -978,7 +997,6 @@ int RunServe(const CliOptions& opt) {
   // Snapshot every stream with one batch query per phi.
   Timer query_timer;
   for (double phi : opt.phis) {
-    if (phi <= 0.0 || phi > 1.0) continue;
     const auto reports = service->BatchQuantiles(keys, phi);
     const service::StreamKey& probe = keys[opt.streams / 2];
     report_out.Printf(
