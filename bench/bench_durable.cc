@@ -3,8 +3,8 @@
 // Two contracts from docs/DURABILITY.md:
 //
 //  * Checkpointing is cheap when amortized. Each commit serializes the full
-//    estimator state and pays two fsyncs (snapshot + directory), so the
-//    cost per element is cadence-bound. The bench ingests the same stream
+//    estimator state and pays three fsyncs (snapshot, directory, manifest),
+//    so the cost per element is cadence-bound. The bench ingests the same stream
 //    plain and checkpointed at three cadences (~64 / ~8 / 1 commits per
 //    run) and reports the within-run overhead ratio. The CI gate
 //    (tools/check_bench_regression.py --durable) holds the coarse

@@ -253,27 +253,28 @@ Status SummaryEstimator<Core>::Checkpoint() {
   Sync();
   if (!executor_status_.ok()) return executor_status_;
 
-  checkpoint_writer_->Begin();
+  durable::CheckpointWriter& writer = *checkpoint_writer_;
+  writer.Begin();
   durable::SnapshotHeader header;
   header.mode = Traits::kMode;
   header.kind = Traits::Kind(core_);
   header.epsilon = options_.epsilon;
   header.window_size = batcher_.window_size();
   header.aux = options_.expected_stream_length;
-  std::vector<std::uint8_t> header_payload;
-  durable::AppendSnapshotHeader(header, &header_payload);
-  checkpoint_writer_->Add(durable::RecordType::kSnapshotHeader, header_payload);
-
-  std::vector<std::uint8_t> state;
-  if (Status s = core_.AppendCheckpointState(&state); !s.ok()) return s;
-  checkpoint_writer_->Add(Traits::kStateRecord, state);
-
-  if (!batcher_.empty()) {
-    std::vector<std::uint8_t> staged;
-    durable::AppendWindowBuffer(batcher_.contents(), &staged);
-    checkpoint_writer_->Add(durable::RecordType::kWindowBuffer, staged);
+  durable::AppendSnapshotHeader(header,
+                                writer.BeginRecord(durable::RecordType::kSnapshotHeader));
+  writer.EndRecord();
+  if (Status s = core_.AppendCheckpointState(writer.BeginRecord(Traits::kStateRecord));
+      !s.ok()) {
+    return s;
   }
-  const Status status = checkpoint_writer_->Commit(observed_);
+  writer.EndRecord();
+  if (!batcher_.empty()) {
+    durable::AppendWindowBuffer(batcher_.contents(),
+                                writer.BeginRecord(durable::RecordType::kWindowBuffer));
+    writer.EndRecord();
+  }
+  const Status status = writer.Commit(observed_);
   if (status.ok()) windows_since_checkpoint_ = 0;
   return status;
 }

@@ -125,13 +125,37 @@ CheckpointWriter::CheckpointWriter(std::string dir) : dir_(std::move(dir)) {
 void CheckpointWriter::Begin() {
   buffer_.clear();
   pending_records_ = 0;
+  snapshot_crc_ = 0;
+  record_open_ = false;
+}
+
+std::vector<std::uint8_t>* CheckpointWriter::BeginRecord(RecordType type) {
+  STREAMGPU_CHECK_MSG(!record_open_, "BeginRecord inside an open record");
+  STREAMGPU_CHECK_MSG(pending_records_ > 0 || type == RecordType::kSnapshotHeader,
+                      "snapshot must start with a header record");
+  open_type_ = type;
+  open_header_ = sketch::BeginFrame(&buffer_);
+  record_open_ = true;
+  return &buffer_;
+}
+
+void CheckpointWriter::EndRecord() {
+  STREAMGPU_CHECK_MSG(record_open_, "EndRecord without an open record");
+  const std::uint32_t payload_crc = FinishRecord(open_type_, open_header_, &buffer_);
+  // Continue the snapshot CRC over the header, then append the payload by
+  // its CRC instead of reading it a second time.
+  const std::uint32_t with_header =
+      sketch::Crc32({buffer_.data() + open_header_, kRecordHeaderSize}, snapshot_crc_);
+  snapshot_crc_ = sketch::Crc32Combine(
+      with_header, payload_crc, buffer_.size() - open_header_ - kRecordHeaderSize);
+  record_open_ = false;
+  ++pending_records_;
 }
 
 void CheckpointWriter::Add(RecordType type, std::span<const std::uint8_t> payload) {
-  STREAMGPU_CHECK_MSG(pending_records_ > 0 || type == RecordType::kSnapshotHeader,
-                      "snapshot must start with a header record");
-  AppendRecord(type, payload, &buffer_);
-  ++pending_records_;
+  std::vector<std::uint8_t>* out = BeginRecord(type);
+  out->insert(out->end(), payload.begin(), payload.end());
+  EndRecord();
 }
 
 core::Status CheckpointWriter::Init() {
@@ -190,53 +214,28 @@ core::Status CheckpointWriter::Commit(std::uint64_t watermark) {
   if (pending_records_ == 0) {
     return core::Status::FailedPrecondition("Commit without a pending snapshot");
   }
+  if (record_open_) {
+    return core::Status::FailedPrecondition("Commit inside an open record");
+  }
   Timer timer;
   if (!initialized_) {
     if (core::Status s = Init(); !s.ok()) return s;
   }
   // Footer: body record count + watermark, so the reader can verify the
   // snapshot is complete, not merely prefix-valid.
-  std::vector<std::uint8_t> footer;
-  wire::Append<std::uint64_t>(&footer, pending_records_);
-  wire::Append<std::uint64_t>(&footer, watermark);
-  AppendRecord(RecordType::kSnapshotFooter, footer, &buffer_);
-
-  const CrashPoint crash = ParseCrashPoint();
-  const bool crash_now = crash.armed && commits_ == crash.ordinal;
+  const std::size_t body_bytes = buffer_.size();
+  const std::uint64_t body_records = pending_records_;
+  const std::uint32_t body_crc = snapshot_crc_;
+  std::vector<std::uint8_t>* footer = BeginRecord(RecordType::kSnapshotFooter);
+  wire::Append<std::uint64_t>(footer, body_records);
+  wire::Append<std::uint64_t>(footer, watermark);
+  EndRecord();
 
   const std::uint64_t epoch = next_epoch_;
-  const std::string snap_path = dir_ + "/" + SnapshotFileName(epoch);
-  const std::string tmp_path = snap_path + ".tmp";
-
-  if (crash_now && crash.point == "snapshot-partial") {
-    (void)WriteFileSynced(tmp_path,
-                          std::span(buffer_).first(buffer_.size() / 2), false);
-    CrashNow();
-  }
-  if (core::Status s = WriteFileSynced(tmp_path, buffer_, false); !s.ok()) return s;
-  if (crash_now && crash.point == "pre-rename") CrashNow();
-  if (::rename(tmp_path.c_str(), snap_path.c_str()) != 0) {
-    return core::Status::Internal(ErrnoMessage("rename", snap_path));
-  }
-  if (core::Status s = FsyncDir(dir_); !s.ok()) return s;
-  if (crash_now && crash.point == "pre-manifest") CrashNow();
-
-  std::vector<std::uint8_t> manifest_payload;
-  wire::Append<std::uint64_t>(&manifest_payload, epoch);
-  wire::Append<std::uint64_t>(&manifest_payload, buffer_.size());
-  wire::Append<std::uint32_t>(&manifest_payload, sketch::Crc32(buffer_));
-  wire::Append<std::uint64_t>(&manifest_payload, watermark);
-  std::vector<std::uint8_t> manifest_record;
-  AppendRecord(RecordType::kManifestEntry, manifest_payload, &manifest_record);
-  const std::string manifest_path = dir_ + "/" + kManifestName;
-  if (crash_now && crash.point == "manifest-partial") {
-    (void)WriteFileSynced(
-        manifest_path, std::span(manifest_record).first(manifest_record.size() / 2),
-        true);
-    CrashNow();
-  }
-  if (core::Status s = WriteFileSynced(manifest_path, manifest_record, true);
-      !s.ok()) {
+  if (core::Status s = Publish(epoch, watermark); !s.ok()) {
+    buffer_.resize(body_bytes);
+    pending_records_ = body_records;
+    snapshot_crc_ = body_crc;
     return s;
   }
 
@@ -264,6 +263,43 @@ core::Status CheckpointWriter::Commit(std::uint64_t watermark) {
                         static_cast<std::int64_t>(watermark));
   }
   return core::Status::Ok();
+}
+
+core::Status CheckpointWriter::Publish(std::uint64_t epoch, std::uint64_t watermark) {
+  const CrashPoint crash = ParseCrashPoint();
+  const bool crash_now = crash.armed && commits_ == crash.ordinal;
+
+  const std::string snap_path = dir_ + "/" + SnapshotFileName(epoch);
+  const std::string tmp_path = snap_path + ".tmp";
+
+  if (crash_now && crash.point == "snapshot-partial") {
+    (void)WriteFileSynced(tmp_path,
+                          std::span(buffer_).first(buffer_.size() / 2), false);
+    CrashNow();
+  }
+  if (core::Status s = WriteFileSynced(tmp_path, buffer_, false); !s.ok()) return s;
+  if (crash_now && crash.point == "pre-rename") CrashNow();
+  if (::rename(tmp_path.c_str(), snap_path.c_str()) != 0) {
+    return core::Status::Internal(ErrnoMessage("rename", snap_path));
+  }
+  if (core::Status s = FsyncDir(dir_); !s.ok()) return s;
+  if (crash_now && crash.point == "pre-manifest") CrashNow();
+
+  std::vector<std::uint8_t> manifest_payload;
+  wire::Append<std::uint64_t>(&manifest_payload, epoch);
+  wire::Append<std::uint64_t>(&manifest_payload, buffer_.size());
+  wire::Append<std::uint32_t>(&manifest_payload, snapshot_crc_);
+  wire::Append<std::uint64_t>(&manifest_payload, watermark);
+  std::vector<std::uint8_t> manifest_record;
+  AppendRecord(RecordType::kManifestEntry, manifest_payload, &manifest_record);
+  const std::string manifest_path = dir_ + "/" + kManifestName;
+  if (crash_now && crash.point == "manifest-partial") {
+    (void)WriteFileSynced(
+        manifest_path, std::span(manifest_record).first(manifest_record.size() / 2),
+        true);
+    CrashNow();
+  }
+  return WriteFileSynced(manifest_path, manifest_record, true);
 }
 
 core::StatusOr<Snapshot> ParseSnapshot(std::span<const std::uint8_t> bytes) {
@@ -373,7 +409,7 @@ bool ReadSnapshotHeader(std::span<const std::uint8_t> payload, SnapshotHeader* o
 
 void AppendWindowBuffer(std::span<const float> staged, std::vector<std::uint8_t>* out) {
   wire::Append<std::uint64_t>(out, staged.size());
-  for (const float value : staged) wire::Append<float>(out, value);
+  wire::AppendArray(out, staged);
 }
 
 bool ReadWindowBuffer(std::span<const std::uint8_t> payload, std::vector<float>* out) {

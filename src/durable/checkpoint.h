@@ -68,9 +68,9 @@ struct Snapshot {
 };
 
 /// Builds snapshots in memory and commits them with the torn-write
-/// protocol above. Single-threaded: the owner serializes Begin/Add/Commit
-/// (estimators checkpoint from the ingest thread at batch boundaries, the
-/// service under its registration lock after WaitIdle()).
+/// protocol above. Single-threaded: the owner serializes Begin, the record
+/// calls and Commit (estimators checkpoint from the ingest thread at batch
+/// boundaries, the service under its registration lock after WaitIdle()).
 class CheckpointWriter {
  public:
   /// `dir` is created on the first Commit() if missing.
@@ -82,14 +82,26 @@ class CheckpointWriter {
   /// Starts a new snapshot, discarding any uncommitted records.
   void Begin();
 
-  /// Appends one state record to the pending snapshot. The first record
-  /// must be kSnapshotHeader (Commit validates).
+  /// Opens one state record of `type` in the pending snapshot and returns
+  /// the buffer its payload is appended to — the snapshot buffer itself, so
+  /// the payload is encoded in place. EndRecord() closes it. The first
+  /// record must be kSnapshotHeader; records do not nest.
+  std::vector<std::uint8_t>* BeginRecord(RecordType type);
+
+  /// Closes the open record: fills in its header and folds the record into
+  /// the snapshot's running CRC-32 (sketch::Crc32Combine), so Commit never
+  /// re-reads the buffer for the manifest.
+  void EndRecord();
+
+  /// Appends one state record holding a copy of `payload`.
   void Add(RecordType type, std::span<const std::uint8_t> payload);
 
   /// Finalizes the pending snapshot (appends the footer), writes it
   /// durably, appends the manifest entry, and prunes snapshots older than
   /// the previous epoch. `watermark` is the element count the snapshot
-  /// covers; it is echoed into the footer and the manifest.
+  /// covers; it is echoed into the footer and the manifest. On error the
+  /// pending snapshot is left as it was before the call (the footer comes
+  /// off again), so a retried Commit writes the same snapshot.
   core::Status Commit(std::uint64_t watermark);
 
   const std::string& dir() const { return dir_; }
@@ -103,10 +115,19 @@ class CheckpointWriter {
  private:
   core::Status Init();  ///< creates the directory, resumes the epoch counter
 
+  /// The commit protocol's I/O for the finished snapshot in buffer_: the
+  /// .tmp write, rename, directory fsync and manifest append, with the
+  /// crash points between them.
+  core::Status Publish(std::uint64_t epoch, std::uint64_t watermark);
+
   std::string dir_;
   obs::Observability obs_;
-  std::vector<std::uint8_t> buffer_;
+  std::vector<std::uint8_t> buffer_;  ///< reused across commits
   std::uint64_t pending_records_ = 0;
+  std::uint32_t snapshot_crc_ = 0;  ///< CRC-32 of buffer_'s closed records
+  bool record_open_ = false;
+  RecordType open_type_ = RecordType::kSnapshotHeader;
+  std::size_t open_header_ = 0;  ///< offset of the open record's header
   bool initialized_ = false;
   std::uint64_t next_epoch_ = 1;
   std::uint64_t commits_ = 0;

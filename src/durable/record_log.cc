@@ -9,6 +9,8 @@ namespace streamgpu::durable {
 
 namespace wire = sketch::wire;
 
+static_assert(kRecordHeaderSize == sketch::kFrameHeaderSize);
+
 const char* RecordTypeName(RecordType type) {
   switch (type) {
     case RecordType::kSnapshotHeader: return "snapshot_header";
@@ -26,12 +28,15 @@ const char* RecordTypeName(RecordType type) {
 
 void AppendRecord(RecordType type, std::span<const std::uint8_t> payload,
                   std::vector<std::uint8_t>* out) {
-  wire::Append<std::uint32_t>(out, kRecordMagic);
-  wire::Append<std::uint16_t>(out, kRecordVersion);
-  wire::Append<std::uint16_t>(out, static_cast<std::uint16_t>(type));
-  wire::Append<std::uint64_t>(out, payload.size());
-  wire::Append<std::uint32_t>(out, sketch::Crc32(payload));
+  const std::size_t header = sketch::BeginFrame(out);
   out->insert(out->end(), payload.begin(), payload.end());
+  FinishRecord(type, header, out);
+}
+
+std::uint32_t FinishRecord(RecordType type, std::size_t header,
+                           std::vector<std::uint8_t>* out) {
+  return sketch::EndFrame(kRecordMagic, kRecordVersion,
+                          static_cast<std::uint16_t>(type), header, out);
 }
 
 core::StatusOr<Record> ReadRecord(std::span<const std::uint8_t>* bytes) {

@@ -3,8 +3,9 @@
 // back-to-back sequence of records bracketed by kSnapshotHeader and
 // kSnapshotFooter; the manifest log is a sequence of kManifestEntry records.
 //
-// Record framing (little-endian, fixed-width fields, mirroring the SGMS
-// mergeable-summary envelope of sketch/serialize.h):
+// Record framing (little-endian, fixed-width fields: the SGMS
+// mergeable-summary envelope's header layout of sketch/serialize.h, whose
+// BeginFrame/EndFrame write both):
 //
 //   offset  size  field
 //   0       4     magic 0x52444753 ("SGDR")
@@ -64,6 +65,12 @@ struct Record {
 /// Appends one framed record to `out`.
 void AppendRecord(RecordType type, std::span<const std::uint8_t> payload,
                   std::vector<std::uint8_t>* out);
+
+/// Frames the payload appended to `out` after the header sketch::BeginFrame
+/// reserved at offset `header` as a record of `type`, in place. Returns the
+/// payload's CRC-32.
+std::uint32_t FinishRecord(RecordType type, std::size_t header,
+                           std::vector<std::uint8_t>* out);
 
 /// Parses one record from the front of `bytes`, advancing the span past it
 /// on success. On error the span is left untouched.

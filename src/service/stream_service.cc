@@ -521,66 +521,63 @@ core::Status StreamService::Checkpoint(durable::CheckpointWriter* writer) {
   // only per-stream partial windows (< one window each) remain in staging.
   if (core::Status s = WaitIdle(); !s.ok()) return s;
 
+  using durable::RecordType;
   writer->Begin();
   durable::SnapshotHeader header;
   header.mode = durable::kSnapshotModeService;
   header.aux = streams_.size();
-  std::vector<std::uint8_t> payload;
-  durable::AppendSnapshotHeader(header, &payload);
-  writer->Add(durable::RecordType::kSnapshotHeader, payload);
+  durable::AppendSnapshotHeader(header, writer->BeginRecord(RecordType::kSnapshotHeader));
+  writer->EndRecord();
 
-  payload.clear();
-  wire::Append<std::uint64_t>(&payload, stats_.elements_observed);
-  wire::Append<std::uint64_t>(&payload, stats_.elements_shed);
-  wire::Append<std::uint64_t>(&payload, stats_.batches_dispatched);
-  wire::Append<std::uint64_t>(&payload,
-                              windows_merged_.load(std::memory_order_relaxed));
-  writer->Add(durable::RecordType::kServiceStats, payload);
+  std::vector<std::uint8_t>* out = writer->BeginRecord(RecordType::kServiceStats);
+  wire::Append<std::uint64_t>(out, stats_.elements_observed);
+  wire::Append<std::uint64_t>(out, stats_.elements_shed);
+  wire::Append<std::uint64_t>(out, stats_.batches_dispatched);
+  wire::Append<std::uint64_t>(out, windows_merged_.load(std::memory_order_relaxed));
+  writer->EndRecord();
 
-  payload.clear();
-  wire::Append<std::uint64_t>(&payload, shards_.size());
+  out = writer->BeginRecord(RecordType::kAdmissionState);
+  wire::Append<std::uint64_t>(out, shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    wire::Append<std::uint64_t>(&payload, admission_.shed(s));
+    wire::Append<std::uint64_t>(out, admission_.shed(s));
   }
-  writer->Add(durable::RecordType::kAdmissionState, payload);
+  writer->EndRecord();
 
   for (const auto& state : streams_) {
-    payload.clear();
-    wire::Append<std::uint64_t>(&payload, state->key.tenant);
-    wire::Append<std::uint64_t>(&payload, state->key.stream);
-    wire::Append<double>(&payload, state->config.epsilon);
-    wire::Append<std::uint64_t>(&payload, state->config.window_size);
-    wire::Append<std::uint64_t>(&payload, state->config.sliding_window);
-    wire::Append<std::uint64_t>(&payload, state->config.expected_stream_length);
+    out = writer->BeginRecord(RecordType::kStreamBegin);
+    wire::Append<std::uint64_t>(out, state->key.tenant);
+    wire::Append<std::uint64_t>(out, state->key.stream);
+    wire::Append<double>(out, state->config.epsilon);
+    wire::Append<std::uint64_t>(out, state->config.window_size);
+    wire::Append<std::uint64_t>(out, state->config.sliding_window);
+    wire::Append<std::uint64_t>(out, state->config.expected_stream_length);
     wire::Append<std::uint16_t>(
-        &payload, static_cast<std::uint16_t>(state->config.quantile_sketch));
-    wire::Append<std::uint8_t>(&payload, state->config.track_quantiles ? 1 : 0);
-    wire::Append<std::uint8_t>(&payload, state->config.track_frequencies ? 1 : 0);
-    wire::Append<std::uint8_t>(&payload, state->finalized ? 1 : 0);
-    wire::Append<std::uint64_t>(&payload, state->observed);
-    wire::Append<std::uint64_t>(&payload, state->shed);
-    writer->Add(durable::RecordType::kStreamBegin, payload);
+        out, static_cast<std::uint16_t>(state->config.quantile_sketch));
+    wire::Append<std::uint8_t>(out, state->config.track_quantiles ? 1 : 0);
+    wire::Append<std::uint8_t>(out, state->config.track_frequencies ? 1 : 0);
+    wire::Append<std::uint8_t>(out, state->finalized ? 1 : 0);
+    wire::Append<std::uint64_t>(out, state->observed);
+    wire::Append<std::uint64_t>(out, state->shed);
+    writer->EndRecord();
 
     if (state->quantiles) {
-      payload.clear();
-      if (core::Status s = state->quantiles->AppendCheckpointState(&payload);
-          !s.ok()) {
+      out = writer->BeginRecord(RecordType::kQuantileState);
+      if (core::Status s = state->quantiles->AppendCheckpointState(out); !s.ok()) {
         return s;
       }
-      writer->Add(durable::RecordType::kQuantileState, payload);
+      writer->EndRecord();
     }
     if (state->frequencies) {
-      payload.clear();
-      if (core::Status s = state->frequencies->AppendCheckpointState(&payload);
-          !s.ok()) {
+      out = writer->BeginRecord(RecordType::kFrequencyState);
+      if (core::Status s = state->frequencies->AppendCheckpointState(out); !s.ok()) {
         return s;
       }
-      writer->Add(durable::RecordType::kFrequencyState, payload);
+      writer->EndRecord();
     }
     if (!state->batcher.empty()) {
-      payload.clear();
-      durable::AppendWindowBuffer(state->batcher.contents(), &payload);
-      writer->Add(durable::RecordType::kWindowBuffer, payload);
+      durable::AppendWindowBuffer(state->batcher.contents(),
+                                  writer->BeginRecord(RecordType::kWindowBuffer));
+      writer->EndRecord();
     }
   }
   // The watermark is everything the service ever offered admission:

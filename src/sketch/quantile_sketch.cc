@@ -60,7 +60,8 @@ class GkEhSketch final : public QuantileSketch {
 
   // Full state: the bucket cascade itself. Layout: count u64, slot count
   // u32, then per slot a present byte followed (when present) by the
-  // bucket's nested SGMS GK envelope — a run's exact tuples, built here.
+  // bucket's nested SGMS GK envelope — a run's exact tuples, written
+  // straight from the run.
   core::Status AppendCheckpointState(std::vector<std::uint8_t>* out) const override {
     wire::Append<std::uint64_t>(out, eh_.count());
     const auto& buckets = eh_.buckets();
@@ -73,7 +74,7 @@ class GkEhSketch final : public QuantileSketch {
       const EhBucket& bucket = buckets[i];
       const core::Status s = bucket.run.empty()
                                  ? SerializeSummary(bucket.summary, out)
-                                 : SerializeSummary(GkSummary::Exact(bucket.run), out);
+                                 : SerializeExactSummary(bucket.run, out);
       if (!s.ok()) return s;
     }
     return core::Status::Ok();

@@ -7,36 +7,19 @@
 #include <string>
 #include <utility>
 
+#include "sketch/wire.h"
+
 namespace streamgpu::sketch {
 
 namespace {
 
 using core::Status;
 using core::StatusOr;
+using wire::Append;
+using wire::Read;
 
 /// Pre-envelope GK framing ("GKS1") — readable for one release (shim).
 constexpr std::uint32_t kLegacyGkMagic = 0x474B5331;
-
-constexpr std::size_t kHeaderSize =
-    sizeof(std::uint32_t) + sizeof(std::uint16_t) + sizeof(std::uint16_t) +
-    sizeof(std::uint64_t) + sizeof(std::uint32_t);
-
-template <typename T>
-void Append(std::vector<std::uint8_t>* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t offset = out->size();
-  out->resize(offset + sizeof(T));
-  std::memcpy(out->data() + offset, &value, sizeof(T));
-}
-
-template <typename T>
-bool Read(std::span<const std::uint8_t>* bytes, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (bytes->size() < sizeof(T)) return false;
-  std::memcpy(value, bytes->data(), sizeof(T));
-  *bytes = bytes->subspan(sizeof(T));
-  return true;
-}
 
 /// Same canonical float order as the sort backends (sort::FloatToOrderedKey):
 /// serialization of unordered containers sorts by it so equal summaries
@@ -46,31 +29,65 @@ inline std::uint32_t OrderKey(float value) {
   return bits & 0x80000000u ? ~bits : bits | 0x80000000u;
 }
 
-struct Crc32Table {
-  std::array<std::uint32_t, 256> entries{};
-  constexpr Crc32Table() {
+/// IEEE 802.3 CRC-32 polynomial, reflected.
+constexpr std::uint32_t kCrcPolynomial = 0xEDB88320u;
+
+/// Slicing-by-16 tables: entry [k][b] is the CRC register after byte b is
+/// followed by k zero bytes, so one step folds 16 input bytes with 16
+/// independent lookups instead of a 16-long chain of dependent ones.
+struct Crc32Tables {
+  std::array<std::array<std::uint32_t, 256>, 16> entries{};
+  constexpr Crc32Tables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+        crc = (crc >> 1) ^ ((crc & 1) ? kCrcPolynomial : 0);
       }
-      entries[i] = crc;
+      entries[0][i] = crc;
+    }
+    for (std::size_t k = 1; k < 16; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFF];
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrcTable;
+constexpr Crc32Tables kCrcTables;
 
-/// Writes the envelope header + payload onto `out`.
-void AppendEnvelope(SketchType type, std::span<const std::uint8_t> payload,
-                    std::vector<std::uint8_t>* out) {
-  out->reserve(out->size() + kHeaderSize + payload.size());
-  Append(out, kWireMagic);
-  Append(out, kWireVersion);
-  Append(out, static_cast<std::uint16_t>(type));
-  Append(out, static_cast<std::uint64_t>(payload.size()));
-  Append(out, Crc32(payload));
-  out->insert(out->end(), payload.begin(), payload.end());
+/// a * b modulo the CRC polynomial, both in the reflected representation
+/// (bit 31 holds x^0). `a` must be nonzero, as every power of x is.
+constexpr std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31;; m >>= 1) {
+    if (a & m) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) return product;
+    }
+    b = (b >> 1) ^ ((b & 1) ? kCrcPolynomial : 0);
+  }
+}
+
+/// Entry j is x^(8 * 2^j) modulo the CRC polynomial: multiplying a CRC
+/// register by it appends 2^j zero bytes.
+struct Crc32ZeroOperators {
+  std::array<std::uint32_t, 64> entries{};
+  constexpr Crc32ZeroOperators() {
+    std::uint32_t power = 1u << 23;  // x^8
+    for (std::uint32_t& entry : entries) {
+      entry = power;
+      power = MultModP(power, power);
+    }
+  }
+};
+
+constexpr Crc32ZeroOperators kCrcZeros;
+
+/// Frames the payload appended after the header reserved at `header`
+/// (BeginFrame) as an envelope of `type`.
+void EndEnvelope(SketchType type, std::size_t header, std::vector<std::uint8_t>* out) {
+  EndFrame(kWireMagic, kWireVersion, static_cast<std::uint16_t>(type), header, out);
 }
 
 struct Envelope {
@@ -127,20 +144,32 @@ StatusOr<Envelope> ParseEnvelope(std::span<const std::uint8_t> bytes) {
     return Status::InvalidArgument("summary envelope checksum mismatch: corrupted payload");
   }
   return Envelope{static_cast<SketchType>(tag), payload,
-                  kHeaderSize + static_cast<std::size_t>(payload_len)};
+                  kFrameHeaderSize + static_cast<std::size_t>(payload_len)};
 }
 
 // ---------------------------------------------------------------------------
 // Per-type payloads.
 
-void AppendGkPayload(const GkSummary& summary, std::vector<std::uint8_t>* out) {
-  Append(out, summary.count());
-  Append(out, summary.epsilon());
-  Append(out, static_cast<std::uint64_t>(summary.size()));
-  for (const GkTuple& t : summary.tuples()) {
-    Append(out, t.value);
-    Append(out, t.rmin);
-    Append(out, t.rmax);
+/// GK payload: count u64 | epsilon f64 | tuple count u64 | per tuple
+/// value f32, rmin u64, rmax u64 (kGkTupleBytes, unpadded). `tuple(i)`
+/// yields tuple i; the tuple list is written in one pass into one resize.
+constexpr std::size_t kGkTupleBytes = sizeof(float) + 2 * sizeof(std::uint64_t);
+
+template <typename TupleAt>
+void AppendGkPayload(std::uint64_t count, double epsilon, std::size_t tuples,
+                     TupleAt tuple, std::vector<std::uint8_t>* out) {
+  Append(out, count);
+  Append(out, epsilon);
+  Append(out, static_cast<std::uint64_t>(tuples));
+  const std::size_t offset = out->size();
+  out->resize(offset + tuples * kGkTupleBytes);
+  std::uint8_t* at = out->data() + offset;
+  for (std::size_t i = 0; i < tuples; ++i, at += kGkTupleBytes) {
+    const GkTuple t = tuple(i);
+    std::memcpy(at, &t.value, sizeof(float));
+    std::memcpy(at + sizeof(float), &t.rmin, sizeof(std::uint64_t));
+    std::memcpy(at + sizeof(float) + sizeof(std::uint64_t), &t.rmax,
+                sizeof(std::uint64_t));
   }
 }
 
@@ -152,8 +181,7 @@ StatusOr<GkSummary> ParseGkPayload(std::span<const std::uint8_t> payload) {
       !Read(&payload, &tuple_count)) {
     return Status::InvalidArgument("GK payload truncated before the tuple list");
   }
-  constexpr std::size_t kTupleBytes = sizeof(float) + 2 * sizeof(std::uint64_t);
-  if (tuple_count > payload.size() / kTupleBytes) {
+  if (tuple_count > payload.size() / kGkTupleBytes) {
     return Status::InvalidArgument("GK payload tuple count " +
                                    std::to_string(tuple_count) +
                                    " does not fit the payload");
@@ -182,7 +210,7 @@ void AppendKllPayload(const KllSketch& sketch, std::vector<std::uint8_t>* out) {
   Append(out, static_cast<std::uint32_t>(sketch.num_levels()));
   for (const std::vector<float>& level : sketch.levels()) {
     Append(out, static_cast<std::uint64_t>(level.size()));
-    for (float v : level) Append(out, v);
+    wire::AppendArray<float>(out, level);
   }
 }
 
@@ -237,7 +265,7 @@ void AppendCountMinPayload(const CountMinSketch& sketch,
   Append(out, sketch.total_weight());
   Append(out, static_cast<std::uint64_t>(sketch.width()));
   Append(out, static_cast<std::uint64_t>(sketch.depth()));
-  for (std::int64_t counter : sketch.counters()) Append(out, counter);
+  wire::AppendArray<std::int64_t>(out, sketch.counters());
 }
 
 StatusOr<CountMinSketch> ParseCountMinPayload(std::span<const std::uint8_t> payload) {
@@ -334,7 +362,7 @@ StatusOr<GkSummary> ParseLegacyGk(std::span<const std::uint8_t>* bytes) {
   // the consumed size from the parsed tuple count.
   const std::size_t consumed = sizeof(std::uint32_t) + sizeof(std::uint64_t) +
                                sizeof(double) + sizeof(std::uint64_t) +
-                               parsed->size() * (sizeof(float) + 2 * sizeof(std::uint64_t));
+                               parsed->size() * kGkTupleBytes;
   *bytes = bytes->subspan(consumed);
   return parsed;
 }
@@ -365,12 +393,32 @@ StatusOr<T> DeserializeTyped(std::span<const std::uint8_t>* bytes, SketchType wa
 
 }  // namespace
 
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t byte : bytes) {
-    crc = (crc >> 8) ^ kCrcTable.entries[(crc ^ byte) & 0xFF];
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t prefix_crc) {
+  const auto& t = kCrcTables.entries;
+  std::uint32_t crc = ~prefix_crc;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 16; n -= 16, p += 16) {
+    crc ^= static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+    crc = t[15][crc & 0xFF] ^ t[14][(crc >> 8) & 0xFF] ^ t[13][(crc >> 16) & 0xFF] ^
+          t[12][crc >> 24] ^ t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+          t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^ t[3][p[12]] ^
+          t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; n > 0; --n, ++p) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
+  return ~crc;
+}
+
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b) {
+  // The pre- and post-conditioning of the two CRCs cancel, so the combined
+  // CRC is crc_a carried over len_b zero bytes, xor crc_b.
+  for (std::size_t j = 0; len_b != 0; ++j, len_b >>= 1) {
+    if (len_b & 1) crc_a = MultModP(kCrcZeros.entries[j], crc_a);
+  }
+  return crc_a ^ crc_b;
 }
 
 const char* SketchTypeName(SketchType type) {
@@ -387,32 +435,64 @@ const char* SketchTypeName(SketchType type) {
   return "?";
 }
 
+std::size_t BeginFrame(std::vector<std::uint8_t>* out) {
+  const std::size_t header = out->size();
+  out->resize(header + kFrameHeaderSize);
+  return header;
+}
+
+std::uint32_t EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t tag,
+                       std::size_t header, std::vector<std::uint8_t>* out) {
+  std::uint8_t* at = out->data() + header;
+  const std::uint64_t payload_len = out->size() - header - kFrameHeaderSize;
+  const std::uint32_t crc = Crc32({at + kFrameHeaderSize, payload_len});
+  std::memcpy(at, &magic, sizeof(magic));
+  std::memcpy(at + 4, &version, sizeof(version));
+  std::memcpy(at + 6, &tag, sizeof(tag));
+  std::memcpy(at + 8, &payload_len, sizeof(payload_len));
+  std::memcpy(at + 16, &crc, sizeof(crc));
+  return crc;
+}
+
 core::Status SerializeSummary(const GkSummary& summary, std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> payload;
-  AppendGkPayload(summary, &payload);
-  AppendEnvelope(SketchType::kGkSummary, payload, out);
+  const std::size_t header = BeginFrame(out);
+  AppendGkPayload(summary.count(), summary.epsilon(), summary.size(),
+                  [&](std::size_t i) { return summary.tuples()[i]; }, out);
+  EndEnvelope(SketchType::kGkSummary, header, out);
+  return Status::Ok();
+}
+
+core::Status SerializeExactSummary(std::span<const float> sorted_run,
+                                   std::vector<std::uint8_t>* out) {
+  const std::size_t header = BeginFrame(out);
+  AppendGkPayload(sorted_run.size(), 0.0, sorted_run.size(),
+                  [&](std::size_t i) {
+                    return GkTuple{sorted_run[i], i + 1, i + 1};
+                  },
+                  out);
+  EndEnvelope(SketchType::kGkSummary, header, out);
   return Status::Ok();
 }
 
 core::Status SerializeSummary(const KllSketch& sketch, std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> payload;
-  AppendKllPayload(sketch, &payload);
-  AppendEnvelope(SketchType::kKll, payload, out);
+  const std::size_t header = BeginFrame(out);
+  AppendKllPayload(sketch, out);
+  EndEnvelope(SketchType::kKll, header, out);
   return Status::Ok();
 }
 
 core::Status SerializeSummary(const CountMinSketch& sketch,
                               std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> payload;
-  AppendCountMinPayload(sketch, &payload);
-  AppendEnvelope(SketchType::kCountMin, payload, out);
+  const std::size_t header = BeginFrame(out);
+  AppendCountMinPayload(sketch, out);
+  EndEnvelope(SketchType::kCountMin, header, out);
   return Status::Ok();
 }
 
 core::Status SerializeSummary(const MisraGries& sketch, std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> payload;
-  AppendMisraGriesPayload(sketch, &payload);
-  AppendEnvelope(SketchType::kMisraGries, payload, out);
+  const std::size_t header = BeginFrame(out);
+  AppendMisraGriesPayload(sketch, out);
+  EndEnvelope(SketchType::kMisraGries, header, out);
   return Status::Ok();
 }
 

@@ -56,11 +56,16 @@ enum class SketchType : std::uint16_t {
 /// Tag name for diagnostics ("gk", "kll", "count-min", "misra-gries").
 const char* SketchTypeName(SketchType type);
 
-/// Appends one enveloped summary to `out`.
+/// Appends one enveloped summary to `out`, encoding the payload in place.
 core::Status SerializeSummary(const GkSummary& summary, std::vector<std::uint8_t>* out);
 core::Status SerializeSummary(const KllSketch& sketch, std::vector<std::uint8_t>* out);
 core::Status SerializeSummary(const CountMinSketch& sketch, std::vector<std::uint8_t>* out);
 core::Status SerializeSummary(const MisraGries& sketch, std::vector<std::uint8_t>* out);
+
+/// Appends the envelope of GkSummary::Exact(sorted_run) — the same bytes —
+/// writing each tuple (v, i+1, i+1) straight from the run.
+core::Status SerializeExactSummary(std::span<const float> sorted_run,
+                                   std::vector<std::uint8_t>* out);
 
 /// Reads the envelope header at the front of `bytes` (without consuming it)
 /// and returns the sketch-type tag — how the combiner and `streamgpu_cli
@@ -77,8 +82,28 @@ core::StatusOr<KllSketch> DeserializeKllSketch(std::span<const std::uint8_t>* by
 core::StatusOr<CountMinSketch> DeserializeCountMin(std::span<const std::uint8_t>* bytes);
 core::StatusOr<MisraGries> DeserializeMisraGries(std::span<const std::uint8_t>* bytes);
 
+/// Size of the header the envelope and the durable record
+/// (durable/record_log.h) share: magic u32, version u16, tag u16, payload
+/// length u64, CRC-32 u32.
+inline constexpr std::size_t kFrameHeaderSize = 20;
+
+/// In-place framing of one envelope or durable record. BeginFrame reserves
+/// the header at the end of `out` and returns its offset; the caller then
+/// appends the payload; EndFrame fills the header in for the bytes after it
+/// and returns their CRC-32.
+std::size_t BeginFrame(std::vector<std::uint8_t>* out);
+std::uint32_t EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t tag,
+                       std::size_t header, std::vector<std::uint8_t>* out);
+
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the envelope checksum.
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
+/// `prefix_crc` continues a CRC: Crc32(b, Crc32(a)) == Crc32(a‖b).
+/// Portable slicing-by-16: 16 bytes per step, no intrinsics.
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t prefix_crc = 0);
+
+/// Crc32(a‖b) from crc_a = Crc32(a), crc_b = Crc32(b) and len_b = b.size(),
+/// without reading either — O(log len_b).
+std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
 
 }  // namespace streamgpu::sketch
 

@@ -24,6 +24,18 @@ void Append(std::vector<std::uint8_t>* out, T value) {
   std::memcpy(out->data() + old_size, &value, sizeof(T));
 }
 
+/// Appends the little-endian bytes of every element of `values` in one
+/// resize: the bytes of one Append per element.
+template <typename T>
+void AppendArray(std::vector<std::uint8_t>* out, std::span<const T> values) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto old_size = out->size();
+  out->resize(old_size + values.size_bytes());
+  if (!values.empty()) {
+    std::memcpy(out->data() + old_size, values.data(), values.size_bytes());
+  }
+}
+
 /// Reads one T from the front of `in`, advancing it. Returns false on
 /// truncation, leaving `in` and `value` untouched.
 template <typename T>

@@ -1,8 +1,9 @@
 // Tests for the durability subsystem (durable/record_log.h,
 // durable/checkpoint.h, docs/DURABILITY.md): record framing round trips and
 // rejection paths, the torn-write commit protocol (stray .tmp, missing
-// manifest entry, torn manifest tail, corrupted-newest fallback), the
-// deterministic crash points the kill-matrix harness drives, a structured
+// manifest entry, torn manifest tail, corrupted-newest fallback, a failed
+// commit retried), the deterministic crash points the kill-matrix harness
+// drives, committed golden snapshots (byte stability), a structured
 // corruption corpus over real snapshots (bit flips, truncations at every
 // record boundary, duplicated records — every failure surfaces as Status,
 // never a crash; the CI ASan job runs this file), and checkpoint/restore
@@ -12,6 +13,7 @@
 #include "durable/checkpoint.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -192,8 +194,8 @@ TEST(Codec, WindowBufferRoundTripAndRejection) {
 // ---------------------------------------------------------------------------
 // Commit protocol
 
-/// One tiny valid snapshot: header + quantile-state stub + window buffer.
-void CommitStub(CheckpointWriter* writer, std::uint64_t watermark) {
+/// Starts one tiny valid snapshot: header + quantile-state stub.
+void StageStub(CheckpointWriter* writer) {
   SnapshotHeader header;
   header.mode = kSnapshotModeQuantile;
   header.epsilon = 0.01;
@@ -204,6 +206,10 @@ void CommitStub(CheckpointWriter* writer, std::uint64_t watermark) {
   writer->Add(RecordType::kSnapshotHeader, header_payload);
   const std::vector<std::uint8_t> state = {0xAB, 0xCD};
   writer->Add(RecordType::kQuantileState, state);
+}
+
+void CommitStub(CheckpointWriter* writer, std::uint64_t watermark) {
+  StageStub(writer);
   ASSERT_TRUE(writer->Commit(watermark).ok());
 }
 
@@ -304,6 +310,33 @@ TEST(CheckpointWriter, StrayTmpFilesAreCleanedUpOnRestart) {
   CommitStub(&writer, 200);
   EXPECT_FALSE(std::filesystem::exists(dir + "/snap-2.ckpt.tmp"));
   EXPECT_EQ(LoadLatestSnapshot(dir)->epoch, 2u);
+}
+
+TEST(CheckpointWriter, FailedCommitLeavesThePendingSnapshotForARetry) {
+  const std::string dir = FreshDir("retry");
+  CheckpointWriter writer(dir);
+  CommitStub(&writer, 100);
+
+  // A non-empty directory at epoch 2's .tmp path makes the snapshot write
+  // fail (open: Is a directory).
+  const std::string blocker = dir + "/snap-2.ckpt.tmp";
+  std::filesystem::create_directories(blocker + "/occupied");
+  StageStub(&writer);
+  EXPECT_FALSE(writer.Commit(200).ok());
+  EXPECT_EQ(writer.commits(), 1u);
+
+  // The failed attempt took its footer off again: the retry commits one
+  // well-formed snapshot, not one with two footers.
+  std::filesystem::remove_all(blocker);
+  ASSERT_TRUE(writer.Commit(200).ok());
+  const auto entries = ReadManifest(dir);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries.back().epoch, 2u);
+  auto snapshot = LoadLatestSnapshot(dir);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->epoch, 2u);
+  EXPECT_EQ(snapshot->watermark, 200u);
+  EXPECT_EQ(snapshot->records.size(), 2u);
 }
 
 TEST(CheckpointWriter, ParseSnapshotRejectsStructuralViolations) {
@@ -905,6 +938,124 @@ TEST(ServiceRestore, RejectsTopologyMismatch) {
                 .status()
                 .code(),
             core::Status::Code::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Golden snapshot files: the bytes the checkpoint writer produces are
+// committed to the repo, so a change to snapshot bytes fails here. Each
+// snapshot's manifest CRC is checked against a bitwise CRC-32. Regenerate
+// with:
+//   STREAMGPU_REGEN_GOLDEN=1 ./durable_test --gtest_filter='GoldenSnapshot.*'
+
+std::string GoldenPath(const char* name) {
+  return std::string(STREAMGPU_TEST_GOLDEN_DIR) + "/" + name;
+}
+
+/// CRC-32 (IEEE, reflected) one bit at a time: the definition, independent
+/// of the table-driven sketch::Crc32 the writer uses.
+std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+  }
+  return ~crc;
+}
+
+/// Checks the single snapshot committed in `dir` against its manifest entry
+/// and the golden file `name`, or rewrites the golden under
+/// STREAMGPU_REGEN_GOLDEN.
+void ExpectGoldenSnapshot(const std::string& dir, const char* name) {
+  const std::vector<std::uint8_t> bytes = ReadFile(dir + "/snap-1.ckpt");
+  const auto entries = ReadManifest(dir);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].snapshot_size, bytes.size());
+  EXPECT_EQ(entries[0].snapshot_crc, ReferenceCrc32(bytes));
+  if (std::getenv("STREAMGPU_REGEN_GOLDEN") != nullptr) {
+    WriteFile(GoldenPath(name), bytes);
+    GTEST_SKIP() << name << " regenerated";
+  }
+  const std::vector<std::uint8_t> committed = ReadFile(GoldenPath(name));
+  ASSERT_FALSE(committed.empty())
+      << name << " missing; regenerate with STREAMGPU_REGEN_GOLDEN=1";
+  EXPECT_EQ(bytes, committed)
+      << name << ": the checkpoint writer no longer produces the committed bytes";
+}
+
+// GK at epsilon 0.1 over an a-priori length of 200: 10-element windows and
+// a 70-tuple prune budget. 27 windows leave exact-run buckets at ids 1 and
+// 2 and pruned ones at ids 4 and 5; 5 more elements stay staged.
+constexpr std::size_t kGoldenLength = 275;
+
+service::StreamConfig GoldenGkConfig() {
+  service::StreamConfig config;
+  config.epsilon = 0.1;
+  config.expected_stream_length = 200;
+  return config;
+}
+
+TEST(GoldenSnapshot, QuantileEstimatorBytesAreStable) {
+  const std::string dir = FreshDir("golden_quantile");
+  core::Options opt;
+  opt.epsilon = GoldenGkConfig().epsilon;
+  opt.expected_stream_length = GoldenGkConfig().expected_stream_length;
+  opt.backend = core::Backend::kCpuRadixMerge;
+  opt.checkpoint_dir = dir;
+  auto estimator = core::QuantileEstimator::Create(opt);
+  ASSERT_TRUE(estimator.ok());
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 41});
+  ASSERT_TRUE((*estimator)->ObserveBatch(gen.Take(kGoldenLength)).ok());
+  ASSERT_TRUE((*estimator)->Checkpoint().ok());
+  ExpectGoldenSnapshot(dir, "snapshot_quantile.golden");
+}
+
+TEST(GoldenSnapshot, ServiceBytesAreStable) {
+  service::ServiceConfig config;
+  config.backend = core::Backend::kCpuRadixMerge;
+  config.num_workers = 1;
+  config.num_shards = 2;
+  config.shard_batch_elements = 128;
+  config.admission = stream::AdmissionPolicy::kShed;
+  config.shard_ingress_capacity = 512;
+  auto service = service::StreamService::Create(config);
+  ASSERT_TRUE(service.ok());
+
+  // One stream per state kind: GK (exact-run and pruned buckets),
+  // gk-adaptive, KLL and frequency-only.
+  const service::StreamConfig gk = GoldenGkConfig();
+  service::StreamConfig adaptive = gk;
+  adaptive.quantile_sketch = sketch::QuantileSketchKind::kGkAdaptive;
+  service::StreamConfig kll = gk;
+  kll.quantile_sketch = sketch::QuantileSketchKind::kKll;
+  service::StreamConfig frequency = gk;
+  frequency.track_quantiles = false;
+  frequency.track_frequencies = true;
+  const service::StreamKey keys[] = {{0, 0}, {0, 1}, {1, 2}, {1, 3}};
+  const service::StreamConfig* configs[] = {&gk, &adaptive, &kll, &frequency};
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*service)->Register(keys[i], *configs[i]).ok());
+  }
+  stream::StreamGenerator gen({.distribution = stream::Distribution::kZipf, .seed = 43});
+  const std::vector<float> values = gen.Take(4 * kGoldenLength);
+  for (std::size_t at = 0; at < kGoldenLength; at += 25) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto part = std::span(values).subspan(i * kGoldenLength + at, 25);
+      ASSERT_TRUE((*service)->Append(keys[i], part).ok());
+    }
+  }
+  // With dispatch paused the shard's backlog passes its capacity, so part
+  // of this append is shed and the snapshot carries shed accounting.
+  (*service)->PauseDispatch();
+  const auto admitted = (*service)->Append(keys[1], gen.Take(600));
+  ASSERT_TRUE(admitted.ok());
+  ASSERT_LT(*admitted, 600u);
+  ASSERT_TRUE((*service)->ResumeDispatch().ok());
+
+  const std::string dir = FreshDir("golden_service");
+  CheckpointWriter writer(dir);
+  ASSERT_TRUE((*service)->Checkpoint(&writer).ok());
+  ExpectGoldenSnapshot(dir, "snapshot_service.golden");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the versioned summary wire format (sketch/serialize.h): per-type
 // envelope round trips (including empty summaries), back-to-back framing,
 // type dispatch via PeekSketchType, the legacy "GKS1" shim, committed golden
-// wire files (forward-compat detection), and a malformed-input corpus —
-// every rejection returns Status, never aborts.
+// wire files (forward-compat detection), a malformed-input corpus — every
+// rejection returns Status, never aborts — and CRC-32 checked against a
+// bitwise reference.
 //
 // Regenerate the golden wire files with:
 //   STREAMGPU_REGEN_GOLDEN=1 ./serialize_test --gtest_filter='*GoldenWire*'
@@ -385,6 +386,84 @@ TEST(SerializeTest, GoldenWireFilesStayReadable) {
     // And the committed bytes must stay readable.
     EXPECT_TRUE(PeekSketchType(committed).ok()) << c.name;
   }
+}
+
+TEST(SerializeTest, ExactSummaryWritesTheMaterialisedSummaryBytes) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> d(-1e3f, 1e3f);
+  for (std::size_t n : {0u, 1u, 7u, 1000u}) {
+    std::vector<float> run(n);
+    for (float& v : run) v = d(rng);
+    std::sort(run.begin(), run.end());
+    // A non-empty prefix: the envelope is framed in place after it.
+    std::vector<std::uint8_t> direct = {0xEE, 0xEF};
+    std::vector<std::uint8_t> materialised = direct;
+    ASSERT_TRUE(SerializeExactSummary(run, &direct).ok());
+    ASSERT_TRUE(SerializeSummary(GkSummary::Exact(run), &materialised).ok());
+    EXPECT_EQ(direct, materialised) << "n=" << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: known answers, a bitwise reference and Crc32Combine.
+
+/// CRC-32 (IEEE, reflected) one bit at a time: the definition the sliced
+/// table implementation must reproduce.
+std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> RandomBytes(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32({reinterpret_cast<const std::uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(1100 + 15, 17);
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::uint8_t> s(bytes.data() + offset, len);
+      if (Crc32(s) != ReferenceCrc32(s) && ++mismatches <= 5) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32Test, CombineAndPrefixEqualTheCrcOfTheConcatenation) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(5000, 19);
+  std::mt19937 rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t total = rng() % (bytes.size() + 1);
+    // Every fourth trial puts the split at an end: an empty a or b.
+    std::size_t split = rng() % (total + 1);
+    if (trial % 4 == 1) split = 0;
+    if (trial % 4 == 2) split = total;
+    const std::span<const std::uint8_t> whole(bytes.data(), total);
+    const std::span<const std::uint8_t> a = whole.first(split);
+    const std::span<const std::uint8_t> b = whole.subspan(split);
+    const std::uint32_t expected = ReferenceCrc32(whole);
+    EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), expected)
+        << "split " << split << " of " << total;
+    EXPECT_EQ(Crc32(b, Crc32(a)), expected) << "split " << split << " of " << total;
+  }
+  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);
 }
 
 TEST(FromPartsTest, GkValidatesStructure) {
