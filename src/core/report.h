@@ -68,8 +68,13 @@ struct QuantileReport {
   double phi = 0;
   /// The epsilon the guarantee is stated under.
   double epsilon = 0;
-  /// ceil(epsilon * window_coverage): `value`'s rank among the covered
-  /// elements is within this many positions of phi * window_coverage.
+  /// `value`'s rank among the covered elements is within this many
+  /// positions of phi * window_coverage. The sketch's term is
+  /// ceil(epsilon * window_coverage), except that GK+EH past its provisioned
+  /// stream length states ceil(e * window_coverage), e its largest bucket
+  /// epsilon (above epsilon), and KLL states the smaller of its tracked
+  /// worst case and ceil(epsilon * window_coverage). `elements_dropped` and
+  /// `elements_shed` are added on top.
   std::uint64_t rank_error_bound = 0;
   /// Elements the answer covers (see FrequencyReport::window_coverage).
   std::uint64_t window_coverage = 0;

@@ -40,29 +40,37 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
 }
 
-/// Writes `bytes` (or its first `limit` bytes) to `path`, fsync'ing before
-/// close. O_TRUNC when `append` is false.
+/// Writes `bytes` to `path`, fsync'ing before close. O_TRUNC when `append`
+/// is false. A failed append is cut back off the file: readers stop at a
+/// torn record, so a retry appended after one would never be read.
 core::Status WriteFileSynced(const std::string& path,
                              std::span<const std::uint8_t> bytes, bool append) {
   const int flags = O_WRONLY | O_CREAT | O_CLOEXEC | (append ? O_APPEND : O_TRUNC);
   const int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) return core::Status::Internal(ErrnoMessage("open", path));
+  struct stat before {};
+  if (append && ::fstat(fd, &before) != 0) {
+    const core::Status status = core::Status::Internal(ErrnoMessage("fstat", path));
+    ::close(fd);
+    return status;
+  }
+  const auto fail = [&](const char* what) {
+    const core::Status status = core::Status::Internal(ErrnoMessage(what, path));
+    // If the cut fails too, the next process's Init() cuts the torn tail.
+    if (append) (void)::ftruncate(fd, before.st_size);
+    ::close(fd);
+    return status;
+  };
   std::size_t written = 0;
   while (written < bytes.size()) {
     const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const core::Status status = core::Status::Internal(ErrnoMessage("write", path));
-      ::close(fd);
-      return status;
+      return fail("write");
     }
     written += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) {
-    const core::Status status = core::Status::Internal(ErrnoMessage("fsync", path));
-    ::close(fd);
-    return status;
-  }
+  if (::fsync(fd) != 0) return fail("fsync");
   ::close(fd);
   return core::Status::Ok();
 }

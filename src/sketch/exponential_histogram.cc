@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -29,6 +30,67 @@ std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b)
   std::copy(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(), tail);
   return out;
 }
+
+bool HoldsNan(const EhBucket& bucket) {
+  bool nan = false;
+  for (const float v : bucket.run) nan |= std::isnan(v);
+  for (const GkTuple& t : bucket.summary.tuples()) nan |= std::isnan(t.value);
+  return nan;
+}
+
+/// Tuple i of `bucket`, a run's implicit (run[i], i+1, i+1) included.
+GkTuple TupleAt(const EhBucket& bucket, std::size_t i) {
+  if (bucket.run.empty()) return bucket.summary.tuples()[i];
+  return {bucket.run[i], i + 1, i + 1};
+}
+
+/// The number of `bucket`'s tuples that precede a value-v tuple of another
+/// bucket in Flatten()'s merged order: its values <= v when `bucket` has
+/// the lower id (GkSummary::Merge's a <= b tie rule, which also puts -0.0
+/// and +0.0 in id order), its values < v otherwise.
+std::size_t CountBefore(const EhBucket& bucket, float v, bool lower_id) {
+  if (!bucket.run.empty()) {
+    const std::vector<float>& run = bucket.run;
+    const auto it = lower_id ? std::upper_bound(run.begin(), run.end(), v)
+                             : std::lower_bound(run.begin(), run.end(), v);
+    return static_cast<std::size_t>(it - run.begin());
+  }
+  const std::vector<GkTuple>& tuples = bucket.summary.tuples();
+  const auto it = lower_id ? std::ranges::upper_bound(tuples, v, {}, &GkTuple::value)
+                           : std::ranges::lower_bound(tuples, v, {}, &GkTuple::value);
+  return static_cast<std::size_t>(it - tuples.begin());
+}
+
+/// Tuple i of buckets[b] with the rank bounds Flatten() gives it. Merging
+/// into a running fold adds, per other bucket c, the rmin of c's last tuple
+/// before it and the rmax - 1 of c's first tuple after it (c's count when
+/// there is none).
+GkTuple MergedTuple(const std::vector<EhBucket>& buckets, std::size_t b, std::size_t i) {
+  GkTuple t = TupleAt(buckets[b], i);
+  for (std::size_t c = 0; c < buckets.size(); ++c) {
+    const EhBucket& other = buckets[c];
+    if (c == b || other.empty()) continue;
+    const std::size_t before = CountBefore(other, t.value, c < b);
+    if (!other.run.empty()) {
+      // Run tuple before - 1 has rmin `before`; run tuple `before` has rmax
+      // before + 1, and a run's count is its size.
+      t.rmin += before;
+      t.rmax += before;
+      continue;
+    }
+    const std::vector<GkTuple>& tuples = other.summary.tuples();
+    if (before > 0) t.rmin += tuples[before - 1].rmin;
+    t.rmax += before < tuples.size() ? tuples[before].rmax - 1 : other.summary.count();
+  }
+  return t;
+}
+
+/// A tuple of the bucket list: buckets[b], index i.
+struct TupleRef {
+  std::size_t b = 0;
+  std::size_t i = 0;
+  float value = 0;
+};
 
 }  // namespace
 
@@ -97,6 +159,7 @@ bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
   fresh.buckets_.resize(buckets.size());
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     fresh.buckets_[i] = EhBucket::FromSummary(std::move(buckets[i]));
+    fresh.holds_nan_ = fresh.holds_nan_ || HoldsNan(fresh.buckets_[i]);
   }
   fresh.count_ = count;
   *out = std::move(fresh);
@@ -121,6 +184,7 @@ void EhQuantileSummary::AddWindow(EhBucket window) {
   STREAMGPU_CHECK_MSG(window.epsilon() <= LevelBudget(1) + 1e-12,
                       "window summary must be (epsilon/2)-approximate");
   count_ += window.count();
+  holds_nan_ = holds_nan_ || HoldsNan(window);
 
   EhBucket carry = std::move(window);
   std::size_t id = 1;
@@ -167,7 +231,62 @@ EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
 
 float EhQuantileSummary::Query(double phi) const {
   STREAMGPU_CHECK_MSG(count_ > 0, "query on empty summary");
-  return Flatten().Query(phi);
+  if (holds_nan_) return Flatten().Query(phi);
+  STREAMGPU_CHECK(phi > 0.0 && phi <= 1.0);
+  const std::uint64_t rank = GkSummary::RankForPhi(phi, count_);
+  // Flatten() lists the tuples by value, equal values in id order, and its
+  // rmin + rmax never decreases along that order. Its first tuple with
+  // rmin + rmax >= 2*rank is therefore the earliest of the buckets' first
+  // such tuples; with none, the answer starts from its last tuple.
+  std::optional<TupleRef> first;
+  std::optional<TupleRef> last;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    const EhBucket& bucket = buckets_[b];
+    if (bucket.empty()) continue;
+    std::size_t lo = 0;
+    std::size_t hi = bucket.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      const GkTuple t = MergedTuple(buckets_, b, mid);
+      if (t.rmin + t.rmax < 2 * rank) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo < bucket.size()) {
+      const float v = TupleAt(bucket, lo).value;
+      if (!first || v < first->value) first = TupleRef{b, lo, v};
+    }
+    const float v = TupleAt(bucket, bucket.size() - 1).value;
+    if (!last || v >= last->value) last = TupleRef{b, bucket.size() - 1, v};
+  }
+  const TupleRef best = first ? *first : *last;
+  // GkSummary::BestTupleNear: prefer the predecessor in that order, the
+  // latest of the buckets' last tuples before `best`, when it deviates less.
+  std::optional<TupleRef> prev;
+  for (std::size_t c = 0; c < buckets_.size(); ++c) {
+    if (buckets_[c].empty()) continue;
+    const std::size_t before =
+        c == best.b ? best.i : CountBefore(buckets_[c], best.value, c < best.b);
+    if (before == 0) continue;
+    const float v = TupleAt(buckets_[c], before - 1).value;
+    if (!prev || v >= prev->value) prev = TupleRef{c, before - 1, v};
+  }
+  const GkTuple answer = MergedTuple(buckets_, best.b, best.i);
+  if (prev) {
+    const GkTuple p = MergedTuple(buckets_, prev->b, prev->i);
+    if (GkSummary::RankDeviation(p, rank) < GkSummary::RankDeviation(answer, rank)) {
+      return p.value;
+    }
+  }
+  return answer.value;
+}
+
+double EhQuantileSummary::MaxBucketEpsilon() const {
+  double epsilon = 0;
+  for (const EhBucket& bucket : buckets_) epsilon = std::max(epsilon, bucket.epsilon());
+  return epsilon;
 }
 
 GkSummary EhQuantileSummary::Flatten() const {

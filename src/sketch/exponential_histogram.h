@@ -77,15 +77,28 @@ class EhQuantileSummary {
                         std::uint64_t expected_length, std::uint64_t count,
                         std::vector<GkSummary> buckets, EhQuantileSummary* out);
 
-  /// Epsilon-approximate phi-quantile over everything inserted so far.
+  /// The phi-quantile over everything inserted so far: bit for bit
+  /// Flatten().Query(phi), found in the bucket list without building the
+  /// merge and without allocating. A tuple's rank bounds in Flatten() are
+  /// its own plus, from every other bucket, the rmin of that bucket's last
+  /// tuple before it and the rmax - 1 of its first tuple after it (its count
+  /// when there is none), so Flatten().Query's binary search splits into
+  /// binary searches inside each bucket. A histogram that holds a NaN
+  /// answers through Flatten().Query itself: GK Merge's NaN rule breaks the
+  /// value order those searches rely on.
   float Query(double phi) const;
 
   /// One GkSummary over everything inserted: the buckets merged in id order
-  /// (GkSummary::Merge(flat, bucket)). Each bucket is at most
-  /// epsilon-approximate (LevelBudget) and MERGE keeps max(epsilon), so the
-  /// result is epsilon-approximate. Query answers from it; the mergeable
-  /// export (sketch/quantile_sketch.cc) serializes it.
+  /// (GkSummary::Merge(flat, bucket)), epsilon MaxBucketEpsilon(). The
+  /// mergeable export (sketch/quantile_sketch.cc) serializes it, and a
+  /// histogram that holds a NaN answers queries from it.
   GkSummary Flatten() const;
+
+  /// Flatten().epsilon() without flattening: the largest bucket epsilon.
+  /// Every bucket id up to levels() is within LevelBudget(levels()) <
+  /// epsilon; once count() passes the provisioned N, higher ids exceed
+  /// epsilon.
+  double MaxBucketEpsilon() const;
 
   /// Elements covered so far.
   std::uint64_t count() const { return count_; }
@@ -134,6 +147,7 @@ class EhQuantileSummary {
   int levels_;
   std::size_t prune_tuples_;
   std::uint64_t count_ = 0;
+  bool holds_nan_ = false;  ///< a window or restored bucket held a NaN
   std::vector<EhBucket> buckets_;  ///< index i holds bucket id i+1; empty = vacant
   double merge_seconds_ = 0;
   double compress_seconds_ = 0;

@@ -190,23 +190,29 @@ std::size_t GkSummary::BestTupleForRank(std::uint64_t rank) const {
   return BestTupleNear(static_cast<std::size_t>(it - tuples_.begin()), rank);
 }
 
+std::uint64_t GkSummary::RankDeviation(const GkTuple& t, std::uint64_t rank) {
+  const std::uint64_t lo = t.rmin > rank ? t.rmin - rank : rank - t.rmin;
+  const std::uint64_t hi = t.rmax > rank ? t.rmax - rank : rank - t.rmax;
+  return std::max(lo, hi);
+}
+
 std::size_t GkSummary::BestTupleNear(std::size_t first, std::uint64_t rank) const {
-  const auto cost = [rank](const GkTuple& t) {
-    const std::uint64_t lo = t.rmin > rank ? t.rmin - rank : rank - t.rmin;
-    const std::uint64_t hi = t.rmax > rank ? t.rmax - rank : rank - t.rmax;
-    return std::max(lo, hi);
-  };
   std::size_t best = first == tuples_.size() ? tuples_.size() - 1 : first;
-  if (best > 0 && cost(tuples_[best - 1]) < cost(tuples_[best])) --best;
+  if (best > 0 && RankDeviation(tuples_[best - 1], rank) < RankDeviation(tuples_[best], rank)) {
+    --best;
+  }
   return best;
+}
+
+std::uint64_t GkSummary::RankForPhi(double phi, std::uint64_t count) {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(count))));
 }
 
 float GkSummary::Query(double phi) const {
   STREAMGPU_CHECK(phi > 0.0 && phi <= 1.0);
   STREAMGPU_CHECK(!empty());
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(count_))));
-  return QueryRank(rank);
+  return QueryRank(RankForPhi(phi, count_));
 }
 
 float GkSummary::QueryRank(std::uint64_t rank) const {

@@ -80,6 +80,16 @@ class GkSummary {
   /// Value whose rank is within epsilon()*count() of `rank` (1-based).
   float QueryRank(std::uint64_t rank) const;
 
+  /// The rank Query(phi) answers over `count` elements: max(1,
+  /// ceil(phi * count)).
+  static std::uint64_t RankForPhi(double phi, std::uint64_t count);
+
+  /// Worst-case distance between `rank` and the true rank of `t`:
+  /// max(|rank - rmin|, |rmax - rank|). A query answers with the first tuple
+  /// with rmin + rmax >= 2*rank (the last tuple when there is none), or with
+  /// its predecessor when that one's deviation is strictly smaller.
+  static std::uint64_t RankDeviation(const GkTuple& t, std::uint64_t rank);
+
   /// Number of stream elements this summary covers.
   std::uint64_t count() const { return count_; }
 

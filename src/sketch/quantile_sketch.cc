@@ -31,7 +31,7 @@ core::Status TruncatedState(const char* what) {
 /// The paper's backend (§5.2): per-window GK summaries maintained in an
 /// exponential histogram. The mergeable export is the histogram's
 /// EhQuantileSummary::Flatten, which is epsilon-approximate for everything
-/// covered.
+/// covered while the stream stays within the provisioned N.
 class GkEhSketch final : public QuantileSketch {
  public:
   GkEhSketch(double epsilon, std::uint64_t window_size,
@@ -50,8 +50,10 @@ class GkEhSketch final : public QuantileSketch {
   float Query(double phi) const override { return eh_.Query(phi); }
   std::uint64_t count() const override { return eh_.count(); }
   std::size_t summary_size() const override { return eh_.TotalTuples(); }
+  // Past the provisioned N the buckets above the planned levels exceed
+  // epsilon, and so does the flattened summary the answers equal.
   std::uint64_t rank_error_bound() const override {
-    return StatedBound(epsilon_, eh_.count());
+    return StatedBound(std::max(epsilon_, eh_.MaxBucketEpsilon()), eh_.count());
   }
 
   core::Status AppendWireSummary(std::vector<std::uint8_t>* out) const override {

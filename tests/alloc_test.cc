@@ -20,12 +20,15 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +36,7 @@
 #include "core/options.h"
 #include "core/quantile_estimator.h"
 #include "core/status.h"
+#include "core/summary_core.h"
 #include "gpu/device.h"
 #include "hwmodel/hardware_profiles.h"
 #include "sort/cpu_sort.h"
@@ -155,10 +159,16 @@ TEST(AllocTest, WindowExecutorAloneIsAllocationFree) {
         std::vector<sort::Sorter*>{&sorter_a, &sorter_b}}) {
     SCOPED_TRACE(testing::Message() << "sorters=" << sorters.size());
     std::uint64_t drained = 0;
+    // While warming up, the drain lags, so ingest fills every in-flight slot
+    // and holds one batch more: the recycle pool then holds as many batches
+    // as the measured loop can ever have alive. With std::sort this fast,
+    // an unhurried drain often left the pool one batch short.
+    std::atomic<bool> warming{true};
     stream::WindowExecutor::Config config;
     config.max_batches_in_flight = 4;
     stream::WindowExecutor executor(
-        config, sorters, [&drained](stream::WindowBatch& batch) {
+        config, sorters, [&drained, &warming](stream::WindowBatch& batch) {
+          if (warming.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
           drained += batch.elements;  // read-only drain; storage stays recyclable
           return streamgpu::core::Status::Ok();
         });
@@ -178,6 +188,7 @@ TEST(AllocTest, WindowExecutorAloneIsAllocationFree) {
     };
 
     stream_batches(12);  // warm-up: rings, pool, worker scratch, sorter scratch
+    warming = false;
 
     // gen.Take above allocates; measure only the ingest->drain loop.
     std::vector<std::vector<float>> prepared;
@@ -250,6 +261,37 @@ TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0u) << "steady-state GPU executor loop allocated";
   EXPECT_EQ(drained, kBatchElements * 28);
+}
+
+// A whole-history GK+EH query reads the bucket list in place: once the
+// summary is warm, answering allocates nothing.
+TEST(AllocTest, GkEhQuantileQueryIsAllocationFree) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+
+  const double epsilon = 0.01;
+  const std::uint64_t window = core::NaturalQuantileWindow(epsilon, 0, 0);
+  core::QuantileSummaryCore summary(epsilon, window, /*sliding_window=*/0,
+                                    /*expected_stream_length=*/0);
+  // 300 windows of 100: buckets 3, 4 and 6 hold exact runs (4, 8 and 32
+  // windows); bucket 9 (256 windows) is past the 3,501-element prune
+  // budget, so it holds tuples.
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 17});
+  for (int i = 0; i < 300; ++i) {
+    std::vector<float> w = gen.Take(window);
+    std::sort(w.begin(), w.end());
+    summary.MergeSortedWindow(w);
+  }
+
+  float sum = 0;
+  const std::uint64_t before = AllocCount();
+  for (int round = 0; round < 100; ++round) {
+    for (const double phi : {0.01, 0.5, 0.99}) sum += summary.Quantile(phi, 0).value;
+  }
+  const std::uint64_t after = AllocCount();
+
+  EXPECT_EQ(after - before, 0u) << "steady-state GK+EH queries allocated";
+  EXPECT_GT(sum, 0.0f);
 }
 
 }  // namespace

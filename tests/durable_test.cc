@@ -12,6 +12,9 @@
 
 #include "durable/checkpoint.h"
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -337,6 +340,47 @@ TEST(CheckpointWriter, FailedCommitLeavesThePendingSnapshotForARetry) {
   EXPECT_EQ(snapshot->epoch, 2u);
   EXPECT_EQ(snapshot->watermark, 200u);
   EXPECT_EQ(snapshot->records.size(), 2u);
+}
+
+TEST(CheckpointWriter, FailedManifestAppendLeavesNoTornTailForARetry) {
+  const std::string dir = FreshDir("torn_manifest");
+  const std::string manifest = dir + "/" + kManifestName;
+  CheckpointWriter writer(dir);
+  CommitStub(&writer, 100);
+  const std::uintmax_t snapshot_bytes = std::filesystem::file_size(dir + "/snap-1.ckpt");
+  const std::uintmax_t record_bytes = std::filesystem::file_size(manifest);
+  // The file size limit below must let the snapshot through and cut the
+  // manifest append short, so the manifest has to outgrow a snapshot first.
+  std::uint64_t watermark = 100;
+  while (std::filesystem::file_size(manifest) < snapshot_bytes) {
+    watermark += 100;
+    CommitStub(&writer, watermark);
+  }
+  const std::uint64_t commits = writer.commits();
+
+  // Half a record past the manifest's end: the append writes short, and its
+  // next write fails with EFBIG instead of raising SIGXFSZ.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(commits * record_bytes + record_bytes / 2);
+  const auto handler = std::signal(SIGXFSZ, SIG_IGN);
+  StageStub(&writer);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  const core::Status failed = writer.Commit(watermark + 100);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, handler);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(writer.commits(), commits);
+  EXPECT_EQ(std::filesystem::file_size(manifest), commits * record_bytes);
+
+  // The retry's entry follows the last whole one, so readers see it.
+  ASSERT_TRUE(writer.Commit(watermark + 100).ok());
+  EXPECT_EQ(ReadManifest(dir).size(), commits + 1);
+  auto snapshot = LoadLatestSnapshot(dir);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->epoch, commits + 1);
+  EXPECT_EQ(snapshot->watermark, watermark + 100);
 }
 
 TEST(CheckpointWriter, ParseSnapshotRejectsStructuralViolations) {

@@ -356,6 +356,41 @@ TEST(EhTest, RejectsTooCoarseWindowSummary) {
   EXPECT_DEATH(eh.AddWindowSummary(GkSummary::FromSorted(w, 0.5)), "epsilon/2");
 }
 
+TEST(EhTest, StatedBoundFollowsTheBucketsPastExpectedLength) {
+  // N = 10,000 provisions 5 levels; 2,000 windows push bucket ids to 11,
+  // whose budgets exceed epsilon, and so does the summary the answers come
+  // from. The stated bound must be that summary's epsilon times n, not
+  // epsilon times n (20,000).
+  const double eps = 0.01;
+  const std::size_t w = 1000;
+  auto sketch = QuantileSketch::Create(QuantileSketchKind::kGk, eps, w, 10000);
+  ASSERT_TRUE(sketch.ok());
+  std::vector<float> stream = RandomValues(2000 * w, 82);
+  for (std::size_t off = 0; off < stream.size(); off += w) {
+    std::vector<float> window(stream.begin() + static_cast<std::ptrdiff_t>(off),
+                              stream.begin() + static_cast<std::ptrdiff_t>(off + w));
+    std::sort(window.begin(), window.end());
+    (*sketch)->AddSortedWindow(window);
+  }
+  std::vector<std::uint8_t> wire_bytes;
+  ASSERT_TRUE((*sketch)->AppendWireSummary(&wire_bytes).ok());
+  std::span<const std::uint8_t> cursor(wire_bytes);
+  auto flat = DeserializeGkSummary(&cursor);
+  ASSERT_TRUE(flat.ok());
+  const double n = static_cast<double>(stream.size());
+  ASSERT_GT(flat->epsilon(), eps);
+  const std::uint64_t bound = (*sketch)->rank_error_bound();
+  EXPECT_EQ(bound, static_cast<std::uint64_t>(std::ceil(flat->epsilon() * n)));
+  EXPECT_GT(bound, static_cast<std::uint64_t>(std::ceil(eps * n)));
+
+  std::sort(stream.begin(), stream.end());
+  for (double phi : {0.001, 0.25, 0.5, 0.75, 0.999}) {
+    EXPECT_TRUE(RankWithin(stream, (*sketch)->Query(phi), std::ceil(phi * n),
+                           static_cast<double>(bound)))
+        << phi;
+  }
+}
+
 // --- KllSketch ---
 
 TEST(KllTest, EmptySketchAnswersZero) {
@@ -708,6 +743,29 @@ std::vector<std::uint8_t> CheckpointBytes(const Eh& eh) {
 
 constexpr double kDiffPhis[] = {1e-4, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0};
 
+/// The phis a differential check queries the histogram whose flattened
+/// reference is `flat` at: kDiffPhis, plus one phi per rank 1..count while
+/// count <= 2,000 and 256 evenly spaced ones above that. A histogram that
+/// holds a NaN answers through Flatten().Query, which the tuple comparisons
+/// already pin, so it gets kDiffPhis only.
+std::vector<double> DiffPhis(const ref::Summary& flat) {
+  std::vector<double> phis(std::begin(kDiffPhis), std::end(kDiffPhis));
+  if (std::ranges::any_of(flat.tuples, [](const GkTuple& t) { return std::isnan(t.value); })) {
+    return phis;
+  }
+  const std::uint64_t count = flat.count;
+  const double n = static_cast<double>(count);
+  if (count <= 2000) {
+    // ceil(phi * count) == r with room for rounding either way.
+    for (std::uint64_t r = 1; r <= count; ++r) {
+      phis.push_back((static_cast<double>(r) - 0.5) / n);
+    }
+  } else {
+    for (int k = 1; k <= 256; ++k) phis.push_back(k / 256.0);
+  }
+  return phis;
+}
+
 bool SameBits(float a, float b) {
   return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
 }
@@ -763,10 +821,11 @@ void ExpectSameHistogram(const EhQuantileSummary& eh, const ref::Eh& want) {
     EXPECT_EQ(bucket.count(), want.buckets()[i].count) << "bucket id " << i + 1;
     EXPECT_TRUE(SameSummary(BucketSummary(bucket), want.buckets()[i])) << "bucket id " << i + 1;
   }
-  EXPECT_TRUE(SameSummary(eh.Flatten(), want.Flatten()));
-  if (want.count() == 0) return;
   const ref::Summary flat = want.Flatten();
-  for (double phi : kDiffPhis) {
+  EXPECT_TRUE(SameSummary(eh.Flatten(), flat));
+  EXPECT_EQ(eh.MaxBucketEpsilon(), flat.epsilon);
+  if (want.count() == 0) return;
+  for (double phi : DiffPhis(flat)) {
     EXPECT_TRUE(SameBits(eh.Query(phi), ref::Query(flat, phi))) << "phi=" << phi;
   }
 }
@@ -791,7 +850,7 @@ void ExpectSameSketch(const QuantileSketch& sketch, const ref::Eh& want, bool re
   }
   if (want.count() == 0) return;
   const ref::Summary flat = want.Flatten();
-  for (double phi : kDiffPhis) {
+  for (double phi : DiffPhis(flat)) {
     EXPECT_TRUE(SameBits(sketch.Query(phi), ref::Query(flat, phi))) << "phi=" << phi;
   }
 }
@@ -800,18 +859,22 @@ void ExpectSameSketch(const QuantileSketch& sketch, const ref::Eh& want, bool re
 /// `window_sizes`, to the reference, to EhQuantileSummary through both entry
 /// points, and to the GK QuantileSketch; the sketch is also checkpointed
 /// after `restore_after` windows and a restored copy continues alongside.
-/// Everything is compared every 97 windows and at the end. restore_after 0
-/// skips the checkpoint and the byte comparisons, for streams whose
-/// summaries the GK decoder rejects. Returns whether a run bucket ever sat
-/// above a tuple bucket (Flatten's non-leading runs).
+/// Everything is compared after every window while at most 2,000 elements
+/// are in, then every 97 windows and at the end. restore_after 0 skips the
+/// checkpoint and the byte comparisons, for streams whose summaries the GK
+/// decoder rejects. `expected_length` is the histograms' N, 0 for the
+/// stream's length. Returns whether a run bucket ever sat above a tuple
+/// bucket (Flatten's non-leading runs).
 bool ExpectSameAsReference(double eps, const std::vector<std::size_t>& window_sizes,
-                           const std::vector<float>& stream, std::size_t restore_after) {
+                           const std::vector<float>& stream, std::size_t restore_after,
+                           std::uint64_t expected_length = 0) {
   const std::uint64_t n = stream.size();
   const std::uint64_t window = window_sizes.front();
-  ref::Eh want(eps, window, n);
-  EhQuantileSummary by_window(eps, window, n);
-  EhQuantileSummary by_summary(eps, window, n);
-  auto sketch = QuantileSketch::Create(QuantileSketchKind::kGk, eps, window, n);
+  const std::uint64_t big_n = expected_length == 0 ? n : expected_length;
+  ref::Eh want(eps, window, big_n);
+  EhQuantileSummary by_window(eps, window, big_n);
+  EhQuantileSummary by_summary(eps, window, big_n);
+  auto sketch = QuantileSketch::Create(QuantileSketchKind::kGk, eps, window, big_n);
   EXPECT_TRUE(sketch.ok());
   std::unique_ptr<QuantileSketch> restored;
   bool run_above_tuples = false;
@@ -839,11 +902,11 @@ bool ExpectSameAsReference(double eps, const std::vector<std::size_t>& window_si
       std::vector<std::uint8_t> state;
       EXPECT_TRUE((*sketch)->AppendCheckpointState(&state).ok());
       auto back = QuantileSketch::RestoreCheckpointState(QuantileSketchKind::kGk, eps,
-                                                         window, n, state);
+                                                         window, big_n, state);
       EXPECT_TRUE(back.ok()) << back.status().ToString();
       if (back.ok()) restored = std::move(back).value();
     }
-    if (windows % 97 == 0 || off == stream.size()) {
+    if (want.count() <= 2000 || windows % 97 == 0 || off == stream.size()) {
       SCOPED_TRACE("after window " + std::to_string(windows));
       ExpectSameHistogram(by_window, want);
       ExpectSameHistogram(by_summary, want);
@@ -881,6 +944,14 @@ TEST(EhDifferential, MixedWindowSizes) {
   EXPECT_TRUE(ExpectSameAsReference(0.01, {100, 37, 250, 100, 180, 1, 60}, stream, 333));
 }
 
+TEST(EhDifferential, StreamPastExpectedLength) {
+  // N = 2,000 provisions 6 levels; 1,500 windows reach bucket id 11, whose
+  // budget exceeds epsilon.
+  ASSERT_GT(std::bit_width(1500u), EhQuantileSummary(0.01, 100, 2000).levels());
+  const std::vector<float> stream = RandomValues(1500 * 100, 209);
+  ExpectSameAsReference(0.01, {100}, stream, 700, 2000);
+}
+
 TEST(EhDifferential, DuplicateHeavyZipf) {
   std::mt19937 rng(204);
   std::vector<double> weights(40);
@@ -914,6 +985,13 @@ TEST(EhDifferential, SignedZerosAndNaNs) {
   // takes the second side's value against one.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
+  // Without a NaN, queries search the bucket list, where a tie between the
+  // zeros is decided by bucket id.
+  const std::vector<float> zeros =
+      DrawFrom({-0.0f, 0.0f, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 210);
+  ExpectSameAsReference(0.01, {100}, zeros, 300);
+  ExpectSameAsReference(0.01, {100, 250, 7}, zeros, 100);
+  // With one, they answer through Flatten().
   const std::vector<float> stream =
       DrawFrom({-0.0f, 0.0f, nan, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 205);
   ExpectSameAsReference(0.01, {100}, stream, 300);
@@ -926,6 +1004,61 @@ TEST(EhDifferential, SignedZerosAndNaNs) {
       DrawFrom({-0.0f, 0.0f, nan, -nan, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 207);
   ExpectSameAsReference(0.01, {100}, negative_nans, 0);
   ExpectSameAsReference(0.01, {100, 250, 7}, negative_nans, 0);
+}
+
+TEST(EhDifferential, QueryMatchesReferenceOnAnyValidBuckets) {
+  // A restored histogram's buckets need only pass FromParts, so their rank
+  // bounds can be looser than the cascade ever builds: neighbouring tuples
+  // can deviate equally from a rank, and the last tuple's rmin can sit below
+  // the count, so that no tuple reaches 2*rank. Every fourth trial carries a
+  // NaN, in a run or in a tuple bucket, which must send the queries through
+  // Flatten(). Odd trials draw no positive value, so the zeros tie at the
+  // top too.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> pools[] = {{-0.0f, 0.0f, -1.0f, 1.0f, 2.5f, 7.0f},
+                                      {-0.0f, 0.0f, -1.0f, -2.5f}};
+  std::mt19937 rng(211);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::vector<float>& pool = pools[trial % 2];
+    const std::size_t nan_bucket = trial % 4 == 3 ? rng() % 6 : 6;
+    std::vector<GkSummary> buckets(6);
+    std::vector<ref::Summary> want;
+    std::uint64_t count = 0;
+    for (std::size_t id = 0; id < buckets.size(); ++id) {
+      if (rng() % 3 == 0 && id != nan_bucket) continue;
+      std::vector<float> values(1 + rng() % 40);
+      for (float& v : values) v = pool[rng() % pool.size()];
+      SortCanonical(&values);
+      if (id == nan_bucket) values[rng() % values.size()] = rng() % 2 == 0 ? nan : -nan;
+      ref::Summary bucket;
+      if (rng() % 2 == 0) {
+        bucket = ref::FromSorted(values, 0.005);  // exact: a run
+      } else {
+        std::uint64_t rmin = 1;
+        std::uint64_t rmax = 1;
+        for (const float v : values) {
+          rmin += rng() % 3;
+          rmax = std::max(rmax, rmin) + rng() % 3;
+          bucket.tuples.push_back({v, rmin, rmax});
+        }
+        bucket.count = rmax + rng() % 3;
+        bucket.epsilon = 0.004;
+      }
+      buckets[id] = ref::ToGk(bucket);
+      count += bucket.count;
+      want.push_back(std::move(bucket));
+    }
+    if (count == 0) continue;
+    EhQuantileSummary eh(0.01, 100, 1 << 20);
+    ASSERT_TRUE(EhQuantileSummary::FromParts(0.01, 100, 1 << 20, count, buckets, &eh));
+    ref::Summary flat;
+    for (const ref::Summary& bucket : want) flat = ref::Merge(flat, bucket);
+    for (std::uint64_t r = 1; r <= count; ++r) {
+      const double phi = (static_cast<double>(r) - 0.5) / static_cast<double>(count);
+      ASSERT_TRUE(SameBits(eh.Query(phi), ref::Query(flat, phi))) << "rank " << r;
+    }
+  }
 }
 
 TEST(GkDifferential, MergeAndPruneMatchReference) {
