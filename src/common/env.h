@@ -19,17 +19,6 @@ inline double GetEnvDouble(const char* name, double fallback) {
   return value;
 }
 
-/// Returns the value of environment variable `name` parsed as a long, or
-/// `fallback` when unset or unparsable.
-inline long GetEnvLong(const char* name, long fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  long value = std::strtol(raw, &end, 10);
-  if (end == raw) return fallback;
-  return value;
-}
-
 /// Global benchmark scale factor (STREAMGPU_SCALE). 1.0 keeps the
 /// seconds-level default sizes; larger values move toward the paper's full
 /// 8M-element sorts and 100M-element streams.

@@ -160,12 +160,6 @@ void CheckpointWriter::EndRecord() {
   ++pending_records_;
 }
 
-void CheckpointWriter::Add(RecordType type, std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t>* out = BeginRecord(type);
-  out->insert(out->end(), payload.begin(), payload.end());
-  EndRecord();
-}
-
 core::Status CheckpointWriter::Init() {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);

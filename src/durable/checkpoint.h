@@ -93,9 +93,6 @@ class CheckpointWriter {
   /// re-reads the buffer for the manifest.
   void EndRecord();
 
-  /// Appends one state record holding a copy of `payload`.
-  void Add(RecordType type, std::span<const std::uint8_t> payload);
-
   /// Finalizes the pending snapshot (appends the footer), writes it
   /// durably, appends the manifest entry, and prunes snapshots older than
   /// the previous epoch. `watermark` is the element count the snapshot

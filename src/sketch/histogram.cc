@@ -19,17 +19,4 @@ std::vector<HistogramEntry> BuildHistogram(std::span<const float> sorted_window)
   return out;
 }
 
-std::vector<std::pair<float, std::uint64_t>> SampleSortedByRank(
-    std::span<const float> sorted_window, std::uint64_t step) {
-  STREAMGPU_CHECK(step >= 1);
-  std::vector<std::pair<float, std::uint64_t>> out;
-  if (sorted_window.empty()) return out;
-  const std::uint64_t n = sorted_window.size();
-  for (std::uint64_t r = 0; r < n; r += step) {
-    out.emplace_back(sorted_window[r], r);
-  }
-  if (out.back().second != n - 1) out.emplace_back(sorted_window[n - 1], n - 1);
-  return out;
-}
-
 }  // namespace streamgpu::sketch

@@ -27,14 +27,6 @@ struct HistogramEntry {
 /// one linear pass. Output entries are in ascending value order.
 std::vector<HistogramEntry> BuildHistogram(std::span<const float> sorted_window);
 
-/// Samples an ascending-sorted window at rank step `step` (>= 1): returns the
-/// elements of rank 1, 1+step, 1+2*step, ..., always including the last
-/// element. Used by the quantile path, which "computes a subset of histogram
-/// elements by sampling the sorted sequence" (§3.2). Returned pairs are
-/// (value, zero-based rank in the window).
-std::vector<std::pair<float, std::uint64_t>> SampleSortedByRank(
-    std::span<const float> sorted_window, std::uint64_t step);
-
 }  // namespace streamgpu::sketch
 
 #endif  // STREAMGPU_SKETCH_HISTOGRAM_H_

@@ -151,8 +151,10 @@ std::size_t SlidingWindowQuantile::LiveBlockCount(std::uint64_t window) const {
 }
 
 float SlidingWindowQuantile::Query(double phi, std::uint64_t window) const {
-  const std::size_t live = LiveBlockCount(window);
-  STREAMGPU_CHECK_MSG(live > 0, "query requires at least one complete block in the window");
+  STREAMGPU_CHECK_MSG(!blocks_.empty(), "query requires at least one block");
+  // A window shorter than the newest block is answered over that block; it
+  // holds at most B <= epsilon*W/2 elements outside the window.
+  const std::size_t live = std::max<std::size_t>(1, LiveBlockCount(window));
   GkSummary all;
   for (std::size_t k = 0; k < live; ++k) {
     all = GkSummary::Merge(all, blocks_[blocks_.size() - 1 - k]);

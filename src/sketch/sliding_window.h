@@ -11,7 +11,9 @@
 //   * A query over the most recent W' <= W elements combines the summaries
 //     of the blocks fully contained in the query window. Excluding the
 //     partially expired boundary block costs at most B <= epsilon*W/2
-//     additional error, keeping the total within epsilon*W.
+//     additional error, keeping the total within epsilon*W. A quantile
+//     window shorter than the newest block is answered over that block,
+//     which holds at most B elements outside the window.
 //
 // Both fixed-width (W' == W) and variable-width (any W' <= W) windows are
 // supported, per §3.1's query taxonomy.
@@ -99,7 +101,8 @@ class SlidingWindowQuantile {
   void AddBlockSummary(GkSummary block_summary);
 
   /// phi-quantile over the most recent `window` elements (0 = full
-  /// window_size). Rank error at most epsilon * W.
+  /// window_size; a window shorter than the newest block is answered over
+  /// that block). Rank error at most epsilon * W. Needs at least one block.
   float Query(double phi, std::uint64_t window = 0) const;
 
   /// Elements currently covered by live blocks.

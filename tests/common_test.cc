@@ -32,14 +32,6 @@ TEST(EnvTest, ParsesDoubles) {
   EXPECT_EQ(GetEnvDouble("STREAMGPU_TEST_D", 7.0), 7.0);
 }
 
-TEST(EnvTest, ParsesLongs) {
-  ::setenv("STREAMGPU_TEST_L", "42", 1);
-  EXPECT_EQ(GetEnvLong("STREAMGPU_TEST_L", 0), 42);
-  ::setenv("STREAMGPU_TEST_L", "", 1);
-  EXPECT_EQ(GetEnvLong("STREAMGPU_TEST_L", 9), 9);
-  ::unsetenv("STREAMGPU_TEST_L");
-}
-
 TEST(EnvTest, BenchScaleDefaultsToOne) {
   ::unsetenv("STREAMGPU_SCALE");
   EXPECT_EQ(BenchScale(), 1.0);

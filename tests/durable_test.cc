@@ -203,12 +203,12 @@ void StageStub(CheckpointWriter* writer) {
   header.mode = kSnapshotModeQuantile;
   header.epsilon = 0.01;
   header.window_size = 64;
-  std::vector<std::uint8_t> header_payload;
-  AppendSnapshotHeader(header, &header_payload);
   writer->Begin();
-  writer->Add(RecordType::kSnapshotHeader, header_payload);
-  const std::vector<std::uint8_t> state = {0xAB, 0xCD};
-  writer->Add(RecordType::kQuantileState, state);
+  AppendSnapshotHeader(header, writer->BeginRecord(RecordType::kSnapshotHeader));
+  writer->EndRecord();
+  std::vector<std::uint8_t>* state = writer->BeginRecord(RecordType::kQuantileState);
+  state->insert(state->end(), {0xAB, 0xCD});
+  writer->EndRecord();
 }
 
 void CommitStub(CheckpointWriter* writer, std::uint64_t watermark) {

@@ -117,6 +117,38 @@ TEST(HierarchicalTest, NoFalseNegativesAcrossLevels) {
   EXPECT_TRUE(found);
 }
 
+TEST(HierarchicalTest, FindsAggregateOnlySubtree) {
+  // Every fourth element falls in the floor(v/8) = 8 subtree (values
+  // 64..71): the subtree holds ~25 % plus its background share, while no
+  // single leaf exceeds ~4 %. At 15 % support only the aggregate qualifies.
+  std::mt19937 rng(6);
+  std::uniform_int_distribution<int> background(0, 255);
+  std::uniform_int_distribution<int> hot(64, 71);
+  std::vector<float> stream(60000);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i] = static_cast<float>(i % 4 == 0 ? hot(rng) : background(rng));
+  }
+
+  const double epsilon = 0.005;
+  HierarchicalHeavyHitters hhh(epsilon, 4);
+  Feed(&hhh, stream);
+  const auto results = hhh.Query(0.15);
+  const bool subtree_found = std::any_of(results.begin(), results.end(), [](const HhhResult& r) {
+    return r.level == 3 && r.prefix == 8.0f;
+  });
+  EXPECT_TRUE(subtree_found);
+  for (const auto& r : results) EXPECT_NE(r.level, 0) << "no leaf is that heavy";
+
+  // Leaf counts undercount by at most ceil(epsilon * N), never overcount.
+  const auto bound =
+      static_cast<std::uint64_t>(std::ceil(epsilon * static_cast<double>(stream.size())));
+  for (const auto& [value, truth] : ExactCounts(stream)) {
+    const std::uint64_t est = hhh.EstimateCount(value, 0);
+    EXPECT_LE(est, truth);
+    EXPECT_GE(est + bound, truth);
+  }
+}
+
 TEST(HierarchicalTest, SpaceIsSumOfPerLevelSummaries) {
   std::mt19937 rng(7);
   std::uniform_int_distribution<int> d(0, 10000);

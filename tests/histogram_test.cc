@@ -1,5 +1,5 @@
-// Tests for window histogram computation and rank sampling
-// (sketch/histogram.h) and the exact offline references (sketch/exact.h).
+// Tests for window histogram computation (sketch/histogram.h) and the exact
+// offline references (sketch/exact.h).
 
 #include "sketch/histogram.h"
 
@@ -65,31 +65,6 @@ TEST(HistogramTest, MatchesExactCounts) {
   std::sort(w.begin(), w.end());
   for (const auto& e : BuildHistogram(w)) {
     EXPECT_EQ(e.count, exact.at(e.value)) << e.value;
-  }
-}
-
-TEST(SampleSortedTest, StepOneKeepsEverything) {
-  const std::vector<float> w{1, 2, 3, 4};
-  const auto s = SampleSortedByRank(w, 1);
-  ASSERT_EQ(s.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(s[i].first, w[i]);
-    EXPECT_EQ(s[i].second, i);
-  }
-}
-
-TEST(SampleSortedTest, IncludesFirstAndLast) {
-  std::vector<float> w(100);
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<float>(i);
-  for (std::uint64_t step : {2u, 3u, 7u, 50u, 99u, 1000u}) {
-    const auto s = SampleSortedByRank(w, step);
-    ASSERT_FALSE(s.empty());
-    EXPECT_EQ(s.front().second, 0u) << step;
-    EXPECT_EQ(s.back().second, 99u) << step;
-    // Gaps between consecutive sampled ranks never exceed the step.
-    for (std::size_t i = 1; i < s.size(); ++i) {
-      EXPECT_LE(s[i].second - s[i - 1].second, step);
-    }
   }
 }
 

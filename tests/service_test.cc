@@ -591,6 +591,37 @@ TEST(StreamServiceTest, OutOfRangePhiIsInvalidArgument) {
   }
 }
 
+TEST(StreamServiceTest, SlidingQuantileOverLessThanOneBlockAnswers) {
+  // epsilon 0.01 over W = 10,000 gives blocks of B = 50. A window of fewer
+  // than 50 elements holds no complete block: it is answered over the newest
+  // block, under the stream's usual bound, instead of aborting the process.
+  ServiceConfig config;
+  auto service_or = StreamService::Create(config);
+  ASSERT_TRUE(service_or.ok());
+  StreamService& service = **service_or;
+  const StreamKey key{1, 1};
+  const StreamConfig stream_config{.epsilon = 0.01, .sliding_window = 10000};
+  ASSERT_TRUE(service.Register(key, stream_config).ok());
+  const std::vector<float> data = MakeStream(7, 5000);
+  ASSERT_TRUE(service.Append(key, data).ok());
+  ASSERT_TRUE(service.FlushAll().ok());
+
+  auto dedicated = core::QuantileEstimator::Create(DedicatedOptions(config, stream_config));
+  ASSERT_TRUE(dedicated.ok()) << dedicated.status().ToString();
+  ASSERT_TRUE((*dedicated)->ObserveBatch(data).ok());
+  ASSERT_TRUE((*dedicated)->Flush().ok());
+
+  const std::vector<StreamKey> keys = {key};
+  for (const std::uint64_t window : {10u, 49u}) {
+    const auto report = service.Quantile(key, 0.5, window);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->window_coverage, window);
+    EXPECT_EQ(report->rank_error_bound, 100u);  // ceil(epsilon * W)
+    EXPECT_EQ(*report, (*dedicated)->Quantile(0.5, window)) << "window " << window;
+    EXPECT_EQ(service.BatchQuantiles(keys, 0.5, window)[0], *report) << "window " << window;
+  }
+}
+
 TEST(StreamServiceTest, KllBackedStreamsMatchDedicatedEstimator) {
   // The redesigned sketch API end-to-end: a KLL-backed service stream answers
   // bit-identically to a dedicated KLL-backed estimator fed the same prefix.

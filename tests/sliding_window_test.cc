@@ -228,6 +228,29 @@ TEST(SlidingQuantileTest, DistributionShiftIsTracked) {
   EXPECT_LE(median, 6000.0f);
 }
 
+TEST(SlidingQuantileTest, WindowShorterThanABlockAnswersOverTheNewestBlock) {
+  // B = 50: a window of fewer than 50 elements holds no complete block, so
+  // the answer comes from the newest block. Any rank in a window that short
+  // is within epsilon * W = 100 of the target.
+  std::mt19937 rng(98);
+  std::uniform_real_distribution<float> d(0.0f, 1e5f);
+  std::vector<float> stream(5000);
+  for (float& v : stream) v = d(rng);
+  SlidingWindowQuantile sw(0.01, 10000);
+  ASSERT_EQ(sw.block_size(), 50u);
+  FeedQuantile(&sw, stream);
+
+  std::vector<float> newest(stream.end() - 50, stream.end());
+  std::sort(newest.begin(), newest.end());
+  const GkSummary newest_block = GkSummary::FromSorted(newest, sw.block_epsilon());
+  for (std::uint64_t window : {1u, 10u, 49u}) {
+    for (double phi : {0.01, 0.5, 1.0}) {
+      EXPECT_EQ(sw.Query(phi, window), newest_block.Query(phi))
+          << "window=" << window << " phi=" << phi;
+    }
+  }
+}
+
 TEST(SlidingQuantileTest, RejectsTooCoarseBlockSummary) {
   SlidingWindowQuantile sw(0.02, 10000);
   std::vector<float> block(sw.block_size());

@@ -68,7 +68,7 @@ MODE_CADENCE = {"quantiles": "8", "frequencies": "8", "serve": "40"}
 # so fault-plan cells run the estimator modes only.  With CPU fallback on
 # (the default) a corrupted pass is recomputed exactly, so the report must
 # stay byte-identical to the fault-free reference of the *same* plan.
-BITFLIP_FLAGS = ["--backend", "gpu", "--fault-plan", "pass:bitflip:every=5",
+BITFLIP_FLAGS = ["--sort-backend", "pbsn", "--fault-plan", "pass:bitflip:every=5",
                  "--fault-seed", "7"]
 
 RUN_TIMEOUT_S = 300

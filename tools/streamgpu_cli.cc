@@ -27,8 +27,7 @@
 //   --sort-backend NAME    auto | pbsn | sample | bitonic | cpu | radix |
 //                          stdsort                       (default pbsn).
 //                          "auto" runs the cost-model planner
-//                          (docs/SORT_BACKENDS.md); --backend is a legacy
-//                          alias (gpu == pbsn)
+//                          (docs/SORT_BACKENDS.md)
 //   --sliding W            sliding-window width          (default off)
 //   --workers N            sort-worker threads; >= 2 enables the parallel
 //                          ingest pipeline                (default 1: serial)
@@ -111,8 +110,10 @@
 //   --drain-deadline SECS  fail with kDeadlineExceeded if the pipeline makes
 //                          no progress for SECS seconds    (default 0: wait)
 //
-// Invalid configurations (bad epsilon, window/backend mismatches, ...) are
-// reported on stderr and exit with status 2.
+// Malformed flag values (an empty value, trailing text, a sign on a count,
+// overflow, a non-finite real) and invalid configurations (bad epsilon,
+// window/backend mismatches, ...) are reported on stderr and exit with
+// status 2.
 //
 // Examples:
 //   streamgpu_cli quantiles --generate finance --n 500000 --phi 0.5,0.99
@@ -122,6 +123,8 @@
 //   streamgpu_cli sort --n 262144 --sort-backend pbsn
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -217,34 +220,47 @@ struct CliOptions {
   std::exit(2);
 }
 
-std::vector<double> ParseDoubleList(const std::string& raw) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start < raw.size()) {
-    std::size_t end = raw.find(',', start);
-    if (end == std::string::npos) end = raw.size();
-    out.push_back(std::strtod(raw.substr(start, end - start).c_str(), nullptr));
-    start = end + 1;
+// Strict flag-value parsers, one per kind: the whole value must be one
+// number of that kind. An empty value, trailing text, a sign on an unsigned
+// flag, overflow or a non-finite real is a usage error.
+
+template <typename T>
+T ParseInteger(const std::string& flag, const std::string& raw, const char* kind) {
+  T value{};
+  const char* last = raw.data() + raw.size();
+  const auto [end, ec] = std::from_chars(raw.data(), last, value);
+  if (ec != std::errc() || end != last) {
+    Usage((flag + " needs " + kind + ", got '" + raw + "'").c_str());
   }
-  return out;
+  return value;
 }
 
-/// Parses --phi: a comma-separated list of quantiles, each fully numeric and
-/// in (0, 1]. Anything else — NaN, 0, 1.5, trailing text, an empty item —
-/// is a usage error.
-std::vector<double> ParsePhiList(const std::string& raw) {
+std::uint64_t ParseUnsigned(const std::string& flag, const std::string& raw) {
+  return ParseInteger<std::uint64_t>(flag, raw, "an unsigned integer");
+}
+
+int ParseInt(const std::string& flag, const std::string& raw) {
+  return ParseInteger<int>(flag, raw, "an integer");
+}
+
+double ParseReal(const std::string& flag, const std::string& raw) {
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (raw.empty() || *end != '\0' || !std::isfinite(value)) {
+    Usage((flag + " needs a finite number, got '" + raw + "'").c_str());
+  }
+  return value;
+}
+
+/// A comma-separated list of reals; every item, an empty one included,
+/// must pass ParseReal.
+std::vector<double> ParseRealList(const std::string& flag, const std::string& raw) {
   std::vector<double> out;
   std::size_t start = 0;
   while (start <= raw.size()) {
     std::size_t end = raw.find(',', start);
     if (end == std::string::npos) end = raw.size();
-    const std::string item = raw.substr(start, end - start);
-    char* parsed_end = nullptr;
-    const double phi = std::strtod(item.c_str(), &parsed_end);
-    if (item.empty() || *parsed_end != '\0' || !(phi > 0.0 && phi <= 1.0)) {
-      Usage(("--phi values must be numbers in (0, 1], got '" + item + "'").c_str());
-    }
-    out.push_back(phi);
+    out.push_back(ParseReal(flag, raw.substr(start, end - start)));
     start = end + 1;
   }
   return out;
@@ -286,22 +302,21 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (flag == "--generate") {
       opt.distribution = next();
     } else if (flag == "--n") {
-      opt.n = std::strtoull(next().c_str(), nullptr, 10);
+      opt.n = ParseUnsigned(flag, next());
     } else if (flag == "--seed") {
-      opt.seed = std::strtoull(next().c_str(), nullptr, 10);
+      opt.seed = ParseUnsigned(flag, next());
     } else if (flag == "--epsilon") {
-      opt.epsilon = std::strtod(next().c_str(), nullptr);
-    } else if (flag == "--sort-backend" || flag == "--backend") {
-      // --backend is the pre-planner spelling, kept as an alias.
+      opt.epsilon = ParseReal(flag, next());
+    } else if (flag == "--sort-backend") {
       opt.backend = next();
     } else if (flag == "--sliding") {
-      opt.sliding = std::strtoull(next().c_str(), nullptr, 10);
+      opt.sliding = ParseUnsigned(flag, next());
     } else if (flag == "--workers") {
-      opt.workers = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      opt.workers = ParseInt(flag, next());
     } else if (flag == "--in-flight") {
-      opt.in_flight = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      opt.in_flight = ParseInt(flag, next());
     } else if (flag == "--expect-range") {
-      const auto range = ParseDoubleList(next());
+      const auto range = ParseRealList(flag, next());
       if (range.size() != 2) Usage("--expect-range needs LO,HI");
       opt.expect_min = static_cast<float>(range[0]);
       opt.expect_max = static_cast<float>(range[1]);
@@ -313,7 +328,7 @@ CliOptions ParseArgs(int argc, char** argv) {
         Usage("--metrics-format must be json or prom");
       }
     } else if (flag == "--metrics-export-every") {
-      opt.metrics_export_every = std::strtod(next().c_str(), nullptr);
+      opt.metrics_export_every = ParseReal(flag, next());
       if (opt.metrics_export_every <= 0) {
         Usage("--metrics-export-every must be > 0 seconds");
       }
@@ -322,32 +337,37 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (flag == "--trace-out") {
       opt.trace_out = next();
     } else if (flag == "--trace-sample-every") {
-      opt.trace_sample_every = std::strtoull(next().c_str(), nullptr, 10);
+      opt.trace_sample_every = ParseUnsigned(flag, next());
       if (opt.trace_sample_every == 0) Usage("--trace-sample-every must be >= 1");
     } else if (flag == "--fault-plan") {
       opt.fault_plan = next();
     } else if (flag == "--fault-seed") {
-      opt.fault_seed = std::strtoull(next().c_str(), nullptr, 10);
+      opt.fault_seed = ParseUnsigned(flag, next());
     } else if (flag == "--fault-retries") {
-      opt.fault_retries = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      opt.fault_retries = ParseInt(flag, next());
     } else if (flag == "--no-cpu-fallback") {
       opt.cpu_fallback = false;
     } else if (flag == "--drain-deadline") {
-      opt.drain_deadline = std::strtod(next().c_str(), nullptr);
+      opt.drain_deadline = ParseReal(flag, next());
     } else if (flag == "--streams") {
-      opt.streams = std::strtoull(next().c_str(), nullptr, 10);
+      opt.streams = ParseUnsigned(flag, next());
       if (opt.streams == 0) Usage("--streams must be >= 1");
     } else if (flag == "--tenants") {
-      opt.tenants = std::strtoull(next().c_str(), nullptr, 10);
+      opt.tenants = ParseUnsigned(flag, next());
       if (opt.tenants == 0) Usage("--tenants must be >= 1");
     } else if (flag == "--shed-capacity") {
-      opt.shed_capacity = std::strtoull(next().c_str(), nullptr, 10);
+      opt.shed_capacity = ParseUnsigned(flag, next());
     } else if (flag == "--shard-batch") {
-      opt.shard_batch = std::strtoull(next().c_str(), nullptr, 10);
+      opt.shard_batch = ParseUnsigned(flag, next());
     } else if (flag == "--phi") {
-      opt.phis = ParsePhiList(next());
+      const std::string raw = next();
+      opt.phis = ParseRealList(flag, raw);
+      if (std::any_of(opt.phis.begin(), opt.phis.end(),
+                      [](double phi) { return !(phi > 0.0 && phi <= 1.0); })) {
+        Usage(("--phi values must be in (0, 1], got '" + raw + "'").c_str());
+      }
     } else if (flag == "--support") {
-      opt.support = std::strtod(next().c_str(), nullptr);
+      opt.support = ParseReal(flag, next());
     } else if (flag == "--quantile-sketch") {
       opt.quantile_sketch = next();
       sketch::QuantileSketchKind kind;
@@ -359,7 +379,7 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (flag == "--checkpoint-dir") {
       opt.checkpoint_dir = next();
     } else if (flag == "--checkpoint-every-windows") {
-      opt.checkpoint_every_windows = std::strtoull(next().c_str(), nullptr, 10);
+      opt.checkpoint_every_windows = ParseUnsigned(flag, next());
     } else if (flag == "--report-out") {
       opt.report_out = next();
     } else if (flag == "--help" || flag == "-h") {
@@ -386,7 +406,7 @@ CliOptions ParseArgs(int argc, char** argv) {
 
 core::Backend ParseBackend(const std::string& name) {
   if (name == "auto") return core::Backend::kAuto;
-  if (name == "pbsn" || name == "gpu") return core::Backend::kGpuPbsn;
+  if (name == "pbsn") return core::Backend::kGpuPbsn;
   if (name == "bitonic") return core::Backend::kGpuBitonic;
   if (name == "sample") return core::Backend::kSampleSort;
   if (name == "radix") return core::Backend::kCpuRadixMerge;
