@@ -10,10 +10,15 @@
 //                    descending rows, the vectorized MIN kernel)
 //   min_narrow     — block = 8 comparators tiling the surface (narrow
 //                    columns; cache-line-transaction bound)
-//   tall_mirrored  — tall-block comparator with mirrored v (per-row kernel
-//                    dispatch path)
+//   tall_mirrored  — tall-block comparator with mirrored v (one rectangle
+//                    kernel stepping the source rows backwards)
 //   fb_copy        — CopyFramebufferToTexture in the ping-pong steady state
 //                    (storage swap, should be near-free)
+//   pbsn_4x1000_f16 — a full PBSN SortRuns of four 1,000-element f16 windows:
+//                    the 32x32 texture group a frequency stream sorts per
+//                    batch, 1,241 draws of at most 512 texels each, where the
+//                    per-draw cost rather than the blend sets the rate (every
+//                    other engine row runs on a 512x512 texture)
 //   two_way_merge / kway8_merge — the CPU merge stage
 //   radix_1m       — cache-blocked LSD radix passes on 1M ordered keys
 //                    (the radix/merge backend's per-chunk kernel)
@@ -44,6 +49,7 @@
 #include "gpu/vertex.h"
 #include "hwmodel/hardware_profiles.h"
 #include "sort/merge.h"
+#include "sort/pbsn_gpu.h"
 #include "sort/radix_sort.h"
 #include "sort/sample_sort.h"
 
@@ -153,7 +159,7 @@ int main() {
                      static_cast<double>(kDim) * kDim / 2});
 
   // Tall-block comparator, block spanning all rows: mirrored v, full-width
-  // rows (the per-row dispatch path).
+  // rows.
   const Quad tall = Quad::Make(0, 0, w, h / 2,  //
                                w, h, 0, h,      //
                                0, h / 2, w, h / 2);
@@ -179,6 +185,31 @@ int main() {
                                       device.CopyFramebufferToTexture(t);
                                     }),
                        static_cast<double>(kDim) * kDim});
+  }
+
+  // --- The stream-window shape: one PBSN group on a 32x32 f16 texture. ---
+  {
+    gpu::GpuDevice device;
+    sort::PbsnOptions opt;
+    opt.format = gpu::Format::kFloat16;
+    sort::PbsnGpuSorter sorter(&device, hwmodel::kGeForce6800Ultra,
+                               hwmodel::kPentium4_3400, opt);
+    constexpr std::size_t kWindow = 1000;
+    constexpr int kWindows = 4;
+    std::mt19937 rng(17);
+    std::uniform_real_distribution<float> dist(0.0f, 1000.0f);
+    std::vector<float> input(kWindow * kWindows);
+    for (float& v : input) v = dist(rng);
+    std::vector<float> data(input.size());
+    std::vector<std::span<float>> runs;
+    for (int w = 0; w < kWindows; ++w) runs.emplace_back(data.data() + w * kWindow, kWindow);
+    results.push_back({"pbsn_4x1000_f16",
+                       NsPerElement(5, 200, static_cast<double>(input.size()),
+                                    [&] {
+                                      std::copy(input.begin(), input.end(), data.begin());
+                                      sorter.SortRuns(runs);
+                                    }),
+                       static_cast<double>(input.size())});
   }
 
   // --- CPU merge stage. ---

@@ -1,5 +1,6 @@
 #include "gpu/device.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -77,15 +78,26 @@ void GpuDevice::NoteFramebufferWrite(int x0, int y0, int x1, int y1) {
   x1 = std::min(x1, framebuffer_.width());
   y1 = std::min(y1, framebuffer_.height());
   if (x0 >= x1 || y0 >= y1) return;
-  for (const auto& r : fb_written_) {
-    if (x0 < r[2] && r[0] < x1 && y0 < r[3] && r[1] < y1) {
-      // Overlap: the overlapped texels' current values are in the
-      // framebuffer, not the aliased texture, so the alias can no longer
-      // stand in for pre-blend reads.
-      MaterializeFramebuffer();
-      return;
+  // A rectangle clear of the written rectangles' bounding box overlaps none
+  // of them. The sort passes write their quads in screen order, so each draw
+  // costs O(1) here instead of a scan over every quad since the swap.
+  std::array<int, 4>& bounds = fb_written_bounds_;
+  if (!fb_written_.empty() && x0 < bounds[2] && bounds[0] < x1 && y0 < bounds[3] &&
+      bounds[1] < y1) {
+    for (const auto& r : fb_written_) {
+      if (x0 < r[2] && r[0] < x1 && y0 < r[3] && r[1] < y1) {
+        // Overlap: the overlapped texels' current values are in the
+        // framebuffer, not the aliased texture, so the alias can no longer
+        // stand in for pre-blend reads.
+        MaterializeFramebuffer();
+        return;
+      }
     }
   }
+  bounds = fb_written_.empty()
+               ? std::array<int, 4>{x0, y0, x1, y1}
+               : std::array<int, 4>{std::min(bounds[0], x0), std::min(bounds[1], y0),
+                                    std::max(bounds[2], x1), std::max(bounds[3], y1)};
   fb_written_.push_back({x0, y0, x1, y1});
   fb_written_area_ +=
       static_cast<std::uint64_t>(x1 - x0) * static_cast<std::uint64_t>(y1 - y0);
@@ -225,16 +237,14 @@ void GpuDevice::DrawQuad(TextureHandle tex, const Quad& quad) {
     fault = PollFault(DeviceFaultSite::kPass, Texture(tex).num_texels());
   }
   if (lost_) return;
-  if (fb_alias_ >= 0) {
-    int px0 = 0, py0 = 0, px1 = 0, py1 = 0;
-    if (Rasterizer::ClippedPixelRect(quad, framebuffer_.width(), framebuffer_.height(),
-                                     &px0, &py0, &px1, &py1)) {
-      NoteFramebufferWrite(px0, py0, px1, py1);
-    }
+  const QuadSetup setup =
+      Rasterizer::SetUp(quad, framebuffer_.width(), framebuffer_.height());
+  if (fb_alias_ >= 0 && !setup.empty()) {
+    NoteFramebufferWrite(setup.px0, setup.py0, setup.px1, setup.py1);
   }
   const Surface* dst_read =
       fb_alias_ >= 0 ? textures_[static_cast<std::size_t>(fb_alias_)].get() : nullptr;
-  Rasterizer::DrawQuad(Texture(tex), quad, blend_op_, &framebuffer_, &stats_, dst_read);
+  Rasterizer::DrawQuad(Texture(tex), setup, blend_op_, &framebuffer_, &stats_, dst_read);
   if (fault.kind != DeviceFault::Kind::kNone) ApplyFramebufferCorruption(fault);
 }
 

@@ -237,9 +237,11 @@ class GpuDevice {
 
   // Active ping-pong alias: the texture whose storage holds the framebuffer's
   // logical content (-1 when none), the disjoint pixel rectangles
-  // {x0, y0, x1, y1} written since the swap, and their total area.
+  // {x0, y0, x1, y1} written since the swap, their bounding box (meaningful
+  // while fb_written_ is non-empty) and their total area.
   TextureHandle fb_alias_ = -1;
   std::vector<std::array<int, 4>> fb_written_;
+  std::array<int, 4> fb_written_bounds_{};
   std::uint64_t fb_written_area_ = 0;
   // Scratch coverage mask for partial materialization (cold path).
   std::vector<std::uint8_t> fb_mask_;

@@ -91,8 +91,42 @@ inline float HalfBitsToFloat(std::uint16_t h) {
 }
 
 /// Rounds a float through binary16 precision: the value a 16-bit floating
-/// point render target would actually hold.
-inline float QuantizeToHalf(float value) { return HalfBitsToFloat(FloatToHalfBits(value)); }
+/// point render target would actually hold. Bit-identical to
+/// HalfBitsToFloat(FloatToHalfBits(value)), its reference, on every input
+/// (half_test compares them over every binary16 value, every midpoint
+/// between neighbours, and every 97th float bit pattern), but computed
+/// without branches, so the ingest and upload loops that call it per element
+/// stay straight-line code the compiler can vectorize:
+///   - from 2^-14 up (normal halves), the float significand is rounded to 10
+///     bits, nearest even, at bit 13; a carry out of the significand bumps
+///     the exponent, as it should;
+///   - below 2^-14 (subnormal halves, spaced 2^-24), (|x| + 0.5f) - 0.5f
+///     rounds to a multiple of 2^-24, the spacing of floats in [0.5, 1),
+///     nearest even, and the subtraction is exact;
+///   - a rounded magnitude past 65504 (the input 65520 and up, or inf)
+///     selects inf, a NaN selects the quiet NaN with no payload, and the
+///     sign is put back last, so -0.0 and negative NaNs keep it.
+inline float QuantizeToHalf(float value) {
+  std::uint32_t f;
+  std::memcpy(&f, &value, sizeof(f));
+  const std::uint32_t sign = f & 0x80000000u;
+  const std::uint32_t abs = f ^ sign;
+
+  const std::uint32_t normal = (abs + 0x0FFFu + ((abs >> 13) & 1u)) & ~0x1FFFu;
+  float magnitude;
+  std::memcpy(&magnitude, &abs, sizeof(magnitude));
+  const float subnormal_value = (magnitude + 0.5f) - 0.5f;
+  std::uint32_t subnormal;
+  std::memcpy(&subnormal, &subnormal_value, sizeof(subnormal));
+
+  std::uint32_t bits = abs < 0x38800000u ? subnormal : normal;
+  bits = normal > 0x477FE000u ? 0x7F800000u : bits;
+  bits = abs > 0x7F800000u ? 0x7FC00000u : bits;
+  bits |= sign;
+  float out;
+  std::memcpy(&out, &bits, sizeof(out));
+  return out;
+}
 
 /// Bulk round-trip: quantizes `n` values from `src` into `dst` (which may
 /// alias). Used by the upload and copy paths of the simulated device.

@@ -29,46 +29,46 @@ inline int ClampTexel(float coord, int extent) {
   return t;
 }
 
-// The rasterized pixel rectangle and interpolation setup shared by every
-// execution path.
-struct QuadSetup {
-  float x0, y0, x1, y1;  // screen rectangle
-  int px0, py0, px1, py1;
-  float inv_w, inv_h;
-};
+// Closed-form mapping of one quad axis (see Rasterizer::SetUp): screen extent
+// [e0, e1), texel coordinate t0 at e0 and t1 at e1, first covered pixel p0.
+// Under the conditions checked here the fast path's interpolation
+// t0 + (t1 - t0) * ((p + 0.5 - e0) * (1 / (e1 - e0))) is exact at every
+// covered pixel p: p + 0.5 - e0 is a half-integer below the power-of-two
+// extent, the reciprocal and the product by it are exact, (t1 - t0) times it
+// is +-(p - e0 + 0.5), and the sum is a half-integer between t0 and t1. Its
+// floor is t0 + (p - e0) ascending and t0 - (p - e0) - 1 descending.
+UnitMapping ClosedFormAxis(float e0, float e1, float t0, float t1, int p0) {
+  constexpr float kLimit = 4194304.0f;  // 2^22
+  const auto integral = [](float v) {
+    return std::abs(v) < kLimit && static_cast<float>(static_cast<int>(v)) == v;
+  };
+  if (!integral(e0) || !integral(e1) || !integral(t0) || !integral(t1)) return {};
+  const int extent = static_cast<int>(e1) - static_cast<int>(e0);
+  if ((extent & (extent - 1)) != 0) return {};
+  const int delta = static_cast<int>(t1) - static_cast<int>(t0);
+  const int offset = p0 - static_cast<int>(e0);
+  if (delta == extent) return {static_cast<int>(t0) + offset, 1};
+  if (delta == -extent) return {static_cast<int>(t0) - offset - 1, -1};
+  return {};
+}
 
-QuadSetup SetUpQuad(const Quad& quad, int width, int height) {
-  const Vertex& v0 = quad.vertices[0];
-  const Vertex& v1 = quad.vertices[1];
-  const Vertex& v3 = quad.vertices[3];
-  QuadSetup s;
-  s.x0 = v0.x;
-  s.y0 = v0.y;
-  s.x1 = quad.vertices[2].x;
-  s.y1 = quad.vertices[2].y;
-  STREAMGPU_CHECK_MSG(v1.x == s.x1 && v1.y == s.y0 && v3.x == s.x0 && v3.y == s.y1,
-                      "DrawQuad requires an axis-aligned rectangle");
-  STREAMGPU_CHECK(s.x1 > s.x0 && s.y1 > s.y0);
-  // Pixels whose centers fall inside [x0, x1) x [y0, y1).
-  s.px0 = std::max(0, static_cast<int>(std::ceil(s.x0 - 0.5f)));
-  s.py0 = std::max(0, static_cast<int>(std::ceil(s.y0 - 0.5f)));
-  s.px1 = std::min(width, static_cast<int>(std::ceil(s.x1 - 0.5f)));
-  s.py1 = std::min(height, static_cast<int>(std::ceil(s.y1 - 0.5f)));
-  s.inv_w = 1.0f / (s.x1 - s.x0);
-  s.inv_h = 1.0f / (s.y1 - s.y0);
-  return s;
+// True when `m` is a closed-form unit mapping whose `count` fetches all land
+// inside [0, extent), i.e. clamping never engages.
+bool UnclampedUnit(const UnitMapping& m, int count, int extent) {
+  const int last = m.first + m.step * (count - 1);
+  return m.step != 0 && m.first >= 0 && m.first < extent && last >= 0 && last < extent;
 }
 
 // ---------------------------------------------------------------------------
 // Row kernels.
 //
 // The paper's Routines 4.1–4.4 only ever emit separable quads whose column
-// mapping steps one texel per pixel — the identity (Copy) or a block mirror
-// (comparators). Those run here, directly on the interleaved RGBA storage:
-// the blend equation is the same for every channel, so an ascending row is
-// one contiguous loop over 4*count floats that GCC/Clang auto-vectorize into
-// packed MIN/MAX, and a descending row steps one 4-float texel group at a
-// time. `kStep` is +1 (ascending) or -1 (descending); `src` points at the
+// and row mappings step one texel per pixel — the identity (Copy) or a block
+// mirror (comparators). Those run here, directly on the interleaved RGBA
+// storage: the blend equation is the same for every channel, so an
+// ascending row is one contiguous loop over 4*count floats that GCC/Clang
+// auto-vectorize into packed MIN/MAX, and a descending row steps one 4-float
+// texel group at a time. `kStep` is +1 (ascending) or -1 (descending); `src` points at the
 // first float of the first fetched texel of the row.
 //
 // kQuantize folds the kFloat16 render-target rounding into the kernel. It is
@@ -82,8 +82,12 @@ QuadSetup SetUpQuad(const Quad& quad, int width, int height) {
 // when GpuDevice aliases the framebuffer onto the last-copied texture (the
 // swap-based CopyFramebufferToTexture), in which case it points at the
 // value-identical texel of that texture.
+//
+// Always inlined into the rectangle kernel's row loop: a call per row would
+// cost as much as the row itself on the narrowest comparator quads.
 template <BlendOp kOp, bool kQuantize, int kStep>
-void BlendRowUnit(const float* src, const float* dread, int count, float* dst) {
+[[gnu::always_inline]] inline void BlendRowUnit(const float* src, const float* dread,
+                                                int count, float* dst) {
   if constexpr (kOp == BlendOp::kReplace && !kQuantize && kStep == 1) {
     std::memcpy(dst, src,
                 static_cast<std::size_t>(count) * kNumChannels * sizeof(float));
@@ -102,11 +106,10 @@ void BlendRowUnit(const float* src, const float* dread, int count, float* dst) {
     // compare (including NaN in either lane) both return the destination
     // operand, and on equal values (including ±0) both return it too.
     using V4 = float __attribute__((vector_size(4 * sizeof(float))));
-    for (int i = 0; i < count; ++i) {
-      const float* st = src + static_cast<std::ptrdiff_t>(kStep) * i * kNumChannels;
+    const auto blend_texel = [](const float* st, const float* rd, float* d) {
       V4 sv, rv;
       std::memcpy(&sv, st, sizeof(V4));
-      std::memcpy(&rv, dread + i * kNumChannels, sizeof(V4));
+      std::memcpy(&rv, rd, sizeof(V4));
       V4 out;
       if constexpr (kOp == BlendOp::kMin) {
         out = sv < rv ? sv : rv;  // std::min(dread, src)
@@ -115,7 +118,20 @@ void BlendRowUnit(const float* src, const float* dread, int count, float* dst) {
       } else {
         out = sv;
       }
-      std::memcpy(dst + i * kNumChannels, &out, sizeof(V4));
+      std::memcpy(d, &out, sizeof(V4));
+    };
+    // Two texels per iteration: about twice as fast as one on the wide
+    // comparator quads.
+    int i = 0;
+    for (; i + 2 <= count; i += 2) {
+      const float* st = src + static_cast<std::ptrdiff_t>(kStep) * i * kNumChannels;
+      blend_texel(st, dread + i * kNumChannels, dst + i * kNumChannels);
+      blend_texel(st + kStep * kNumChannels, dread + (i + 1) * kNumChannels,
+                  dst + (i + 1) * kNumChannels);
+    }
+    if (i < count) {
+      blend_texel(src + static_cast<std::ptrdiff_t>(kStep) * i * kNumChannels,
+                  dread + i * kNumChannels, dst + i * kNumChannels);
     }
   } else {
     for (int i = 0; i < count; ++i) {
@@ -129,33 +145,31 @@ void BlendRowUnit(const float* src, const float* dread, int count, float* dst) {
   }
 }
 
-// Whole-quad kernel for the dominant shape: separable, unit-step columns AND
-// identity row mapping (every row-block comparator and Copy quad of Routines
-// 4.1/4.4). One dispatch covers all rows, amortizing quad setup over the
-// whole rectangle; with the interleaved layout each covered row of a narrow
+// Whole-quad kernel for every quad the paper's routines emit: separable,
+// with unit-step columns and unit-step rows. The rows of a row-block
+// comparator or Copy quad (Routines 4.1/4.4) map to themselves; those of a
+// tall-block comparator (Routine 4.2) mirror the block, so the source row
+// walks down while the destination row walks up — `src_stride` is negative
+// then. One dispatch covers all rows, amortizing quad setup over the whole
+// rectangle; with the interleaved layout each covered row of a narrow
 // comparator quad is a handful of contiguous floats, i.e. one cache line per
 // surface per row. Strides are in floats; `src` points at the first float of
 // the first fetched texel of the first covered row, `dst`/`dread` likewise
 // (both use the destination stride).
 template <BlendOp kOp, bool kQuantize, int kStep>
-void BlendRectUnit(const float* src, std::size_t src_stride, const float* dread,
+void BlendRectUnit(const float* src, std::ptrdiff_t src_stride, const float* dread,
                    float* dst, std::size_t dst_stride, int rows, int count) {
-  const float* s = src;
-  const float* r = dread;
-  float* d = dst;
   for (int y = 0; y < rows; ++y) {
-    BlendRowUnit<kOp, kQuantize, kStep>(s, r, count, d);
-    s += src_stride;
-    r += dst_stride;
-    d += dst_stride;
+    const std::size_t row = static_cast<std::size_t>(y) * dst_stride;
+    BlendRowUnit<kOp, kQuantize, kStep>(src + y * src_stride, dread + row, count, dst + row);
   }
 }
 
-// Gather fallback for separable quads whose column mapping is not unit-step
-// (no paper routine emits these, but arbitrary quads are legal). Matches the
-// seed implementation exactly, including its always-quantize-on-half rule.
-// `src_row`/`dread_row`/`dst_row` point at the first float of texel column 0
-// of the respective rows.
+// Gather fallback for separable quads whose column mapping is not a
+// closed-form unit step, or clamps (no paper routine emits these, but
+// arbitrary quads are legal). Matches the seed implementation exactly,
+// including its always-quantize-on-half rule. `src_row`/`dread_row`/`dst_row`
+// point at the first float of texel column 0 of the respective rows.
 template <BlendOp kOp>
 void BlendRowGather(const float* src_row, const int* cols, const float* dread_row,
                     int count, float* dst_row, bool quantize_half) {
@@ -170,23 +184,7 @@ void BlendRowGather(const float* src_row, const int* cols, const float* dread_ro
 }
 
 template <bool kQuantize, int kStep>
-void BlendRowUnitDispatch(BlendOp op, const float* src, const float* dread, int count,
-                          float* dst) {
-  switch (op) {
-    case BlendOp::kReplace:
-      BlendRowUnit<BlendOp::kReplace, kQuantize, kStep>(src, dread, count, dst);
-      break;
-    case BlendOp::kMin:
-      BlendRowUnit<BlendOp::kMin, kQuantize, kStep>(src, dread, count, dst);
-      break;
-    case BlendOp::kMax:
-      BlendRowUnit<BlendOp::kMax, kQuantize, kStep>(src, dread, count, dst);
-      break;
-  }
-}
-
-template <bool kQuantize, int kStep>
-void BlendRectUnitDispatch(BlendOp op, const float* src, std::size_t src_stride,
+void BlendRectUnitDispatch(BlendOp op, const float* src, std::ptrdiff_t src_stride,
                            const float* dread, float* dst, std::size_t dst_stride,
                            int rows, int count) {
   switch (op) {
@@ -223,18 +221,18 @@ void BlendRowGatherDispatch(BlendOp op, const float* src_row, const int* cols,
 }
 
 // Reference semantics: full per-pixel bilinear interpolation.
-void ExecuteGeneric(const Surface& tex, const Quad& quad, const QuadSetup& s, BlendOp op,
-                    const Surface& dsrc, Surface* target) {
-  const Vertex& v0 = quad.vertices[0];
-  const Vertex& v1 = quad.vertices[1];
-  const Vertex& v2 = quad.vertices[2];
-  const Vertex& v3 = quad.vertices[3];
+void ExecuteGeneric(const Surface& tex, const QuadSetup& s, BlendOp op, const Surface& dsrc,
+                    Surface* target) {
+  const Vertex& v0 = s.quad.vertices[0];
+  const Vertex& v1 = s.quad.vertices[1];
+  const Vertex& v2 = s.quad.vertices[2];
+  const Vertex& v3 = s.quad.vertices[3];
   const int tw = tex.width();
   const int th = tex.height();
   for (int y = s.py0; y < s.py1; ++y) {
-    const float sy = (static_cast<float>(y) + 0.5f - s.y0) * s.inv_h;
+    const float sy = (static_cast<float>(y) + 0.5f - v0.y) * s.inv_h;
     for (int x = s.px0; x < s.px1; ++x) {
-      const float sx = (static_cast<float>(x) + 0.5f - s.x0) * s.inv_w;
+      const float sx = (static_cast<float>(x) + 0.5f - v0.x) * s.inv_w;
       const float w00 = (1.0f - sx) * (1.0f - sy);
       const float w10 = sx * (1.0f - sy);
       const float w11 = sx * sy;
@@ -251,134 +249,91 @@ void ExecuteGeneric(const Surface& tex, const Quad& quad, const QuadSetup& s, Bl
   }
 }
 
-void ExecuteFast(const Surface& tex, const Quad& quad, const QuadSetup& s, BlendOp op,
-                 const Surface& dsrc, Surface* target) {
-  const Vertex& v0 = quad.vertices[0];
-  const Vertex& v1 = quad.vertices[1];
-  const Vertex& v2 = quad.vertices[2];
-  const Vertex& v3 = quad.vertices[3];
-
+void ExecuteFast(const Surface& tex, const QuadSetup& s, BlendOp op, const Surface& dsrc,
+                 Surface* target) {
   // Every comparator mapping in the paper is separable — u depends only on x
   // and v only on y — which admits the interleaved row kernels; arbitrary
   // corner assignments fall back to full bilinear interpolation.
-  const bool separable = v0.u == v3.u && v1.u == v2.u && v0.v == v1.v && v3.v == v2.v;
-  if (!separable) {
-    ExecuteGeneric(tex, quad, s, op, dsrc, target);
+  if (!s.separable) {
+    ExecuteGeneric(tex, s, op, dsrc, target);
     return;
   }
 
+  const Vertex& v0 = s.quad.vertices[0];
+  const Vertex& v1 = s.quad.vertices[1];
+  const Vertex& v3 = s.quad.vertices[3];
   const int tw = tex.width();
   const int th = tex.height();
   const int count = s.px1 - s.px0;
+  const int rows = s.py1 - s.py0;
 
-  // Source texel column for every destination column, computed once per quad
-  // and amortized over the covered rows. The scratch is thread-local so
-  // concurrent sort workers never contend and the steady state allocates
-  // nothing.
-  static thread_local std::vector<int> cols_scratch;
-  cols_scratch.resize(static_cast<std::size_t>(count));
-  int* cols = cols_scratch.data();
-  for (int x = s.px0; x < s.px1; ++x) {
-    const float sx = (static_cast<float>(x) + 0.5f - s.x0) * s.inv_w;
-    const float u = v0.u + (v1.u - v0.u) * sx;
-    cols[x - s.px0] = ClampTexel(u, tw);
-  }
-
-  // Classify the column mapping. The scan is exact — the unit kernels run
-  // only when they index precisely the texels the gather would have — so
-  // fast-path output is bit-identical by construction.
-  bool unit_asc = true;
-  bool unit_desc = true;
-  for (int i = 1; i < count; ++i) {
-    unit_asc = unit_asc && cols[i] == cols[0] + i;
-    unit_desc = unit_desc && cols[i] == cols[0] - i;
+  // Column mapping: the closed form settles every paper quad in O(1) and
+  // sends it to the unit kernels. Any other column mapping, or a closed-form
+  // one whose fetches would clamp, runs the gather over an exact per-column
+  // scan.
+  const bool unit_cols = UnclampedUnit(s.cols, count, tw);
+  const int* cols = nullptr;
+  if (!unit_cols) {
+    // Source texel column for every destination column, amortized over the
+    // covered rows. The scratch is thread-local so concurrent sort workers
+    // never contend and the steady state allocates nothing.
+    static thread_local std::vector<int> cols_scratch;
+    cols_scratch.resize(static_cast<std::size_t>(count));
+    for (int x = s.px0; x < s.px1; ++x) {
+      const float sx = (static_cast<float>(x) + 0.5f - v0.x) * s.inv_w;
+      const float u = v0.u + (v1.u - v0.u) * sx;
+      cols_scratch[x - s.px0] = ClampTexel(u, tw);
+    }
+    cols = cols_scratch.data();
   }
 
   const bool target_half = target->format() == Format::kFloat16;
   // Unit kernels skip rounding when the source is already binary16 (operand
   // selection preserves quantization; see kernel comment above).
   const bool quantize_unit = target_half && tex.format() != Format::kFloat16;
+  const std::size_t ss = tex.row_stride() * kNumChannels;
+  const std::size_t ds = target->row_stride() * kNumChannels;
 
-  if (unit_asc || unit_desc) {
-    // Row-block comparators and Copy quads map rows to themselves. When every
-    // covered row does (verified with the exact per-row formula below, so the
-    // fused path indexes precisely the texels the row loop would), the whole
-    // quad collapses to one rectangle kernel — the per-row dispatch below
-    // would otherwise dominate narrow comparator quads.
-    //
-    // The scan depends only on the v-mapping, the quad's vertical extent, and
-    // the texture height — all shared by every comparator quad of a PBSN
-    // step — so a one-entry memo amortizes it across the step's quads (a
-    // block-2 step issues 512 quads with identical row mappings).
-    struct RowsIdentityMemo {
-      float v0v, v3v, y0, y1;
-      int py0, py1, th;
-      bool result;
-      bool valid = false;
-    };
-    static thread_local RowsIdentityMemo memo;
-    bool rows_identity;
-    if (memo.valid && memo.v0v == v0.v && memo.v3v == v3.v && memo.y0 == s.y0 &&
-        memo.y1 == s.y1 && memo.py0 == s.py0 && memo.py1 == s.py1 && memo.th == th) {
-      rows_identity = memo.result;
-    } else {
-      rows_identity = true;
-      for (int y = s.py0; y < s.py1; ++y) {
-        const float sy = (static_cast<float>(y) + 0.5f - s.y0) * s.inv_h;
-        const float tv = v0.v + (v3.v - v0.v) * sy;
-        if (ClampTexel(tv, th) != y) {
-          rows_identity = false;
-          break;
-        }
-      }
-      memo = {v0.v, v3.v, s.y0, s.y1, s.py0, s.py1, th, rows_identity, true};
-    }
-    if (rows_identity) {
-      const float* src = tex.TexelData() + tex.Index(cols[0], s.py0) * kNumChannels;
-      const float* dread =
-          dsrc.TexelData() + dsrc.Index(s.px0, s.py0) * kNumChannels;
-      float* dst = target->TexelData() + target->Index(s.px0, s.py0) * kNumChannels;
-      const std::size_t ss = tex.row_stride() * kNumChannels;
-      const std::size_t ds = target->row_stride() * kNumChannels;
-      const int rows = s.py1 - s.py0;
-      if (unit_asc) {
-        if (quantize_unit) {
-          BlendRectUnitDispatch<true, 1>(op, src, ss, dread, dst, ds, rows, count);
-        } else {
-          BlendRectUnitDispatch<false, 1>(op, src, ss, dread, dst, ds, rows, count);
-        }
+  // `n` rows of unit-step columns, the source rows `src_stride` floats apart.
+  const auto blend_unit = [&](const float* src, std::ptrdiff_t src_stride,
+                              const float* dread, float* dst, int n) {
+    if (s.cols.step == 1) {
+      if (quantize_unit) {
+        BlendRectUnitDispatch<true, 1>(op, src, src_stride, dread, dst, ds, n, count);
       } else {
-        if (quantize_unit) {
-          BlendRectUnitDispatch<true, -1>(op, src, ss, dread, dst, ds, rows, count);
-        } else {
-          BlendRectUnitDispatch<false, -1>(op, src, ss, dread, dst, ds, rows, count);
-        }
+        BlendRectUnitDispatch<false, 1>(op, src, src_stride, dread, dst, ds, n, count);
       }
-      return;
+    } else {
+      if (quantize_unit) {
+        BlendRectUnitDispatch<true, -1>(op, src, src_stride, dread, dst, ds, n, count);
+      } else {
+        BlendRectUnitDispatch<false, -1>(op, src, src_stride, dread, dst, ds, n, count);
+      }
     }
+  };
+
+  if (unit_cols && UnclampedUnit(s.rows, rows, th)) {
+    // Unit-step rows, ascending (row-block comparators, Copy) or mirrored
+    // (tall-block comparators): the whole quad is one rectangle kernel.
+    blend_unit(tex.TexelData() + tex.Index(s.cols.first, s.rows.first) * kNumChannels,
+               s.rows.step * static_cast<std::ptrdiff_t>(ss),
+               dsrc.TexelData() + dsrc.Index(s.px0, s.py0) * kNumChannels,
+               target->TexelData() + target->Index(s.px0, s.py0) * kNumChannels, rows);
+    return;
   }
 
+  // Any other row mapping: one row at a time, with the exact per-row formula.
   for (int y = s.py0; y < s.py1; ++y) {
-    const float sy = (static_cast<float>(y) + 0.5f - s.y0) * s.inv_h;
+    const float sy = (static_cast<float>(y) + 0.5f - v0.y) * s.inv_h;
     const float tv = v0.v + (v3.v - v0.v) * sy;
     const int ty = ClampTexel(tv, th);
     const float* src_row = tex.TexelData() + tex.Index(0, ty) * kNumChannels;
     const float* dread_row =
         dsrc.TexelData() + dsrc.Index(s.px0, y) * kNumChannels;
     float* dst_row = target->TexelData() + target->Index(s.px0, y) * kNumChannels;
-    const float* src_first = src_row + static_cast<std::size_t>(cols[0]) * kNumChannels;
-    if (unit_asc) {
-      if (quantize_unit) {
-        BlendRowUnitDispatch<true, 1>(op, src_first, dread_row, count, dst_row);
-      } else {
-        BlendRowUnitDispatch<false, 1>(op, src_first, dread_row, count, dst_row);
-      }
-    } else if (unit_desc) {
-      if (quantize_unit) {
-        BlendRowUnitDispatch<true, -1>(op, src_first, dread_row, count, dst_row);
-      } else {
-        BlendRowUnitDispatch<false, -1>(op, src_first, dread_row, count, dst_row);
-      }
+    if (unit_cols) {
+      blend_unit(src_row + static_cast<std::size_t>(s.cols.first) * kNumChannels, 0,
+                 dread_row, dst_row, 1);
     } else {
       BlendRowGatherDispatch(op, src_row, cols, dread_row, count, dst_row, target_half);
     }
@@ -393,20 +348,44 @@ void Rasterizer::SetPath(RasterPath path) {
 
 RasterPath Rasterizer::path() { return g_raster_path.load(std::memory_order_relaxed); }
 
-bool Rasterizer::ClippedPixelRect(const Quad& quad, int width, int height, int* px0,
-                                  int* py0, int* px1, int* py1) {
-  const QuadSetup s = SetUpQuad(quad, width, height);
-  *px0 = s.px0;
-  *py0 = s.py0;
-  *px1 = s.px1;
-  *py1 = s.py1;
-  return s.px0 < s.px1 && s.py0 < s.py1;
+QuadSetup Rasterizer::SetUp(const Quad& quad, int width, int height) {
+  const Vertex& v0 = quad.vertices[0];
+  const Vertex& v1 = quad.vertices[1];
+  const Vertex& v2 = quad.vertices[2];
+  const Vertex& v3 = quad.vertices[3];
+  STREAMGPU_CHECK_MSG(v1.x == v2.x && v1.y == v0.y && v3.x == v0.x && v3.y == v2.y,
+                      "DrawQuad requires an axis-aligned rectangle");
+  STREAMGPU_CHECK(v2.x > v0.x && v2.y > v0.y);
+  QuadSetup s;
+  s.quad = quad;
+  s.width = width;
+  s.height = height;
+  // Pixels whose centers fall inside [x0, x1) x [y0, y1).
+  s.px0 = std::max(0, static_cast<int>(std::ceil(v0.x - 0.5f)));
+  s.py0 = std::max(0, static_cast<int>(std::ceil(v0.y - 0.5f)));
+  s.px1 = std::min(width, static_cast<int>(std::ceil(v2.x - 0.5f)));
+  s.py1 = std::min(height, static_cast<int>(std::ceil(v2.y - 0.5f)));
+  s.inv_w = 1.0f / (v2.x - v0.x);
+  s.inv_h = 1.0f / (v2.y - v0.y);
+  s.separable = v0.u == v3.u && v1.u == v2.u && v0.v == v1.v && v3.v == v2.v;
+  if (s.separable) {
+    s.cols = ClosedFormAxis(v0.x, v2.x, v0.u, v1.u, s.px0);
+    s.rows = ClosedFormAxis(v0.y, v2.y, v0.v, v3.v, s.py0);
+  }
+  return s;
 }
 
 void Rasterizer::DrawQuad(const Surface& tex, const Quad& quad, BlendOp op, Surface* target,
                           GpuStats* stats, const Surface* dst_read) {
-  const QuadSetup s = SetUpQuad(quad, target->width(), target->height());
-  if (s.px0 >= s.px1 || s.py0 >= s.py1) {
+  DrawQuad(tex, SetUp(quad, target->width(), target->height()), op, target, stats,
+           dst_read);
+}
+
+void Rasterizer::DrawQuad(const Surface& tex, const QuadSetup& s, BlendOp op,
+                          Surface* target, GpuStats* stats, const Surface* dst_read) {
+  STREAMGPU_CHECK_MSG(s.width == target->width() && s.height == target->height(),
+                      "the quad was set up for a target of other dimensions");
+  if (s.empty()) {
     stats->draw_calls += 1;
     return;
   }
@@ -417,25 +396,24 @@ void Rasterizer::DrawQuad(const Surface& tex, const Quad& quad, BlendOp op, Surf
 
   switch (path()) {
     case RasterPath::kFast:
-      ExecuteFast(tex, quad, s, op, dsrc, target);
+      ExecuteFast(tex, s, op, dsrc, target);
       break;
     case RasterPath::kGeneric:
-      ExecuteGeneric(tex, quad, s, op, dsrc, target);
+      ExecuteGeneric(tex, s, op, dsrc, target);
       break;
     case RasterPath::kCheck: {
       Surface reference = *target;
-      ExecuteGeneric(tex, quad, s, op, dsrc, &reference);
-      ExecuteFast(tex, quad, s, op, dsrc, target);
-      for (int c = 0; c < kNumChannels; ++c) {
-        for (int y = s.py0; y < s.py1; ++y) {
-          for (int x = s.px0; x < s.px1; ++x) {
-            STREAMGPU_CHECK_MSG(
-                target->Get(c, x, y) == reference.Get(c, x, y) ||
-                    (target->Get(c, x, y) != target->Get(c, x, y) &&
-                     reference.Get(c, x, y) != reference.Get(c, x, y)),
-                "RasterPath::kCheck: fast kernel output diverged from the generic path");
-          }
-        }
+      ExecuteGeneric(tex, s, op, dsrc, &reference);
+      ExecuteFast(tex, s, op, dsrc, target);
+      // Bit comparison: a fast kernel that wrote +0.0 for -0.0, or another
+      // NaN, diverged as much as one that wrote another number.
+      const std::size_t row_bytes =
+          static_cast<std::size_t>(s.px1 - s.px0) * kNumChannels * sizeof(float);
+      for (int y = s.py0; y < s.py1; ++y) {
+        const std::size_t at = target->Index(s.px0, y) * kNumChannels;
+        STREAMGPU_CHECK_MSG(
+            std::memcmp(target->TexelData() + at, reference.TexelData() + at, row_bytes) == 0,
+            "RasterPath::kCheck: fast kernel output diverged from the generic path");
       }
       break;
     }

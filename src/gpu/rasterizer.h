@@ -4,17 +4,20 @@
 // sort baseline (§4.5, [40]).
 //
 // Execution paths (docs/ARCHITECTURE.md, "Pass-execution engine"):
-//   kFast    — the default. Separable quads classify their column mapping;
-//              the axis-aligned unit-step mappings the paper's Routines
-//              4.1–4.4 emit run through contiguous, auto-vectorized
-//              min/max/copy row kernels. Other mappings fall back to a
-//              gather row loop, non-separable quads to per-pixel bilinear.
+//   kFast    — the default. Separable quads classify their column and row
+//              mappings in closed form, which recognizes the unit-step
+//              mappings the paper's Routines 4.1–4.4 emit; such a quad runs
+//              as one rectangle of contiguous, auto-vectorized min/max/copy
+//              row kernels, its source rows ascending or mirrored. Other
+//              row mappings fall back to a per-row loop, other (or
+//              clamping) column mappings to a gather row loop over an exact
+//              per-column scan, non-separable quads to per-pixel bilinear.
 //   kGeneric — per-pixel bilinear interpolation for every fragment (the
 //              reference semantics). Slow; used for equivalence testing.
-//   kCheck   — runs both paths and CHECK-fails on any output mismatch.
-//              Debug aid; assumes quads with dyadic extents (the only family
-//              the paper's routines emit), where the two paths agree
-//              bit-exactly.
+//   kCheck   — runs both paths and CHECK-fails on any output bit that
+//              differs. Debug aid; assumes quads with dyadic extents (the
+//              only family the paper's routines emit), where the two paths
+//              agree bit-exactly.
 // The startup default can be overridden with STREAMGPU_RASTER_PATH =
 // fast | generic | check.
 
@@ -34,12 +37,52 @@ namespace streamgpu::gpu {
 enum class RasterPath {
   kFast,     ///< vectorized row kernels with generic fallback (default)
   kGeneric,  ///< reference per-pixel bilinear path
-  kCheck,    ///< run both, CHECK outputs are identical
+  kCheck,    ///< run both, CHECK outputs are bit-identical
+};
+
+/// One axis of a separable quad's texel mapping in closed form: the pixel
+/// `i` places after the first covered one fetches texel `first + step * i`
+/// before clamping to the texture. `step` is +1 or -1, or 0 when the closed
+/// form does not apply (Rasterizer::SetUp says when it does).
+struct UnitMapping {
+  int first = 0;
+  int step = 0;
+};
+
+/// A quad set up for one draw into a width x height target: the covered
+/// pixel rectangle [px0, px1) x [py0, py1) (pixel centers at +0.5, clipped
+/// to the target) and the interpolation state every execution path reads.
+/// Built by Rasterizer::SetUp once per draw; GpuDevice reads the rectangle
+/// for its framebuffer aliasing before the same setup is drawn.
+struct QuadSetup {
+  Quad quad;
+  int width = 0;
+  int height = 0;
+  int px0 = 0, py0 = 0, px1 = 0, py1 = 0;
+  float inv_w = 0.0f;  // 1 / screen width of the quad
+  float inv_h = 0.0f;  // 1 / screen height of the quad
+  /// u depends only on x and v only on y (every paper routine's quads).
+  bool separable = false;
+  /// Closed-form column (u) and row (v) mappings of a separable quad.
+  UnitMapping cols;
+  UnitMapping rows;
+
+  bool empty() const { return px0 >= px1 || py0 >= py1; }
 };
 
 /// Executes render passes against a target surface.
 class Rasterizer {
  public:
+  /// Sets `quad` up for drawing into a width x height target. CHECK-fails
+  /// unless the quad is an axis-aligned rectangle of positive extent. An
+  /// axis of a separable quad gets its mapping in closed form when its
+  /// screen corners and texel coordinates are integers below 2^22 in
+  /// magnitude, its screen extent is a power of two and the texel
+  /// coordinates change by exactly that extent, up or down: every step of
+  /// the interpolation is then exact, so the first covered pixel's texel and
+  /// the +-1 step follow directly.
+  static QuadSetup SetUp(const Quad& quad, int width, int height);
+
   /// Rasterizes an axis-aligned quad. For every covered pixel (centers at
   /// +0.5), the texture coordinate is interpolated bilinearly from the quad's
   /// vertices, the nearest texel of `tex` is fetched, and the fragment is
@@ -57,11 +100,9 @@ class Rasterizer {
   static void DrawQuad(const Surface& tex, const Quad& quad, BlendOp op, Surface* target,
                        GpuStats* stats, const Surface* dst_read = nullptr);
 
-  /// The pixel rectangle [*px0, *px1) x [*py0, *py1) DrawQuad would fill for
-  /// this quad (pixel centers at +0.5, clipped to a width x height target).
-  /// Returns false when the rectangle is empty.
-  static bool ClippedPixelRect(const Quad& quad, int width, int height, int* px0, int* py0,
-                               int* px1, int* py1);
+  /// DrawQuad for a quad already set up against `target`'s dimensions.
+  static void DrawQuad(const Surface& tex, const QuadSetup& setup, BlendOp op,
+                       Surface* target, GpuStats* stats, const Surface* dst_read = nullptr);
 
   /// Selects the DrawQuad execution path. Initialized from the
   /// STREAMGPU_RASTER_PATH environment variable at startup; tests switch it

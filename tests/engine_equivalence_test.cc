@@ -4,15 +4,23 @@
 //
 // The invariant (docs/ARCHITECTURE.md, "Pass-execution engine") is strict:
 // byte-identical sorted output and identical GpuStats for every cell of
-// {generic, fast} x {kFloat16, kFloat32} x {1, 8 workers}. Host-side engine
-// choices — row kernels vs. bilinear loops, framebuffer aliasing, worker
-// fan-out — are performance details; any observable divergence is a bug.
+// {generic, fast, check} x {kFloat16, kFloat32} x {1, 8 workers}, over
+// 1,024-element windows (32x32 textures), 2,048-element windows (64x32) and
+// 1-element windows (1x1), with ±0, ±inf, NaN, binary16 subnormals and values
+// past the binary16 range in the stream. Host-side engine choices — row
+// kernels vs. bilinear loops, framebuffer aliasing, worker fan-out — are
+// performance details; any observable divergence is a bug. The check path
+// compares every draw's output bit for bit, not only the readback.
 //
 // The golden test additionally pins the absolute counter values for a fixed
 // input, so a change that shifts both paths in lockstep (and would slip past
 // the pairwise comparison) still trips the suite.
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -55,9 +63,10 @@ class ScopedRasterPath {
 };
 
 // Streams `data` through a WindowBatcher -> WindowExecutor with `workers`
-// PBSN sorters (one simulated device each) under the given raster path.
+// PBSN sorters (one simulated device each) under the given raster path, in
+// windows of `window` elements.
 RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
-                      const std::vector<float>& data) {
+                      const std::vector<float>& data, std::uint64_t window = kWindow) {
   ScopedRasterPath scoped(path);
 
   std::vector<gpu::GpuDevice> devices(workers);
@@ -81,7 +90,7 @@ RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
           result.simulated_seconds += batch.run.simulated_seconds;
           return core::Status::Ok();
         });
-    stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
+    stream::WindowBatcher batcher(window, kWindowsPerBatch);
     for (float v : data) {
       if (batcher.Push(v)) executor.SubmitStaged(batcher);
     }
@@ -92,15 +101,62 @@ RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
   return result;
 }
 
-// 6 full batches plus a trailing partial batch (odd window count, partial
-// final window) so run padding is exercised too.
-std::vector<float> TestData() {
+// Ordered values outside [0, 1) that streams carry: signed zeros,
+// infinities, binary16 subnormals (exact and between two subnormals), the
+// binary16 range edge and values past it (infinite in binary16), a float
+// subnormal (zero in binary16) and a value that rounds at binary16 precision.
+const std::vector<float>& SpecialValues() {
+  static const std::vector<float> values = {
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::ldexp(1.0f, -24),
+      -std::ldexp(1.0f, -24),
+      std::ldexp(3.0f, -20),
+      std::ldexp(1.5f, -24),
+      std::ldexp(1023.0f, -24),
+      65504.0f,
+      -65504.0f,
+      65519.0f,
+      65520.0f,
+      1e6f,
+      -3e38f,
+      std::numeric_limits<float>::denorm_min(),
+      1.0f / 3.0f,
+  };
+  return values;
+}
+
+// `windows` full windows of `window` elements plus, for `window` > 100, a
+// trailing 100-element window (an odd window count and a partial final window
+// exercise run padding): uniform reals in [0, 1) with duplicates, exact ties
+// across window boundaries, and SpecialValues() at every `special_every`-th
+// element.
+std::vector<float> TestData(std::uint64_t window = kWindow,
+                            std::uint64_t windows = kWindowsPerBatch * 6 + 2,
+                            std::size_t special_every = 61) {
   stream::StreamGenerator gen(
       {.distribution = stream::Distribution::kUniformReal, .seed = 1234});
-  auto data = gen.Take(kWindow * kWindowsPerBatch * 6 + kWindow * 2 + 100);
-  // Sprinkle duplicates and exact-tie values across window boundaries.
+  auto data = gen.Take(window * windows + (window > 100 ? 100 : 0));
   for (std::size_t i = 0; i < data.size(); i += 97) data[i] = 0.5f;
   for (std::size_t i = 50; i < data.size(); i += 131) data[i] = data[i / 2];
+  const std::vector<float>& special = SpecialValues();
+  for (std::size_t i = 3, k = 0; i < data.size(); i += special_every, ++k) {
+    data[i] = special[k % special.size()];
+  }
+  return data;
+}
+
+// `data` with NaNs of both signs, and one with a payload, at every `every`-th
+// element. MIN/MAX comparators do not order NaNs, so the windows come out
+// unsorted; only the fast-vs-generic comparison, which needs no order, uses
+// these.
+std::vector<float> WithNaNs(std::vector<float> data, std::size_t every = 173) {
+  const float nans[] = {std::numeric_limits<float>::quiet_NaN(),
+                        -std::numeric_limits<float>::quiet_NaN(),
+                        std::bit_cast<float>(0x7FC01234u)};
+  for (std::size_t i = 7, k = 0; i < data.size(); i += every, ++k) data[i] = nans[k % 3];
   return data;
 }
 
@@ -108,31 +164,56 @@ std::string FormatName(gpu::Format f) {
   return f == gpu::Format::kFloat16 ? "kFloat16" : "kFloat32";
 }
 
+const char* PathName(gpu::RasterPath path) {
+  switch (path) {
+    case gpu::RasterPath::kFast:
+      return "fast";
+    case gpu::RasterPath::kGeneric:
+      return "generic";
+    case gpu::RasterPath::kCheck:
+      return "check";
+  }
+  return "?";
+}
+
 TEST(EngineEquivalenceTest, FastMatchesGenericAcrossFormatsAndWorkers) {
-  const auto data = TestData();
+  // 32x32 textures (the stream shape), 64x32 (a non-square texture, whose
+  // stages split into row-block and tall-block steps differently) and 1x1
+  // (no comparator step at all).
+  const struct {
+    std::uint64_t window;
+    std::vector<float> data;
+  } inputs[] = {
+      {kWindow, WithNaNs(TestData())},
+      {2 * kWindow, WithNaNs(TestData(2 * kWindow, kWindowsPerBatch * 2 + 1))},
+      {1, WithNaNs(TestData(1, kWindowsPerBatch * 8 + 3, /*special_every=*/2), 5)},
+  };
 
-  for (gpu::Format format : {gpu::Format::kFloat16, gpu::Format::kFloat32}) {
-    SCOPED_TRACE(FormatName(format));
-    // Reference: the per-pixel bilinear path, serial.
-    const RunResult golden =
-        RunPipeline(gpu::RasterPath::kGeneric, format, /*workers=*/1, data);
-    ASSERT_EQ(golden.sorted.size(), data.size());
+  for (const auto& [window, data] : inputs) {
+    for (gpu::Format format : {gpu::Format::kFloat16, gpu::Format::kFloat32}) {
+      SCOPED_TRACE(testing::Message() << FormatName(format) << " window=" << window);
+      // Reference: the per-pixel bilinear path, serial.
+      const RunResult golden =
+          RunPipeline(gpu::RasterPath::kGeneric, format, /*workers=*/1, data, window);
+      ASSERT_EQ(golden.sorted.size(), data.size());
 
-    for (gpu::RasterPath path : {gpu::RasterPath::kGeneric, gpu::RasterPath::kFast}) {
-      for (int workers : {1, 8}) {
-        SCOPED_TRACE(testing::Message()
-                     << (path == gpu::RasterPath::kFast ? "fast" : "generic")
-                     << " workers=" << workers);
-        const RunResult got = RunPipeline(path, format, workers, data);
+      // kCheck runs both paths on every draw and CHECK-fails on a bit
+      // difference in any covered pixel.
+      for (gpu::RasterPath path : {gpu::RasterPath::kGeneric, gpu::RasterPath::kFast,
+                                   gpu::RasterPath::kCheck}) {
+        for (int workers : {1, 8}) {
+          SCOPED_TRACE(testing::Message() << PathName(path) << " workers=" << workers);
+          const RunResult got = RunPipeline(path, format, workers, data, window);
 
-        ASSERT_EQ(got.sorted.size(), golden.sorted.size());
-        // Byte-identical output: memcmp, not float compare — -0.0 vs 0.0 or a
-        // NaN payload change must fail.
-        EXPECT_EQ(std::memcmp(got.sorted.data(), golden.sorted.data(),
-                              golden.sorted.size() * sizeof(float)),
-                  0);
-        EXPECT_EQ(got.stats, golden.stats);
-        EXPECT_DOUBLE_EQ(got.simulated_seconds, golden.simulated_seconds);
+          ASSERT_EQ(got.sorted.size(), golden.sorted.size());
+          // Byte-identical output: memcmp, not float compare — -0.0 vs 0.0 or
+          // a NaN payload change must fail.
+          EXPECT_EQ(std::memcmp(got.sorted.data(), golden.sorted.data(),
+                                golden.sorted.size() * sizeof(float)),
+                    0);
+          EXPECT_EQ(got.stats, golden.stats);
+          EXPECT_DOUBLE_EQ(got.simulated_seconds, golden.simulated_seconds);
+        }
       }
     }
   }
@@ -141,6 +222,8 @@ TEST(EngineEquivalenceTest, FastMatchesGenericAcrossFormatsAndWorkers) {
 // The sorted output must also be *correct*: each window ascending, and for
 // kFloat16 equal to the sort of the binary16-quantized input (quantization
 // happens at upload; the comparator network then only moves values around).
+// -0.0 and 0.0 compare equal, so their relative order is the network's own;
+// the window must still hold as many negative zeros as its input.
 TEST(EngineEquivalenceTest, FastPathSortsWindowsCorrectly) {
   const auto data = TestData();
 
@@ -157,9 +240,12 @@ TEST(EngineEquivalenceTest, FastPathSortsWindowsCorrectly) {
         for (float& v : expect) v = gpu::QuantizeToHalf(v);
       }
       std::sort(expect.begin(), expect.end());
-      ASSERT_EQ(std::memcmp(got.sorted.data() + off, expect.data(),
-                            len * sizeof(float)),
-                0)
+      const auto window = std::span<const float>(got.sorted).subspan(off, len);
+      ASSERT_TRUE(std::equal(window.begin(), window.end(), expect.begin()))
+          << "window at offset " << off;
+      const auto negative_zero = [](float v) { return v == 0.0f && std::signbit(v); };
+      ASSERT_EQ(std::count_if(window.begin(), window.end(), negative_zero),
+                std::count_if(expect.begin(), expect.end(), negative_zero))
           << "window at offset " << off;
     }
   }

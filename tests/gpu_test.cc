@@ -290,6 +290,60 @@ TEST(DeviceTest, CopyFramebufferToTexture) {
   EXPECT_EQ(dev.stats().fb_to_texture_copies, 1u);
 }
 
+TEST(DeviceTest, DrawsAfterASwapMatchAPhysicalCopy) {
+  // After CopyFramebufferToTexture the framebuffer's content lives in the
+  // texture (a storage swap), and draws read their pre-blend values from
+  // there. A draw overlapping an earlier draw since the swap must see that
+  // draw's output, so the device has to notice the overlap even when other
+  // draws sit between the two; a draw inside their bounding box that
+  // overlaps none of them must not disturb the result either.
+  const int w = 8;
+  const int h = 4;
+  GpuDevice dev;
+  const auto tex = dev.CreateTexture(w, h, Format::kFloat32);
+  Surface texture(w, h, Format::kFloat32);
+  for (int c = 0; c < kNumChannels; ++c) {
+    const auto data = RandomValues(w * h, 20 + c);
+    dev.UploadChannel(tex, c, data);
+    FillChannelFrom(&texture, c, data);
+  }
+  dev.BindFramebuffer(w, h, Format::kFloat32);
+  dev.SetBlend(BlendOp::kReplace);
+  dev.DrawQuad(tex, Quad::Identity(0, 0, w, h));
+  dev.CopyFramebufferToTexture(tex);
+
+  // Reference: the same draws on physically separate surfaces.
+  Surface framebuffer = texture;
+  GpuStats stats;
+  const struct {
+    BlendOp op;
+    Quad quad;
+  } draws[] = {
+      {BlendOp::kMin, Quad::Make(0, 0, 2, 4, 8, 0, 6, 0, 6, 4, 8, 4)},  // left edge
+      {BlendOp::kMax, Quad::Make(6, 0, 8, 4, 2, 0, 0, 0, 0, 4, 2, 4)},  // right edge
+      {BlendOp::kMin, Quad::Make(3, 0, 5, 4, 5, 4, 3, 4, 3, 0, 5, 0)},  // inside the box
+      {BlendOp::kMax, Quad::Make(5, 1, 7, 3, 7, 0, 4, 0, 4, 2, 7, 2)},  // overlaps the 2nd
+      {BlendOp::kMin, Quad::Make(1, 1, 4, 3, 7, 0, 4, 0, 4, 2, 7, 2)},  // overlaps two
+      {BlendOp::kMax, Quad::Identity(0, 0, w, h)},                      // overlaps all
+  };
+  for (const auto& d : draws) {
+    dev.SetBlend(d.op);
+    dev.DrawQuad(tex, d.quad);
+    Rasterizer::DrawQuad(texture, d.quad, d.op, &framebuffer, &stats);
+  }
+  // Read only now: reading the framebuffer ends the swap.
+  for (int c = 0; c < kNumChannels; ++c) {
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        ASSERT_EQ(dev.framebuffer().Get(c, x, y), framebuffer.Get(c, x, y))
+            << "channel " << c << " pixel (" << x << "," << y << ")";
+        ASSERT_EQ(dev.Texture(tex).Get(c, x, y), texture.Get(c, x, y));
+      }
+    }
+  }
+  EXPECT_EQ(dev.stats().draw_calls, 7u);
+}
+
 TEST(DeviceTest, StatsAccumulateAndReset) {
   GpuDevice dev;
   const auto tex = dev.CreateTexture(2, 2, Format::kFloat32);

@@ -2,6 +2,7 @@
 
 #include "gpu/half.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -174,6 +175,96 @@ TEST(HalfTest, BulkQuantizeMatchesScalarOnSpecialValues) {
   for (std::size_t i = 0; i < bulk.size(); ++i) {
     EXPECT_EQ(Bits(twice[i]), Bits(bulk[i])) << "i=" << i;
   }
+}
+
+// QuantizeToHalf rounds without branches; the float -> half -> float round
+// trip through FloatToHalfBits/HalfBitsToFloat is its reference. Compares
+// one value bit for bit, counting mismatches and reporting the first few.
+void CheckQuantize(float v, int* mismatches) {
+  const std::uint32_t got = Bits(QuantizeToHalf(v));
+  const std::uint32_t want = Bits(HalfBitsToFloat(FloatToHalfBits(v)));
+  if (got != want && ++*mismatches <= 10) {
+    ADD_FAILURE() << std::hex << "input 0x" << Bits(v) << ": got 0x" << got
+                  << ", reference 0x" << want;
+  }
+}
+
+void ExpectQuantizeMatchesReference(const std::vector<float>& values) {
+  int mismatches = 0;
+  for (const float v : values) CheckQuantize(v, &mismatches);
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(HalfQuantizeTest, EveryHalfValueMatchesReference) {
+  std::vector<float> values;
+  for (std::uint32_t h = 0; h < 0x10000u; ++h) {
+    values.push_back(HalfBitsToFloat(static_cast<std::uint16_t>(h)));
+  }
+  // Every NaN class too, not only the ones a half can hold.
+  for (const std::uint32_t bits : {0x7F800001u, 0x7FBFFFFFu, 0x7FC00000u, 0x7FC01234u,
+                                   0x7FFFFFFFu, 0xFF800001u, 0xFFC00000u, 0xFFFFFFFFu}) {
+    values.push_back(std::bit_cast<float>(bits));
+  }
+  ExpectQuantizeMatchesReference(values);
+}
+
+TEST(HalfQuantizeTest, MidpointsAndTheirNeighboursMatchReference) {
+  // Every tie between two consecutive halves (subnormal and normal, either
+  // sign, including 65504 against the next binade's 65536, the overflow
+  // edge at 65520), and the floats on each side of it.
+  std::vector<float> values;
+  for (std::uint32_t h = 0; h < 0x7C00u; ++h) {
+    const float lo = HalfBitsToFloat(static_cast<std::uint16_t>(h));
+    const float hi = h == 0x7BFFu ? 65536.0f : HalfBitsToFloat(static_cast<std::uint16_t>(h + 1));
+    const float mid = lo + (hi - lo) / 2;  // exact: 12 significant bits
+    for (const float v : {mid, std::nextafter(mid, 0.0f), std::nextafter(mid, hi * 2)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  ExpectQuantizeMatchesReference(values);
+}
+
+TEST(HalfQuantizeTest, RangeEdgesMatchReference) {
+  const float tiny = std::ldexp(1.0f, -14);  // smallest normal half
+  const std::vector<float> edges = {
+      65504.0f,
+      std::nextafter(65504.0f, 0.0f),
+      std::nextafter(65504.0f, 1e9f),
+      std::nextafter(65520.0f, 0.0f),
+      65520.0f,
+      std::nextafter(65520.0f, 1e9f),
+      65536.0f,
+      std::numeric_limits<float>::max(),
+      tiny,
+      std::nextafter(tiny, 0.0f),
+      std::nextafter(tiny, 1.0f),
+      tiny - std::ldexp(1.0f, -25),  // between the largest subnormal and tiny
+      std::ldexp(1.0f, -24),
+      std::ldexp(1.0f, -25),  // half the smallest subnormal: ties to zero
+      std::nextafter(std::ldexp(1.0f, -25), 1.0f),
+      std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::denorm_min(),
+  };
+  std::vector<float> values;
+  for (const float v : edges) {
+    values.push_back(v);
+    values.push_back(-v);
+  }
+  ExpectQuantizeMatchesReference(values);
+  EXPECT_EQ(QuantizeToHalf(65519.0f), 65504.0f);
+  EXPECT_EQ(QuantizeToHalf(65520.0f), std::numeric_limits<float>::infinity());
+  EXPECT_EQ(QuantizeToHalf(std::nextafter(tiny, 0.0f)), tiny);
+}
+
+TEST(HalfQuantizeTest, EveryNinetySeventhFloatMatchesReference) {
+  // 44.3 M bit patterns spread over the whole float range; 97 is odd, so
+  // every low bit pattern (the rounding bits) occurs in every binade.
+  int mismatches = 0;
+  for (std::uint64_t b = 0; b <= 0xFFFFFFFFu; b += 97) {
+    CheckQuantize(std::bit_cast<float>(static_cast<std::uint32_t>(b)), &mismatches);
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

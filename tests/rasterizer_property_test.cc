@@ -4,6 +4,8 @@
 // reproduce the scalar network step for arbitrary geometry parameters.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -57,11 +59,15 @@ void RandomizeSurface(Surface* s, unsigned seed) {
   }
 }
 
+// Bit comparison, so a -0.0/0.0 or NaN-payload difference counts.
 bool SurfacesEqual(const Surface& a, const Surface& b) {
   for (int c = 0; c < kNumChannels; ++c) {
     for (int y = 0; y < a.height(); ++y) {
       for (int x = 0; x < a.width(); ++x) {
-        if (a.Get(c, x, y) != b.Get(c, x, y)) return false;
+        if (std::bit_cast<std::uint32_t>(a.Get(c, x, y)) !=
+            std::bit_cast<std::uint32_t>(b.Get(c, x, y))) {
+          return false;
+        }
       }
     }
   }
@@ -70,9 +76,36 @@ bool SurfacesEqual(const Surface& a, const Surface& b) {
 
 class RasterizerRandomQuads : public ::testing::TestWithParam<unsigned> {};
 
+// One axis of a random separable quad: screen extent [e0, e1) and texel
+// coordinates t0 at e0 and t1 at e1.
+struct RandomAxis {
+  float e0, e1, t0, t1;
+};
+
+// Power-of-two extents keep the interpolation weights dyadic, so the fast
+// path and the bilinear reference agree bit-exactly. In unit mode
+// |t1 - t0| equals the extent, ascending or descending — the mappings the
+// fast path classifies in closed form — with origins that may start off
+// the target and run past it (clipped pixels) and texel runs that may leave
+// the texture (clamped fetches). Otherwise t0 and t1 are arbitrary.
+// `half_texel` shifts both texel coordinates by half a texel: still dyadic,
+// but not integral, so the closed form must decline it.
+RandomAxis DrawAxis(std::mt19937& rng, int extent, bool unit, bool half_texel) {
+  std::uniform_int_distribution<int> origins(-4, extent - 1);
+  std::uniform_int_distribution<int> coords(-4, extent + 4);
+  const int e0 = origins(rng);
+  int size = 1;
+  while (size < 2 * extent && (rng() & 1) != 0) size *= 2;
+  const int t0 = coords(rng);
+  const int t1 = unit ? ((rng() & 1) != 0 ? t0 + size : t0 - size) : coords(rng);
+  const float shift = half_texel ? 0.5f : 0.0f;
+  return {static_cast<float>(e0), static_cast<float>(e0 + size),
+          static_cast<float>(t0) + shift, static_cast<float>(t1) + shift};
+}
+
 TEST_P(RasterizerRandomQuads, SeparableQuadsMatchReference) {
-  // Random axis-aligned integer quads with separable (u(x), v(y)) mappings —
-  // the family every paper routine uses — drawn with random blend ops.
+  // Random axis-aligned quads with separable (u(x), v(y)) mappings — the
+  // family every paper routine uses — drawn with random blend ops.
   std::mt19937 rng(GetParam());
   const int w = 16;
   const int h = 8;
@@ -88,41 +121,24 @@ TEST_P(RasterizerRandomQuads, SeparableQuadsMatchReference) {
     }
   }
 
-  std::uniform_int_distribution<int> xs(0, w - 1);
-  std::uniform_int_distribution<int> ys(0, h - 1);
-  std::uniform_int_distribution<int> us(-4, w + 4);
-  std::uniform_int_distribution<int> vs(-4, h + 4);
   std::uniform_int_distribution<int> ops(0, 2);
-
-  for (int trial = 0; trial < 50; ++trial) {
-    // Power-of-two extents keep the interpolation weights dyadic, so the
-    // separable fast path and the bilinear reference agree bit-exactly.
-    const int qx0 = xs(rng);
-    int wx = 1;
-    while (wx * 2 <= w - qx0 && (rng() & 1) != 0) wx *= 2;
-    const int qx1 = qx0 + wx;
-    const int qy0 = ys(rng);
-    int wy = 1;
-    while (wy * 2 <= h - qy0 && (rng() & 1) != 0) wy *= 2;
-    const int qy1 = qy0 + wy;
-    const float u_left = static_cast<float>(us(rng));
-    const float u_right = static_cast<float>(us(rng));
-    const float v_top = static_cast<float>(vs(rng));
-    const float v_bottom = static_cast<float>(vs(rng));
+  for (int trial = 0; trial < 100; ++trial) {
+    const bool unit = (rng() & 1) != 0;
+    const RandomAxis xa = DrawAxis(rng, w, unit, rng() % 8 == 0);
+    const RandomAxis ya = DrawAxis(rng, h, unit, rng() % 8 == 0);
     const auto op = static_cast<BlendOp>(ops(rng));
 
-    const Quad quad = Quad::Make(
-        static_cast<float>(qx0), static_cast<float>(qy0), static_cast<float>(qx1),
-        static_cast<float>(qy1),                       //
-        u_left, v_top, u_right, v_top,                 //
-        u_right, v_bottom, u_left, v_bottom);
+    const Quad quad = Quad::Make(xa.e0, ya.e0, xa.e1, ya.e1,  //
+                                 xa.t0, ya.t0, xa.t1, ya.t0,  //
+                                 xa.t1, ya.t1, xa.t0, ya.t1);
 
     GpuStats stats;
     Rasterizer::DrawQuad(tex, quad, op, &fast, &stats);
     ReferenceDrawQuad(tex, quad, op, &reference);
     ASSERT_TRUE(SurfacesEqual(fast, reference))
-        << "trial " << trial << " quad (" << qx0 << "," << qy0 << ")-(" << qx1 << ","
-        << qy1 << ") op " << BlendOpName(op);
+        << "trial " << trial << " quad (" << xa.e0 << "," << ya.e0 << ")-(" << xa.e1
+        << "," << ya.e1 << ") u " << xa.t0 << ".." << xa.t1 << " v " << ya.t0 << ".."
+        << ya.t1 << " op " << BlendOpName(op);
   }
 }
 
