@@ -87,6 +87,22 @@ std::size_t QuantileSummaryCore::MergeSortedWindow(std::span<const float> window
   return summary_tuples;
 }
 
+int QuantileSummaryCore::max_block_level() const {
+  return whole_ != nullptr ? whole_->max_block_level() : 0;
+}
+
+bool QuantileSummaryCore::MergeSortedBlock(std::vector<float>& run, int level,
+                                           double merge_seconds, bool holds_nan) {
+  const std::size_t elements = run.size();
+  if (whole_ == nullptr ||
+      !whole_->AddSortedBlock(run, level, merge_seconds, holds_nan)) {
+    return false;
+  }
+  histogram_elements_ += elements;
+  processed_ += elements;
+  return true;
+}
+
 void QuantileSummaryCore::QuarantineWindow(std::size_t elements) {
   // An unrecoverable window: its (restored, unsorted) data never reaches the
   // summary. The answer stays correct over what *was* merged; ErrorBound()

@@ -64,6 +64,18 @@ class QuantileSummaryCore {
   /// per-window summary's tuple count (trace metadata).
   std::size_t MergeSortedWindow(std::span<const float> window);
 
+  /// The deepest aligned block MergeSortedBlock can take: 2^k full windows
+  /// (sketch::QuantileSketch::max_block_level; 0 in sliding mode and for
+  /// the non-GK kinds).
+  int max_block_level() const;
+
+  /// Folds 2^level consecutive full windows that a sort worker merged into
+  /// `run` (sketch::EhQuantileSummary::MergeBlock), when that equals
+  /// MergeSortedWindow on each of them in turn. Returns false and changes
+  /// nothing otherwise; the caller then merges the windows one by one.
+  bool MergeSortedBlock(std::vector<float>& run, int level, double merge_seconds,
+                        bool holds_nan);
+
   /// Accounts one unrecoverable window: not merged, not counted as
   /// processed; widens the error bound by its element count.
   void QuarantineWindow(std::size_t elements);

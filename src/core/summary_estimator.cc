@@ -1,6 +1,8 @@
 #include "core/summary_estimator.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -8,6 +10,7 @@
 #include "common/timer.h"
 #include "gpu/half.h"
 #include "hwmodel/hardware_profiles.h"
+#include "sketch/exponential_histogram.h"
 
 namespace streamgpu::core {
 
@@ -21,6 +24,30 @@ const Options& ValidatedOptions(const Options& options) {
   return options;
 }
 
+// Windows per sort batch. A backend that packs several windows into one
+// sort call (PBSN and auto: one RGBA texture) batches exactly that. One that
+// sorts a window per call batches the largest power of two <= 32 windows
+// holding <= 2^15 elements, so a worker can pre-merge aligned blocks; with
+// an in-flight cap, at most cap / workers windows, so the cap still bounds
+// staged windows and keeps every worker fed.
+int BatchWindows(const Options& options, std::uint64_t window, int pack_windows,
+                 std::size_t workers) {
+  if (pack_windows != 1) return pack_windows;
+  std::uint64_t batch = 32;
+  while (batch > 1 && batch * window > (std::uint64_t{1} << 15)) batch /= 2;
+  if (workers >= 2 && options.max_windows_in_flight > 0) {
+    const std::uint64_t share =
+        static_cast<std::uint64_t>(options.max_windows_in_flight) / workers;
+    while (batch > 1 && batch > share) batch /= 2;
+  }
+  return static_cast<int>(batch);
+}
+
+std::uint64_t RoundUp(std::uint64_t n, int multiple) {
+  const auto m = static_cast<std::uint64_t>(multiple);
+  return (n + m - 1) / m * m;
+}
+
 }  // namespace
 
 template <typename Core>
@@ -29,7 +56,10 @@ SummaryEstimator<Core>::SummaryEstimator(const Options& options)
       obs_(options.obs),
       core_(Traits::MakeCore(options, Traits::Window(options))),
       stacks_(MakeSortStacks(options, options.num_sort_workers, Traits::kPrefix)),
-      batcher_(Traits::Window(options), stacks_[0]->engine().batch_windows()),
+      pack_windows_(stacks_[0]->engine().batch_windows()),
+      batch_windows_(
+          BatchWindows(options, Traits::Window(options), pack_windows_, stacks_.size())),
+      batcher_(Traits::Window(options), batch_windows_),
       cpu_model_(hwmodel::kPentium4_3400) {
   // The paper streams 16-bit floating point data (§5); the GPU path
   // quantizes on ingestion so summaries and queries agree bit-exactly.
@@ -44,6 +74,11 @@ SummaryEstimator<Core>::SummaryEstimator(const Options& options)
     checkpoint_writer_ = std::make_unique<durable::CheckpointWriter>(options.checkpoint_dir);
     checkpoint_writer_->SetObservability(obs_);
   }
+  ScheduleCheckpoint();
+  // Blocks never span batches: at most log2(batch windows) levels.
+  block_level_ = std::min(Traits::MaxBlockLevel(core_),
+                          std::countr_zero(static_cast<unsigned>(batch_windows_)));
+  if (block_level_ > 0) merge_scratch_.resize(stacks_.size());
 
   stream::WindowExecutor::Config config;
   config.trace = obs_.trace;
@@ -51,10 +86,9 @@ SummaryEstimator<Core>::SummaryEstimator(const Options& options)
   config.flight = obs_.flight;
   config.drain_deadline_seconds = options.fault.drain_deadline_seconds;
   if (options.max_windows_in_flight > 0) {
-    // A window count, rounded up to whole sort batches.
-    const int batch_windows = batcher_.batch_windows();
+    // A window count, rounded up to whole batches.
     config.max_batches_in_flight = std::max(
-        1, (options.max_windows_in_flight + batch_windows - 1) / batch_windows);
+        1, (options.max_windows_in_flight + batch_windows_ - 1) / batch_windows_);
   }
   if (options.fault.enabled()) {
     config.queue_stall_hook = [this](int worker_index) {
@@ -63,9 +97,16 @@ SummaryEstimator<Core>::SummaryEstimator(const Options& options)
   }
   std::vector<sort::Sorter*> sorters;
   for (const auto& stack : stacks_) sorters.push_back(&stack->front());
+  stream::WindowExecutor::PrepareFn prepare;
+  if (block_level_ > 0) {
+    prepare = [this](int worker_index, stream::WindowBatch& batch) {
+      PrepareBatch(worker_index, batch);
+    };
+  }
   executor_ = std::make_unique<stream::WindowExecutor>(
       config, std::move(sorters),
-      [this](stream::WindowBatch& batch) { return DrainBatch(batch); });
+      [this](stream::WindowBatch& batch) { return DrainBatch(batch); },
+      std::move(prepare));
 }
 
 template <typename Core>
@@ -139,8 +180,16 @@ Status SummaryEstimator<Core>::ObserveValue(float value) {
 }
 
 template <typename Core>
-Status SummaryEstimator<Core>::SubmitBatch() {
-  const Status status = executor_->SubmitStaged(batcher_);
+Status SummaryEstimator<Core>::SubmitBatch(bool whole_windows) const {
+  const std::uint64_t windows = batcher_.buffered() / batcher_.window_size();
+  if (whole_windows && windows == 0) return Status::Ok();
+  stream::Staging staging;
+  staging.windows_per_sort = static_cast<std::size_t>(pack_windows_);
+  staging.first_window = windows_released_;
+  staging.whole_windows = whole_windows;
+  const Status status = executor_->SubmitStaged(batcher_, staging);
+  windows_released_ += windows;
+  StartBatch();
   // A wedged or dead executor surfaces as a Status to the caller instead of
   // blocking on a cap nobody will ever free (docs/ROBUSTNESS.md).
   if (!status.ok() && executor_status_.ok()) executor_status_ = status;
@@ -171,6 +220,13 @@ Status SummaryEstimator<Core>::Flush() {
     SubmitBatch();
   }
   Sync();
+  if (executor_status_.ok()) {
+    // Every batch has drained and no other will come: free the staging and
+    // sort storage (the workers are idle, so their scratch too).
+    executor_->ReleaseRecycled();
+    batcher_.ReleaseStorage();
+    for (std::vector<float>& scratch : merge_scratch_) scratch = std::vector<float>();
+  }
   return executor_status_;
 }
 
@@ -178,21 +234,76 @@ template <typename Core>
 Status SummaryEstimator<Core>::DrainBatch(stream::WindowBatch& batch) {
   // Runs in submission order — on the drain thread, or inline on the
   // caller's — so the cost record (including the floating-point
-  // simulated-seconds sums) accumulates in the same order either way.
-  costs_.sort += batch.run;
+  // simulated-seconds sums) accumulates in the same order either way: one
+  // record per packing unit, whatever the batch size.
+  for (const sort::SortRunInfo& run : batch.sorts) costs_.sort += run;
   Timer drain_timer;
-  batch.ForEachWindow(
-      [this](const stream::WindowChunk&, std::span<float> window, bool quarantined) {
-        if (quarantined) {
-          core_.QuarantineWindow(window.size());
-        } else {
-          MergeSortedWindow(window);
-        }
-      });
+  // The batch is one chunk (SubmitStaged), so a batch-wide window index is
+  // also the chunk's.
+  std::size_t index = 0;
+  std::size_t merged_until = 0;  // windows below it came in with a block
+  auto block = batch.merged.begin();
+  batch.ForEachWindow([&](const stream::WindowChunk& chunk, std::span<float> window,
+                          bool quarantined) {
+    const std::size_t i = index++;
+    if (i < merged_until) return;
+    if (block != batch.merged.end() && block->first_window == i) {
+      if (MergeBlock(*block)) merged_until = i + block->windows;
+      ++block;
+      if (i < merged_until) return;
+    }
+    if (quarantined) {
+      core_.QuarantineWindow(window.size());
+      if (obs_.flight != nullptr) {
+        const std::uint64_t position = chunk.first_window + i;
+        obs_.flight->Record(obs::FlightEventKind::kWindowQuarantined, "drain",
+                            Traits::kPrefix, position, static_cast<std::int64_t>(position),
+                            static_cast<std::int64_t>(window.size()));
+      }
+    } else {
+      MergeSortedWindow(window);
+    }
+  });
   if (obs_.metrics != nullptr) {
     obs_.metrics->Observe(ids_.drain_latency, drain_timer.ElapsedSeconds() * 1e6);
   }
   return Status::Ok();
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::PrepareBatch(int worker_index, stream::WindowBatch& batch) {
+  const stream::WindowChunk& chunk = batch.chunks.front();
+  const std::size_t window = chunk.window_size;
+  const std::size_t whole = chunk.data.size() / window;  // a partial window stays single
+  const auto mergeable = [&](std::size_t first, int level) {
+    const std::size_t end = first + (std::size_t{1} << level);
+    return end <= whole && std::none_of(batch.quarantined.begin() + first,
+                                        batch.quarantined.begin() + end,
+                                        [](std::uint8_t q) { return q != 0; });
+  };
+  std::vector<float>& scratch = merge_scratch_[static_cast<std::size_t>(worker_index)];
+  for (std::size_t i = 0; i < whole;) {
+    // The largest block aligned on the stream's window count.
+    int level = std::min(block_level_, std::countr_zero(chunk.first_window + i));
+    while (level > 0 && !mergeable(i, level)) --level;
+    if (level == 0) {
+      ++i;
+      continue;
+    }
+    const std::size_t windows = std::size_t{1} << level;
+    stream::MergedRun& run = batch.merged.emplace_back();
+    run.first_window = i;
+    run.windows = windows;
+    Timer merge_timer;
+    sketch::EhQuantileSummary::MergeBlock(
+        std::span<const float>(chunk.data).subspan(i * window, windows * window), window,
+        &scratch, &run.values);
+    bool nan = false;
+    for (const float v : run.values) nan |= std::isnan(v);
+    run.holds_nan = nan;
+    run.merge_seconds = merge_timer.ElapsedSeconds();
+    i += windows;
+  }
 }
 
 template <typename Core>
@@ -219,7 +330,41 @@ void SummaryEstimator<Core>::MergeSortedWindow(std::span<float> window) {
 }
 
 template <typename Core>
+bool SummaryEstimator<Core>::MergeBlock(stream::MergedRun& block) {
+  const std::uint64_t seq = window_seq_;
+  const bool traced = obs_.trace != nullptr && obs_.trace->Sampled(seq);
+  const double t0 = traced ? obs_.trace->NowMicros() : 0;
+
+  Timer merge_timer;
+  const std::size_t elements = block.values.size();
+  if (!Traits::MergeBlock(core_, block)) return false;
+  window_seq_ += block.windows;
+
+  if (obs_.metrics != nullptr) {
+    obs_.metrics->Add(ids_.windows_merged, block.windows);
+    obs_.metrics->Add(ids_.elements_merged, elements);
+    for (std::size_t w = 0; w < block.windows; ++w) {
+      obs_.metrics->Record(ids_.window_elements,
+                           static_cast<double>(elements / block.windows));
+    }
+    obs_.metrics->Observe(ids_.merge_latency, merge_timer.ElapsedSeconds() * 1e6);
+  }
+  if (traced) {
+    obs_.trace->AddSpan("window_merge", "merge", t0, obs_.trace->NowMicros() - t0,
+                        {{"window", static_cast<double>(seq)},
+                         {"windows", static_cast<double>(block.windows)},
+                         {"elements", static_cast<double>(elements)},
+                         {Traits::kMergeArg, static_cast<double>(elements)}});
+  }
+  return true;
+}
+
+template <typename Core>
 void SummaryEstimator<Core>::Sync() const {
+  // A query covers every full window observed, so a stream whose sorter
+  // takes one window per call hands its staged whole windows over first
+  // (PBSN keeps them for a full texture).
+  if (pack_windows_ == 1) SubmitBatch(/*whole_windows=*/true);
   if (!executor_->threaded()) return;  // inline: every batch already drained
   const Status status = executor_->WaitIdle();
   if (!status.ok() && executor_status_.ok()) executor_status_ = status;
@@ -234,12 +379,31 @@ void SummaryEstimator<Core>::Sync() const {
 
 template <typename Core>
 Status SummaryEstimator<Core>::MaybeAutoCheckpoint() {
-  if (options_.checkpoint_every_windows == 0) return Status::Ok();
-  windows_since_checkpoint_ += static_cast<std::uint64_t>(batcher_.batch_windows());
-  if (windows_since_checkpoint_ < options_.checkpoint_every_windows) {
+  if (options_.checkpoint_every_windows == 0 ||
+      windows_released_ < next_checkpoint_window_) {
     return Status::Ok();
   }
-  return Checkpoint();
+  const Status status = Checkpoint();
+  StartBatch();
+  return status;
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::ScheduleCheckpoint() {
+  next_checkpoint_window_ =
+      windows_released_ + RoundUp(options_.checkpoint_every_windows, pack_windows_);
+  StartBatch();
+}
+
+template <typename Core>
+void SummaryEstimator<Core>::StartBatch() const {
+  const auto batch = static_cast<std::uint64_t>(batch_windows_);
+  std::uint64_t end = (windows_released_ / batch + 1) * batch;
+  if (options_.checkpoint_every_windows > 0) {
+    end = std::min(end, std::max(next_checkpoint_window_,
+                                 windows_released_ + static_cast<std::uint64_t>(pack_windows_)));
+  }
+  batcher_.set_batch_windows(end - windows_released_);
 }
 
 template <typename Core>
@@ -275,7 +439,7 @@ Status SummaryEstimator<Core>::Checkpoint() {
     writer.EndRecord();
   }
   const Status status = writer.Commit(observed_);
-  if (status.ok()) windows_since_checkpoint_ = 0;
+  if (status.ok()) ScheduleCheckpoint();
   return status;
 }
 
@@ -325,14 +489,21 @@ Status SummaryEstimator<Core>::InstallSnapshot(const durable::Snapshot& snapshot
     return Status::InvalidArgument("snapshot is missing its " + state_name);
   }
   if (Status s = core_.RestoreCheckpointState(state->payload); !s.ok()) return s;
+  // Resume the window count where the snapshot's stream stood, so batches
+  // (and with them PBSN textures and pre-merged blocks) align as they would
+  // have without the restart.
+  windows_released_ = core_.processed() / batcher_.window_size() + core_.windows_quarantined();
+  ScheduleCheckpoint();
 
   if (staged != nullptr) {
     std::vector<float> buffered;
     if (!durable::ReadWindowBuffer(staged->payload, &buffered)) {
       return Status::InvalidArgument("malformed window-buffer record");
     }
+    // A checkpoint stages less than one packing unit (Checkpoint() submits
+    // a host stream's whole windows first), however large a batch is.
     const std::size_t capacity =
-        batcher_.window_size() * static_cast<std::size_t>(batcher_.batch_windows());
+        batcher_.window_size() * static_cast<std::size_t>(pack_windows_);
     if (buffered.empty() || buffered.size() >= capacity) {
       return Status::InvalidArgument(
           "window-buffer record stages " + std::to_string(buffered.size()) +
@@ -342,6 +513,12 @@ Status SummaryEstimator<Core>::InstallSnapshot(const durable::Snapshot& snapshot
     // The staged elements were quantized at original ingest; copy them back
     // verbatim instead of re-quantizing.
     const std::span<float> slot = batcher_.Claim(buffered.size());
+    if (slot.size() != buffered.size()) {
+      return Status::InvalidArgument(
+          "window-buffer record stages " + std::to_string(buffered.size()) +
+          " elements past the batch that ends " + std::to_string(slot.size()) +
+          " elements after window " + std::to_string(windows_released_));
+    }
     std::copy(buffered.begin(), buffered.end(), slot.begin());
   }
 

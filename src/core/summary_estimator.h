@@ -4,17 +4,21 @@
 // public classes derive from SummaryEstimator<Core> and add only their query
 // methods (and, for frequencies, the whole-history window cap).
 //
-// The stream is staged into windows (WindowBatcher), each batch — four
-// windows for the GPU PBSN path (§4.1), one otherwise — goes through the
-// stream::WindowExecutor, and the executor's ordered drain merges every
-// sorted window into the core. Options::num_sort_workers >= 2 runs the
-// executor threaded (that many sort workers plus one drain thread); one
-// worker runs it inline on the caller's thread. Answers and every
-// simulated-2005 cost figure are identical either way.
+// The stream is staged into windows (WindowBatcher), each batch goes through
+// the stream::WindowExecutor, and the executor's ordered drain merges every
+// sorted window into the core. A batch is one RGBA texture of four windows
+// on the GPU PBSN path (§4.1); a backend that sorts one window per call
+// batches up to 32, and the sort worker pre-merges the batch's aligned
+// blocks of windows for a GK+EH quantile core (docs/ARCHITECTURE.md).
+// Options::num_sort_workers >= 2 runs the executor threaded (that many sort
+// workers plus one drain thread); one worker runs it inline on the caller's
+// thread. Answers and every simulated-2005 cost figure are identical either
+// way.
 
 #ifndef STREAMGPU_CORE_SUMMARY_ESTIMATOR_H_
 #define STREAMGPU_CORE_SUMMARY_ESTIMATOR_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -59,6 +63,13 @@ struct SummaryTraits<QuantileSummaryCore> {
   static std::uint16_t Kind(const QuantileSummaryCore& core) {
     return static_cast<std::uint16_t>(core.kind());
   }
+  static int MaxBlockLevel(const QuantileSummaryCore& core) {
+    return core.max_block_level();
+  }
+  static bool MergeBlock(QuantileSummaryCore& core, stream::MergedRun& block) {
+    return core.MergeSortedBlock(block.values, std::countr_zero(block.windows),
+                                 block.merge_seconds, block.holds_nan);
+  }
 };
 
 template <>
@@ -76,6 +87,8 @@ struct SummaryTraits<FrequencySummaryCore> {
     return FrequencySummaryCore(o.epsilon, window, o.sliding_window);
   }
   static std::uint16_t Kind(const FrequencySummaryCore&) { return 0; }
+  static int MaxBlockLevel(const FrequencySummaryCore&) { return 0; }
+  static bool MergeBlock(FrequencySummaryCore&, stream::MergedRun&) { return false; }
 };
 
 /// Streaming estimator over one summary core. Not used directly: construct a
@@ -180,8 +193,10 @@ class SummaryEstimator {
   /// CHECK-aborts on invalid options (Options::Validate()).
   explicit SummaryEstimator(const Options& options);
 
-  /// Threaded mode: waits for in-flight batches, latches any executor
-  /// failure, and refreshes the executor wait-stats in costs_. No-op inline.
+  /// Submits the staged whole windows of a stream whose sorter packs one
+  /// window per call, so every full window observed is processed; then,
+  /// threaded, waits for in-flight batches, latches any executor failure,
+  /// and refreshes the executor wait-stats in costs_.
   void Sync() const;
 
   /// Restore()'s body for the derived type: builds a fresh estimator through
@@ -204,31 +219,69 @@ class SummaryEstimator {
   /// Hot ingest path for Observe() after the lifecycle check.
   Status ObserveValue(float value);
 
-  /// Hands the staged batch to the executor and latches any failure.
-  Status SubmitBatch();
+  /// Hands the staged batch (`whole_windows`: its whole windows only) to
+  /// the executor and latches any failure.
+  Status SubmitBatch(bool whole_windows = false) const;
 
   /// Cadence bookkeeping after a successful batch submit: checkpoints when
-  /// checkpoint_every_windows merged windows have accumulated. Ok when no
-  /// checkpoint is due.
+  /// checkpoint_every_windows windows have been submitted since the last
+  /// checkpoint, rounded up to whole packing units. Ok when no checkpoint
+  /// is due.
   Status MaybeAutoCheckpoint();
+
+  /// Schedules the next automatic checkpoint checkpoint_every_windows
+  /// windows (rounded up to whole packing units) from here.
+  void ScheduleCheckpoint();
+
+  /// Sets the length of the batch under way: it ends at the next multiple
+  /// of batch_windows_ windows released, so pre-merged blocks stay aligned
+  /// on the stream's window count, or earlier where the checkpoint cadence
+  /// falls due (one packing unit later when the last attempt failed).
+  void StartBatch() const;
 
   /// Installs a validated snapshot into this freshly constructed estimator
   /// (RestoreAs()'s second half).
   Status InstallSnapshot(const durable::Snapshot& snapshot);
 
+  /// The executor's prepare stage, on the sort worker: merges each aligned
+  /// block of 2^k whole, unquarantined windows (k <= block_level_, aligned
+  /// on the stream's window count) into one run, the merges the core's
+  /// cascade would make (sketch::EhQuantileSummary::MergeBlock).
+  void PrepareBatch(int worker_index, stream::WindowBatch& batch);
+
   /// The executor's drain: merges each sorted window of one batch into the
-  /// core, in submission order; quarantined windows are accounted instead.
+  /// core, in submission order, taking a pre-merged block in place of its
+  /// windows where the core accepts it; quarantined windows are accounted
+  /// instead.
   Status DrainBatch(stream::WindowBatch& batch);
 
   /// Merges one sorted window into the core (metrics + window_merge span).
   void MergeSortedWindow(std::span<float> window);
+
+  /// Merges one pre-merged block into the core when it accepts it (metrics
+  /// + window_merge span); false leaves the core untouched.
+  bool MergeBlock(stream::MergedRun& block);
 
   /// Closes the open ingest_batch span (tracing only).
   void EndIngestSpan(std::size_t elements);
 
   /// One sorter stack per executor worker (core/backend.h).
   std::vector<std::unique_ptr<SortStack>> stacks_;
-  stream::WindowBatcher batcher_;
+  /// Windows per SortRuns call: the engine's packing unit
+  /// (SortEngine::batch_windows()).
+  const int pack_windows_;
+  /// Windows per full batch: the packing unit, or up to 32 when that is one
+  /// window.
+  const int batch_windows_;
+  /// Mutable because Sync() hands staged whole windows over.
+  mutable stream::WindowBatcher batcher_;
+  /// Whole windows handed to the executor: the stream position batches and
+  /// pre-merged blocks align on (a restore resumes it from the core).
+  mutable std::uint64_t windows_released_ = 0;
+  /// Deepest block a sort worker pre-merges (0: none, no prepare stage).
+  int block_level_ = 0;
+  /// One MergeBlock scratch buffer per sort worker.
+  std::vector<std::vector<float>> merge_scratch_;
   hwmodel::CpuModel cpu_model_;
   mutable PipelineCosts costs_;
   std::uint64_t observed_ = 0;
@@ -237,7 +290,8 @@ class SummaryEstimator {
 
   /// Durable checkpointing (null when Options::checkpoint_dir is empty).
   std::unique_ptr<durable::CheckpointWriter> checkpoint_writer_;
-  std::uint64_t windows_since_checkpoint_ = 0;
+  /// windows_released_ at which the next automatic checkpoint is due.
+  std::uint64_t next_checkpoint_window_ = 0;
 
   std::uint64_t window_seq_ = 0;  ///< windows merged; trace sampling
   std::uint64_t ingest_seq_ = 0;  ///< batches ingested; trace sampling

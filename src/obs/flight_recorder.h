@@ -41,7 +41,9 @@ enum class FlightEventKind : std::uint8_t {
   kDeviceLost,         ///< device-lost latched; a = consecutive losses
   kCpuFallback,        ///< batch re-sorted on the CPU; a = pending windows
   kDegraded,           ///< permanent CPU degrade after repeated device loss
-  kWindowQuarantined,  ///< window dropped; a = window index, b = elements
+  kWindowQuarantined,  ///< window dropped; a = window index (in its sort
+                       ///< call for stage "sort", in its stream for stage
+                       ///< "drain"), b = elements
   kDrainFailed,        ///< pipeline drain latched its sticky failure
   kLoadShed,           ///< service admission dropped arrivals; a = elements, b = backlog
   kSummaryMerged,      ///< cross-shard summary merge answered; a = shards, b = coverage

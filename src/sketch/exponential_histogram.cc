@@ -1,6 +1,7 @@
 #include "sketch/exponential_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 
@@ -11,11 +12,11 @@ namespace streamgpu::sketch {
 
 namespace {
 
-/// Merges two ascending runs with GkSummary::Merge's tie rule — a's value
-/// first when a <= b, b's otherwise (so also when either is NaN) — so
-/// Exact(result) == Merge(Exact(a), Exact(b)).
-std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b) {
-  std::vector<float> out(a.size() + b.size());
+/// Merges two ascending runs into `out` (a.size() + b.size() floats) with
+/// GkSummary::Merge's tie rule — a's value first when a <= b, b's otherwise
+/// (so also when either is NaN) — so Exact(result) == Merge(Exact(a),
+/// Exact(b)).
+void MergeRunsInto(std::span<const float> a, std::span<const float> b, float* out) {
   std::size_t i = 0;
   std::size_t j = 0;
   std::size_t k = 0;
@@ -25,9 +26,13 @@ std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b)
     i += take_a ? 1 : 0;
     j += take_a ? 0 : 1;
   }
-  const auto tail = std::copy(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(),
-                              out.begin() + static_cast<std::ptrdiff_t>(k));
+  float* tail = std::copy(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(), out + k);
   std::copy(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(), tail);
+}
+
+std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b) {
+  std::vector<float> out(a.size() + b.size());
+  MergeRunsInto(a, b, out.data());
   return out;
 }
 
@@ -185,9 +190,64 @@ void EhQuantileSummary::AddWindow(EhBucket window) {
                       "window summary must be (epsilon/2)-approximate");
   count_ += window.count();
   holds_nan_ = holds_nan_ || HoldsNan(window);
+  Carry(std::move(window), 1);
+}
 
-  EhBucket carry = std::move(window);
-  std::size_t id = 1;
+int EhQuantileSummary::max_block_level() const {
+  if (GkSummary::SamplingStep(window_size_, epsilon_ / 2.0) != 1) return 0;
+  // 2^(level+1) * window_size <= prune_tuples + 1, without overflowing.
+  int level = 0;
+  while (((prune_tuples_ + 1) >> (level + 1)) >= window_size_) ++level;
+  return level;
+}
+
+void EhQuantileSummary::MergeBlock(std::span<const float> windows,
+                                   std::size_t window_size,
+                                   std::vector<float>* scratch,
+                                   std::vector<float>* out) {
+  const std::size_t total = windows.size();
+  STREAMGPU_CHECK(window_size >= 1 && total % window_size == 0);
+  const std::size_t count = total / window_size;
+  STREAMGPU_CHECK_MSG(count >= 2 && std::has_single_bit(count),
+                      "a block holds a power of two >= 2 windows");
+  const int levels = std::countr_zero(count);
+  out->resize(total);
+  if (levels > 1) scratch->resize(total);
+  // Level l merges runs of window_size * 2^(l-1) pairwise into the buffer
+  // the levels alternate over, so that the last one writes `out`.
+  const float* src = windows.data();
+  for (int level = 1; level <= levels; ++level) {
+    float* dst = (levels - level) % 2 == 0 ? out->data() : scratch->data();
+    const std::size_t half = window_size << (level - 1);
+    for (std::size_t off = 0; off < total; off += 2 * half) {
+      // The later run is the carry AddWindow brings to the earlier one.
+      MergeRunsInto({src + off + half, half}, {src + off, half}, dst + off);
+    }
+    src = dst;
+  }
+}
+
+bool EhQuantileSummary::AddBlock(std::vector<float>& run, int level,
+                                 double merge_seconds, bool holds_nan) {
+  STREAMGPU_CHECK(level >= 1 && run.size() <= prune_tuples_ + 1);
+  const std::size_t vacant_below = std::min(static_cast<std::size_t>(level), buckets_.size());
+  for (std::size_t i = 0; i < vacant_below; ++i) {
+    if (!buckets_[i].empty()) return false;
+  }
+  count_ += run.size();
+  holds_nan_ = holds_nan_ || holds_nan;
+  // Every element sat in one merged run per level of the block.
+  const std::uint64_t merged = static_cast<std::uint64_t>(level) * run.size();
+  merged_tuples_ += merged;
+  pruned_tuples_ += merged;
+  merge_seconds_ += merge_seconds;
+  EhBucket block;
+  block.run = std::move(run);
+  Carry(std::move(block), static_cast<std::size_t>(level) + 1);
+  return true;
+}
+
+void EhQuantileSummary::Carry(EhBucket carry, std::size_t id) {
   while (id <= buckets_.size() && !buckets_[id - 1].empty()) {
     carry = Combine(std::move(carry), std::move(buckets_[id - 1]));
     buckets_[id - 1] = EhBucket();

@@ -65,6 +65,31 @@ class EhQuantileSummary {
   /// AddWindow(EhBucket::FromSummary(window_summary)).
   void AddWindowSummary(GkSummary window_summary);
 
+  /// The deepest block AddBlock takes: the largest k for which 2^k windows
+  /// of the configured size, each an exact run (sampling step 1 at
+  /// epsilon/2), merge into a run no combine prunes (2^k * window_size <=
+  /// prune_tuples() + 1). 0 when such a window is not a run.
+  int max_block_level() const;
+
+  /// Merges the 2^k sorted `window_size`-element windows laid out in
+  /// `windows` (stream order) into `out`, bottom up: window pairs, then
+  /// pairs of pairs, each merge taking the newer run's value first on ties.
+  /// These are the MergeRuns calls that adding the windows one by one to a
+  /// histogram whose ids 1..k are vacant makes. `scratch` is reused between
+  /// levels. Safe to call from any thread.
+  static void MergeBlock(std::span<const float> windows, std::size_t window_size,
+                         std::vector<float>* scratch, std::vector<float>* out);
+
+  /// Inserts `run`, a MergeBlock result over 2^level windows of at most
+  /// max_block_level() levels, at bucket id level+1 and carries on from
+  /// there, when ids 1..level are vacant: the state in which adding those
+  /// windows one by one makes the same combines. Counts the block's own
+  /// combines (level tuples per element, merged and pruned) and adds
+  /// `merge_seconds`, the time MergeBlock took. Otherwise returns false and
+  /// changes nothing, `run` included.
+  bool AddBlock(std::vector<float>& run, int level, double merge_seconds,
+                bool holds_nan);
+
   /// Reconstructs a summary from checkpointed parts (the durability restore
   /// path, docs/DURABILITY.md). `buckets` lists slots() slots: index i
   /// holds bucket id i+1, empty() = vacant. The configuration arguments must
@@ -138,6 +163,10 @@ class EhQuantileSummary {
   std::uint64_t pruned_tuples() const { return pruned_tuples_; }
 
  private:
+  /// Places `carry` at bucket id `id`, combining it upwards while that id
+  /// is occupied.
+  void Carry(EhBucket carry, std::size_t id);
+
   /// Merges two same-id buckets (`carry` first on ties) and prunes the
   /// result with the error parameter of the next id.
   EhBucket Combine(EhBucket carry, EhBucket bucket);

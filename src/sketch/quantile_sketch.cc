@@ -47,6 +47,12 @@ class GkEhSketch final : public QuantileSketch {
     return tuples;
   }
 
+  int max_block_level() const override { return eh_.max_block_level(); }
+  bool AddSortedBlock(std::vector<float>& run, int level, double merge_seconds,
+                      bool holds_nan) override {
+    return eh_.AddBlock(run, level, merge_seconds, holds_nan);
+  }
+
   float Query(double phi) const override { return eh_.Query(phi); }
   std::uint64_t count() const override { return eh_.count(); }
   std::size_t summary_size() const override { return eh_.TotalTuples(); }

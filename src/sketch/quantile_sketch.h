@@ -51,6 +51,20 @@ class QuantileSketch {
   /// insert elements directly).
   virtual std::size_t AddSortedWindow(std::span<const float> window) = 0;
 
+  /// The deepest block AddSortedBlock takes: 2^k windows of the configured
+  /// size (0 = none; GK+EH only, docs/ALGORITHMS.md).
+  virtual int max_block_level() const { return 0; }
+
+  /// Folds 2^level consecutive windows, already merged into one ascending
+  /// run by EhQuantileSummary::MergeBlock (`merge_seconds` long), when that
+  /// leaves the sketch exactly as AddSortedWindow on each window would.
+  /// Otherwise returns false and changes nothing: the caller then adds the
+  /// windows one by one.
+  virtual bool AddSortedBlock(std::vector<float>& /*run*/, int /*level*/,
+                              double /*merge_seconds*/, bool /*holds_nan*/) {
+    return false;
+  }
+
   /// The phi-quantile (phi in (0, 1]) over everything added. Callers guard
   /// the empty case (count() == 0) themselves, mirroring the summary core's
   /// coverage-0 contract.

@@ -25,9 +25,11 @@ double Now() {
 }  // namespace
 
 WindowExecutor::WindowExecutor(const Config& config,
-                               std::vector<sort::Sorter*> sorters, DrainFn drain)
+                               std::vector<sort::Sorter*> sorters, DrainFn drain,
+                               PrepareFn prepare)
     : sorters_(std::move(sorters)),
       drain_(std::move(drain)),
+      prepare_(std::move(prepare)),
       trace_(config.trace),
       label_(config.trace_label),
       flight_(config.flight),
@@ -134,13 +136,16 @@ core::Status WindowExecutor::Submit(WindowBatch&& batch) {
   return core::Status::Ok();
 }
 
-core::Status WindowExecutor::SubmitStaged(WindowBatcher& batcher) {
+core::Status WindowExecutor::SubmitStaged(WindowBatcher& batcher, const Staging& staging) {
   WindowBatch batch = AcquireBatch();
   if (batch.chunks.empty()) batch.chunks.emplace_back();
+  batch.windows_per_sort = staging.windows_per_sort;
   WindowChunk& chunk = batch.chunks.front();
   chunk.window_size = batcher.window_size();
-  chunk.final_partial = !batcher.full();
-  chunk.data = batcher.TakeBuffer(std::move(chunk.data));
+  chunk.first_window = staging.first_window;
+  chunk.final_partial = !staging.whole_windows && !batcher.full();
+  chunk.data = staging.whole_windows ? batcher.TakeWholeWindows(std::move(chunk.data))
+                                     : batcher.TakeBuffer(std::move(chunk.data));
   batch.elements = chunk.data.size();
   return Submit(std::move(batch));
 }
@@ -151,6 +156,11 @@ WindowBatch WindowExecutor::AcquireBatch() {
   WindowBatch out = std::move(free_batches_.back());
   free_batches_.pop_back();
   return out;
+}
+
+void WindowExecutor::ReleaseRecycled() {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_batches_.clear();
 }
 
 core::Status WindowExecutor::WaitIdle() {
@@ -182,17 +192,20 @@ void WindowExecutor::SortBatch(int worker_index, WindowBatch& batch) {
                         "a non-final chunk must hold whole windows");
     chunk.ForEachWindow([&windows](std::span<float> window) { windows.push_back(window); });
   }
-  batch.run = sort::SortRunInfo{};
+  batch.sorts.clear();
   batch.quarantined.assign(windows.size(), 0);
-  for (std::size_t off = 0; off < windows.size(); off += kMaxRunsPerGroup) {
-    const std::size_t count = std::min(kMaxRunsPerGroup, windows.size() - off);
+  const std::size_t group = std::clamp<std::size_t>(batch.windows_per_sort, 1, kMaxRunsPerGroup);
+  for (std::size_t off = 0; off < windows.size(); off += group) {
+    const std::size_t count = std::min(group, windows.size() - off);
     sorter.SortRuns(std::span<std::span<float>>(windows.data() + off, count));
-    batch.run += sorter.last_run();
+    batch.sorts.push_back(sorter.last_run());
     const std::uint64_t mask = sorter.last_quarantine_mask();
     for (std::size_t i = 0; mask != 0 && i < count; ++i) {
       batch.quarantined[off + i] = static_cast<std::uint8_t>((mask >> i) & 1);
     }
   }
+  batch.merged.clear();
+  if (prepare_) prepare_(worker_index, batch);
 }
 
 bool WindowExecutor::Drain(std::uint64_t seq, WindowBatch& batch) {
@@ -230,8 +243,10 @@ void WindowExecutor::RecycleLocked(WindowBatch&& batch) {
     chunk.final_partial = false;
   }
   batch.elements = 0;
-  batch.run = sort::SortRunInfo{};
+  batch.windows_per_sort = kMaxRunsPerGroup;
+  batch.sorts.clear();
   batch.quarantined.clear();
+  batch.merged.clear();
   free_batches_.push_back(std::move(batch));
 }
 
@@ -265,7 +280,8 @@ void WindowExecutor::WorkerLoop(int worker_index) {
       }
     }
 
-    // Sort outside the lock: this is the stage that fans out across workers.
+    // Sort (and prepare) outside the lock: this is the stage that fans out
+    // across workers.
     Timer sort_timer;
     SortBatch(worker_index, pending.batch);
     const double sort_wall = sort_timer.ElapsedSeconds();

@@ -7,15 +7,20 @@
 //
 //   caller thread          N sort workers                  1 drain thread
 //   Submit(batch) ──queue──> SortRuns(<= 64 windows) ──reorder──> drain(batch)
+//                            [+ prepare(batch)]
 //
 // * A batch is a list of chunks, each holding whole windows of one stream. A
 //   dedicated estimator submits one-chunk batches; the service coalesces many
 //   streams' chunks into one shard batch, so one queue operation and one
 //   worker dispatch amortize across many small per-stream writes.
 // * Workers sort a batch's windows in SortRuns groups of at most 64 (the
-//   quarantine-mask width) and hand the drain one quarantine flag per window.
-//   Grouping is answer-neutral: every backend sorts a window to the same
-//   permutation however windows are grouped (core/options.h).
+//   quarantine-mask width; a batch may ask for fewer) and hand the drain one
+//   quarantine flag per window. Grouping is answer-neutral: every backend
+//   sorts a window to the same permutation however windows are grouped
+//   (core/options.h).
+// * An optional prepare stage runs on the worker after the sort, so work
+//   that only reads the sorted batch leaves the drain: a dedicated quantile
+//   stream pre-merges aligned blocks of windows into MergedRuns there.
 // * Submit() blocks once `max_batches_in_flight` batches are in flight
 //   (backpressure, accounted as ingest stall time).
 // * Each worker owns its own Sorter — for the GPU backends one simulated
@@ -62,6 +67,7 @@ namespace streamgpu::stream {
 struct WindowChunk {
   std::uint32_t stream = 0;       ///< caller's stream index (0 when dedicated)
   std::uint64_t window_size = 0;  ///< the stream's window width
+  std::uint64_t first_window = 0; ///< index of its first window in the stream
   std::vector<float> data;        ///< window-aligned elements
   bool final_partial = false;     ///< last window may be partial
 
@@ -75,15 +81,32 @@ struct WindowChunk {
   }
 };
 
+/// Consecutive sorted windows of one batch merged into one ascending run by
+/// a prepare stage on the sort worker, for the drain to take in their place
+/// when it can.
+struct MergedRun {
+  std::size_t first_window = 0;  ///< batch-wide index of its first window
+  std::size_t windows = 0;       ///< windows merged
+  std::vector<float> values;
+  double merge_seconds = 0;  ///< worker wall time spent merging
+  bool holds_nan = false;
+};
+
 /// The executor's unit of work.
 struct WindowBatch {
   std::vector<WindowChunk> chunks;  ///< recycled chunks may be empty (skipped)
   std::size_t elements = 0;         ///< sum of chunk sizes (set by the caller)
-  sort::SortRunInfo run;            ///< sort record summed over groups
+  /// Windows per SortRuns call, at most 64. A dedicated stream sorts one
+  /// packing unit per call (one window, or one RGBA texture of four), so its
+  /// sort calls do not depend on how many windows a batch carries.
+  std::size_t windows_per_sort = 64;
+  std::vector<sort::SortRunInfo> sorts;  ///< one record per SortRuns call
   /// One flag per window, in chunk order; non-zero marks a window the sorter
   /// could not recover — it holds its *unsorted* input and must be skipped
   /// and accounted as lost coverage. Set by the executor.
   std::vector<std::uint8_t> quarantined;
+  /// Set by the prepare stage, in window order (empty without one).
+  std::vector<MergedRun> merged;
 
   /// Calls fn(chunk, window, quarantined) for every window, in order.
   template <typename Fn>
@@ -95,6 +118,16 @@ struct WindowBatch {
       });
     }
   }
+};
+
+/// How WindowExecutor::SubmitStaged() hands a dedicated stream's staged
+/// windows over.
+struct Staging {
+  std::size_t windows_per_sort = 64;  ///< WindowBatch::windows_per_sort
+  std::uint64_t first_window = 0;     ///< WindowChunk::first_window
+  /// Only the whole windows go, ending the batch early rather than the
+  /// stream: a partial window stays staged.
+  bool whole_windows = false;
 };
 
 /// Wall-clock overlap accounting of the threaded mode, accumulated over the
@@ -112,8 +145,8 @@ struct PipelineWaitStats {
   /// consumed them (drain busy, or an earlier batch still sorting).
   double drain_queue_wait_seconds = 0;
 
-  /// Total wall-clock the workers spent sorting (summed across workers;
-  /// exceeds elapsed time when sorts overlap).
+  /// Total wall-clock the workers spent sorting and preparing (summed
+  /// across workers; exceeds elapsed time when sorts overlap).
   double sort_wall_seconds = 0;
 
   /// Total wall-clock spent inside the drain callback.
@@ -140,6 +173,12 @@ class WindowExecutor {
   /// AcquireBatch(). A non-OK return poisons the executor: it drains no
   /// further batch, and every later Submit()/WaitIdle() returns that Status.
   using DrainFn = std::function<core::Status(WindowBatch& batch)>;
+
+  /// Runs on the sort worker (inline: on the caller's thread) right after
+  /// the batch is sorted, before the drain sees it. Batches prepare
+  /// concurrently, so it may touch only the batch and state of its own
+  /// worker.
+  using PrepareFn = std::function<void(int worker_index, WindowBatch& batch)>;
 
   struct Config {
     /// Maximum batches admitted before Submit() blocks (threaded mode).
@@ -179,9 +218,10 @@ class WindowExecutor {
 
   /// `sorters` are borrowed, must outlive the executor, and must each be
   /// exclusive to it. Two or more spawn one worker thread per sorter plus
-  /// the drain thread; exactly one runs inline with no threads.
+  /// the drain thread; exactly one runs inline with no threads. `prepare`
+  /// may be empty.
   WindowExecutor(const Config& config, std::vector<sort::Sorter*> sorters,
-                 DrainFn drain);
+                 DrainFn drain, PrepareFn prepare = {});
   ~WindowExecutor();
 
   WindowExecutor(const WindowExecutor&) = delete;
@@ -197,14 +237,19 @@ class WindowExecutor {
   /// Submits the windows staged in `batcher` as a one-chunk batch — how a
   /// dedicated stream feeds the executor. The batcher takes a recycled
   /// chunk's storage as its next buffer, so the steady state moves buffers
-  /// instead of copying or allocating them. A batcher holding less than a
-  /// full batch is the stream's end: its last window may be partial.
-  core::Status SubmitStaged(WindowBatcher& batcher);
+  /// instead of copying or allocating them. Unless `staging.whole_windows`,
+  /// a batcher holding less than a full batch is the stream's end: its last
+  /// window may be partial.
+  core::Status SubmitStaged(WindowBatcher& batcher, const Staging& staging = {});
 
   /// Returns a drained batch's storage for reuse (chunk data cleared,
   /// capacities retained), or an empty batch when none has been recycled
   /// yet.
   WindowBatch AcquireBatch();
+
+  /// Frees the recycled batches' storage, for a caller that submits no
+  /// more (a finalized estimator). Call after WaitIdle().
+  void ReleaseRecycled();
 
   /// Blocks until every submitted batch has been sorted and drained.
   /// Returns the drain failure Status (sticky) if the drain has failed, or
@@ -230,8 +275,9 @@ class WindowExecutor {
     bool occupied = false;  // ring-slot validity (reorder buffer)
   };
 
-  /// Sorts every window of `batch` with worker `worker_index`'s sorter and
-  /// records the run and the per-window quarantine flags.
+  /// Sorts every window of `batch` with worker `worker_index`'s sorter,
+  /// records each call and the per-window quarantine flags, then runs the
+  /// prepare stage.
   void SortBatch(int worker_index, WindowBatch& batch);
 
   /// Runs the drain callback (plus its span); on failure latches the Status
@@ -252,6 +298,7 @@ class WindowExecutor {
 
   const std::vector<sort::Sorter*> sorters_;
   const DrainFn drain_;
+  const PrepareFn prepare_;
   obs::TraceRecorder* const trace_;
   const char* const label_;
   obs::FlightRecorder* const flight_;

@@ -227,10 +227,14 @@ TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
   sort::PbsnGpuSorter sorter_b(&device_b, hwmodel::kGeForce6800Ultra,
                                hwmodel::kPentium4_3400, opt);
   std::uint64_t drained = 0;
+  // As above: a lagging drain during the warm-up fills the recycle pool to
+  // as many batches as the measured loop can have alive.
+  std::atomic<bool> warming{true};
   stream::WindowExecutor::Config config;
   config.max_batches_in_flight = 4;
   stream::WindowExecutor executor(
-      config, {&sorter_a, &sorter_b}, [&drained](stream::WindowBatch& batch) {
+      config, {&sorter_a, &sorter_b}, [&drained, &warming](stream::WindowBatch& batch) {
+        if (warming.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
         drained += batch.elements;
         return streamgpu::core::Status::Ok();
       });
@@ -246,6 +250,7 @@ TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
     }
   }
   executor.WaitIdle();
+  warming = false;
 
   std::vector<std::vector<float>> prepared;
   for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));

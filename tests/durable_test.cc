@@ -26,6 +26,7 @@
 
 #include "core/frequency_estimator.h"
 #include "core/quantile_estimator.h"
+#include "core/summary_core.h"
 #include "service/stream_service.h"
 #include "sketch/serialize.h"
 #include "sketch/wire.h"
@@ -552,6 +553,22 @@ TEST(QuantileRestore, AutoCheckpointCadenceAndMidStreamKill) {
   EXPECT_EQ((*restored)->Quantile(0.5), (*ref)->Quantile(0.5));
 }
 
+TEST(QuantileRestore, HostBatchesEndOnTheCheckpointCadence) {
+  // A host backend batches 32 windows, yet automatic checkpoints still land
+  // every 37 windows: the cadence ends a batch early.
+  const std::string dir = FreshDir("qe_host_cadence");
+  core::Options opt = EstimatorOptions(dir, sketch::QuantileSketchKind::kGk, 1);
+  opt.backend = core::Backend::kCpuRadixMerge;
+  opt.checkpoint_every_windows = 37;
+  auto estimator = core::QuantileEstimator::Create(opt);
+  ASSERT_TRUE(estimator.ok());
+  ASSERT_TRUE((*estimator)->ObserveBatch(MakeStream(100 * 100, 29)).ok());  // 100 windows
+  EXPECT_EQ((*estimator)->checkpoints(), 2u);
+  auto snapshot = LoadLatestSnapshot(dir);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot.value().watermark, 74u * 100u);
+}
+
 TEST(QuantileRestore, PersistsQuarantineAccounting) {
   // Quarantine windows (bitflip plan, CPU fallback off), checkpoint after
   // the full stream, restore with nothing to replay: the honestly-widened
@@ -581,6 +598,57 @@ TEST(QuantileRestore, PersistsQuarantineAccounting) {
   EXPECT_EQ(after.windows_quarantined, before.windows_quarantined);
   EXPECT_EQ(after.elements_dropped, before.elements_dropped);
   EXPECT_EQ(after, before);
+}
+
+/// Commits a quantile-estimator snapshot for `opt` over an empty summary
+/// whose window-buffer record stages `staged` elements.
+void CommitStagedSnapshot(const core::Options& opt, std::uint64_t window,
+                          std::size_t staged) {
+  core::QuantileSummaryCore empty(opt.epsilon, window, 0, opt.expected_stream_length);
+  CheckpointWriter writer(opt.checkpoint_dir);
+  writer.Begin();
+  SnapshotHeader header;
+  header.mode = kSnapshotModeQuantile;
+  header.kind = static_cast<std::uint16_t>(sketch::QuantileSketchKind::kGk);
+  header.epsilon = opt.epsilon;
+  header.window_size = window;
+  header.aux = opt.expected_stream_length;
+  AppendSnapshotHeader(header, writer.BeginRecord(RecordType::kSnapshotHeader));
+  writer.EndRecord();
+  ASSERT_TRUE(empty.AppendCheckpointState(writer.BeginRecord(RecordType::kQuantileState)).ok());
+  writer.EndRecord();
+  const std::vector<float> values(staged, 1.0f);
+  AppendWindowBuffer(values, writer.BeginRecord(RecordType::kWindowBuffer));
+  writer.EndRecord();
+  ASSERT_TRUE(writer.Commit(staged).ok());
+}
+
+TEST(QuantileRestore, StagedBufferIsBoundedByOnePackingUnit) {
+  // A checkpoint stages less than one packing unit: a host backend's
+  // partial window (Checkpoint() submits its whole windows first), less
+  // than one RGBA texture of four windows on PBSN. Restore holds a staged
+  // buffer to that, however many windows a batch carries.
+  const std::uint64_t window = 100;  // epsilon 0.01
+  for (const auto& [backend, unit] : {std::pair{core::Backend::kCpuRadixMerge, 1},
+                                      std::pair{core::Backend::kGpuPbsn, 4}}) {
+    for (const std::size_t staged : {unit * window - 1, unit * window}) {
+      SCOPED_TRACE(testing::Message() << core::BackendName(backend) << " staged=" << staged);
+      core::Options opt = EstimatorOptions(
+          FreshDir("qe_staged_" + std::to_string(unit) + "_" + std::to_string(staged)),
+          sketch::QuantileSketchKind::kGk, 1);
+      opt.backend = backend;
+      CommitStagedSnapshot(opt, window, staged);
+      auto restored = core::QuantileEstimator::Restore(opt);
+      if (staged == unit * window) {
+        EXPECT_EQ(restored.status().code(), core::Status::Code::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(restored.ok()) << restored.status().message();
+      EXPECT_EQ((*restored)->observed_length(), staged);
+      ASSERT_TRUE((*restored)->Flush().ok());
+      EXPECT_EQ((*restored)->processed_length(), staged);
+    }
+  }
 }
 
 TEST(QuantileRestore, RejectsConfigurationMismatch) {

@@ -87,7 +87,9 @@ RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
         {}, sorter_ptrs, [&result](stream::WindowBatch& batch) {
           const std::vector<float>& sorted = batch.chunks.front().data;
           result.sorted.insert(result.sorted.end(), sorted.begin(), sorted.end());
-          result.simulated_seconds += batch.run.simulated_seconds;
+          for (const sort::SortRunInfo& run : batch.sorts) {
+            result.simulated_seconds += run.simulated_seconds;
+          }
           return core::Status::Ok();
         });
     stream::WindowBatcher batcher(window, kWindowsPerBatch);

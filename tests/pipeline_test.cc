@@ -11,7 +11,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,7 +26,10 @@
 #include <gtest/gtest.h>
 
 #include "core/stream_miner.h"
+#include "core/summary_core.h"
+#include "gpu/half.h"
 #include "hwmodel/hardware_profiles.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "sort/cpu_sort.h"
 #include "stream/generator.h"
@@ -239,6 +249,154 @@ TEST(PipelineDeterminismTest, BackpressureCapStillDeterministic) {
   EXPECT_EQ(pipelined, serial);
 }
 
+// Everything a quantile estimator run leaves behind: its reports, its
+// export and its checkpoint directory's files.
+struct QuantileRun {
+  std::vector<QuantileReport> reports;
+  std::vector<std::uint8_t> summary;
+  std::map<std::string, std::string> checkpoint_files;
+
+  friend bool operator==(const QuantileRun&, const QuantileRun&) = default;
+};
+
+std::map<std::string, std::string> ReadDirectory(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+constexpr double kRunPhis[] = {0.01, 0.5, 0.99};
+
+TEST(PipelineDeterminismTest, QuantileBatchesMatchSerialWithQueriesAndCheckpoints) {
+  // Host backends batch 32 windows and pre-merge aligned blocks on the sort
+  // workers; PBSN batches one texture. Queries every 4,096 elements land
+  // mid-window (W = 1,000), so Sync() cuts host batches short and the next
+  // batch realigns; an explicit Checkpoint() lands mid-batch, beside the
+  // 37-window cadence. Every worker count must leave the same reports,
+  // export and checkpoint bytes.
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 21});
+  const std::vector<float> data = gen.Take(150000);
+  constexpr std::size_t kChunk = 4096;
+  for (Backend backend : {Backend::kCpuRadixMerge, Backend::kGpuPbsn}) {
+    const bool host = backend == Backend::kCpuRadixMerge;
+    auto run = [&](int workers) {
+      SCOPED_TRACE(testing::Message() << BackendName(backend) << " workers=" << workers);
+      const std::filesystem::path dir =
+          std::filesystem::path(::testing::TempDir()) /
+          ("pipeline_ck_" + std::string(BackendName(backend)) + std::to_string(workers));
+      std::filesystem::remove_all(dir);
+      Options opt;
+      opt.epsilon = 0.001;
+      opt.backend = backend;
+      opt.num_sort_workers = workers;
+      opt.checkpoint_dir = dir.string();
+      opt.checkpoint_every_windows = 37;
+      QuantileEstimator qe(opt);
+      QuantileRun out;
+      for (std::size_t off = 0; off < data.size(); off += kChunk) {
+        const std::size_t len = std::min(kChunk, data.size() - off);
+        EXPECT_TRUE(qe.ObserveBatch(std::span(data).subspan(off, len)).ok());
+        if (off / kChunk == 20) {
+          EXPECT_TRUE(qe.Checkpoint().ok());
+        }
+        if (host) {
+          // Every full window observed is processed.
+          EXPECT_EQ(qe.processed_length(), (off + len) / 1000 * 1000);
+        }
+        for (double phi : kRunPhis) out.reports.push_back(qe.Quantile(phi));
+      }
+      EXPECT_TRUE(qe.Flush().ok());
+      for (double phi : kRunPhis) out.reports.push_back(qe.Quantile(phi));
+      out.summary = qe.SerializedSummary().value();
+      out.checkpoint_files = ReadDirectory(dir);
+      EXPECT_GE(out.checkpoint_files.size(), 2u);
+      return out;
+    };
+    const QuantileRun serial = run(1);
+    for (int workers : {2, 4}) {
+      EXPECT_TRUE(run(workers) == serial) << BackendName(backend) << " workers=" << workers;
+    }
+  }
+}
+
+TEST(PipelineDeterminismTest, QuarantinedRunsEqualACoreFedTheirSurvivors) {
+  // Without the CPU fallback, persistent corruption quarantines PBSN
+  // windows, which shifts the summary's window count off the stream's:
+  // pre-merged blocks after it must be refused and the windows merged one
+  // by one. Which windows a threaded run loses depends on which worker
+  // sorted them, so each run is checked against a core fed, one window at
+  // a time, the windows the run's drain did not report as quarantined.
+  const auto data = ZipfStream(20000, 7);
+  const double eps = 0.005;
+  const std::uint64_t window = 200;
+  constexpr std::size_t kChunk = 4096;
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    obs::FlightRecorder flight(1 << 16);
+    Options opt;
+    opt.epsilon = eps;
+    opt.backend = Backend::kGpuPbsn;
+    opt.num_sort_workers = workers;
+    opt.obs.flight = &flight;
+    opt.fault.plan = *FaultPlan::Parse("readback:bitflip:every=2", 13);
+    opt.fault.cpu_fallback = false;
+    opt.fault.max_retries = 1;
+    opt.fault.backoff_initial_us = 1;
+    opt.fault.backoff_max_us = 1;
+    QuantileEstimator qe(opt);
+    std::vector<std::pair<std::uint64_t, std::vector<QuantileReport>>> seen;
+    for (std::size_t off = 0; off < data.size(); off += kChunk) {
+      const std::size_t len = std::min(kChunk, data.size() - off);
+      ASSERT_TRUE(qe.ObserveBatch(std::span(data).subspan(off, len)).ok());
+      std::vector<QuantileReport> reports;
+      for (double phi : kRunPhis) reports.push_back(qe.Quantile(phi));
+      // PBSN keeps staged windows for a full texture of four.
+      seen.emplace_back((off + len) / (4 * window) * 4, std::move(reports));
+    }
+    ASSERT_TRUE(qe.Flush().ok());
+    std::vector<QuantileReport> final_reports;
+    for (double phi : kRunPhis) final_reports.push_back(qe.Quantile(phi));
+    seen.emplace_back(data.size() / window, std::move(final_reports));
+
+    std::set<std::uint64_t> quarantined;
+    for (const obs::FlightEvent& e : flight.Events()) {
+      if (e.kind == obs::FlightEventKind::kWindowQuarantined &&
+          std::strcmp(e.stage, "drain") == 0) {
+        quarantined.insert(e.seq);
+      }
+    }
+    EXPECT_FALSE(quarantined.empty());
+    EXPECT_EQ(quarantined.size(), qe.fault_stats().windows_quarantined);
+
+    QuantileSummaryCore reference(eps, window, 0, 0);
+    std::uint64_t fed = 0;
+    for (const auto& [windows, reports] : seen) {
+      for (; fed < windows; ++fed) {
+        std::vector<float> w(data.begin() + static_cast<std::ptrdiff_t>(fed * window),
+                             data.begin() + static_cast<std::ptrdiff_t>((fed + 1) * window));
+        if (quarantined.contains(fed)) {
+          reference.QuarantineWindow(w.size());
+          continue;
+        }
+        for (float& v : w) v = gpu::QuantizeToHalf(v);
+        std::sort(w.begin(), w.end());
+        reference.MergeSortedWindow(w);
+      }
+      for (std::size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(reports[i], reference.Quantile(kRunPhis[i], 0)) << "after window " << windows;
+      }
+    }
+    std::vector<std::uint8_t> want;
+    ASSERT_TRUE(reference.AppendWireSummary(&want).ok());
+    EXPECT_EQ(qe.SerializedSummary().value(), want);
+  }
+}
+
 TEST(PipelineShutdownTest, DestructionFlushesInFlightBatchesCleanly) {
   // Destroying a pipelined estimator with batches still in flight (no
   // Flush) must join all threads without deadlock, crash, or leak (TSan/
@@ -347,7 +505,9 @@ TEST(WindowExecutorTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
             if (batch[j - 1] > batch[j]) all_sorted = false;
           }
         }
-        EXPECT_GT(drained.run.comparisons, 0u);
+        std::uint64_t comparisons = 0;
+        for (const sort::SortRunInfo& run : drained.sorts) comparisons += run.comparisons;
+        EXPECT_GT(comparisons, 0u);
         return core::Status::Ok();
       });
 

@@ -1061,6 +1061,160 @@ TEST(EhDifferential, QueryMatchesReferenceOnAnyValidBuckets) {
   }
 }
 
+::testing::AssertionResult SameBuckets(const EhQuantileSummary& got,
+                                       const EhQuantileSummary& want) {
+  if (got.count() != want.count() || got.slots() != want.slots() ||
+      got.merged_tuples() != want.merged_tuples() ||
+      got.pruned_tuples() != want.pruned_tuples()) {
+    return ::testing::AssertionFailure()
+           << "count/slots/merged/pruned " << got.count() << "/" << got.slots() << "/"
+           << got.merged_tuples() << "/" << got.pruned_tuples() << " vs " << want.count()
+           << "/" << want.slots() << "/" << want.merged_tuples() << "/"
+           << want.pruned_tuples();
+  }
+  const EhBucket vacant;
+  for (std::size_t i = 0; i < got.slots(); ++i) {
+    const EhBucket& a = i < got.buckets().size() ? got.buckets()[i] : vacant;
+    const EhBucket& b = i < want.buckets().size() ? want.buckets()[i] : vacant;
+    const bool same_runs =
+        a.run.size() == b.run.size() &&
+        std::equal(a.run.begin(), a.run.end(), b.run.begin(), SameBits);
+    const auto same_tuple = [](const GkTuple& x, const GkTuple& y) {
+      return SameBits(x.value, y.value) && x.rmin == y.rmin && x.rmax == y.rmax;
+    };
+    const std::vector<GkTuple>& ta = a.summary.tuples();
+    const std::vector<GkTuple>& tb = b.summary.tuples();
+    const bool same_summaries = a.summary.count() == b.summary.count() &&
+                                a.summary.epsilon() == b.summary.epsilon() &&
+                                ta.size() == tb.size() &&
+                                std::equal(ta.begin(), ta.end(), tb.begin(), same_tuple);
+    if (!same_runs || !same_summaries) {
+      return ::testing::AssertionFailure() << "bucket id " << i + 1 << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
+  // A sort worker merges an aligned block of 2^k sorted windows
+  // (MergeBlock) and the drain inserts it at bucket id k+1 (AddBlock). With
+  // ids 1..k vacant that must leave everything exactly as adding the
+  // windows one by one through today's AddWindow does; with one of them
+  // occupied the insert must be refused and change nothing. Prior window
+  // counts are random, aligned and not, blocks hold 2..32 windows, and the
+  // values are continuous, duplicate-heavy, or ±0 with NaNs of both signs.
+  const double eps = 0.01;
+  const std::uint64_t window = 100;
+  const std::uint64_t big_n = window << 32;  // a core's default provisioning
+  ASSERT_EQ(EhQuantileSummary(eps, window, big_n).max_block_level(), 5);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> signed_pool = {-0.0f, 0.0f, 1.0f, -1.0f, inf, -inf, 2.5f};
+  std::mt19937 rng(212);
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int level = 1 + static_cast<int>(rng() % 5);
+    const std::size_t block_windows = std::size_t{1} << level;
+    std::size_t prior = rng() % 80;
+    if (trial % 2 == 0) prior -= prior % block_windows;  // aligned half the time
+    // Continuous, duplicate-heavy, ±0 and infinities, and those plus NaNs of
+    // both signs.
+    const int kind = (trial / 2) % 4;
+    bool negative_nan = false;
+    std::vector<std::vector<float>> windows(prior + block_windows);
+    for (std::vector<float>& w : windows) {
+      w.resize(window);
+      for (float& v : w) {
+        if (kind == 0) {
+          v = static_cast<float>(rng() % 1000000) / 7.0f;
+        } else if (kind == 1) {
+          v = static_cast<float>(rng() % 9);
+        } else {
+          v = signed_pool[rng() % signed_pool.size()];
+          if (kind == 3 && rng() % 50 == 0) {
+            v = rng() % 2 == 0 ? nan : -nan;
+            negative_nan = negative_nan || std::signbit(v);
+          }
+        }
+      }
+      SortCanonical(&w);
+    }
+
+    EhQuantileSummary one(eps, window, big_n);
+    EhQuantileSummary blocked(eps, window, big_n);
+    ref::Eh want(eps, window, big_n);
+    auto one_sketch = QuantileSketch::Create(QuantileSketchKind::kGk, eps, window, big_n);
+    auto block_sketch = QuantileSketch::Create(QuantileSketchKind::kGk, eps, window, big_n);
+    ASSERT_TRUE(one_sketch.ok() && block_sketch.ok());
+    for (std::size_t i = 0; i < prior; ++i) {
+      blocked.AddWindow(EhBucket::FromSorted(windows[i], eps / 2.0));
+      (*block_sketch)->AddSortedWindow(windows[i]);
+    }
+
+    std::vector<float> joined;
+    for (std::size_t i = prior; i < windows.size(); ++i) {
+      joined.insert(joined.end(), windows[i].begin(), windows[i].end());
+    }
+    std::vector<float> scratch;
+    std::vector<float> run;
+    EhQuantileSummary::MergeBlock(joined, window, &scratch, &run);
+    const bool holds_nan = std::ranges::any_of(run, [](float v) { return std::isnan(v); });
+    std::vector<float> sketch_run = run;
+    const std::vector<float> built = run;
+    const EhQuantileSummary before = blocked;
+    const bool aligned = prior % block_windows == 0;
+    ASSERT_EQ(blocked.AddBlock(run, level, 0.0, holds_nan), aligned);
+    ASSERT_EQ((*block_sketch)->AddSortedBlock(sketch_run, level, 0.0, holds_nan), aligned);
+    if (!aligned) {
+      // Refused: the histogram and the run are as they were.
+      EXPECT_TRUE(SameBuckets(blocked, before));
+      EXPECT_TRUE(std::equal(run.begin(), run.end(), built.begin(), built.end(), SameBits));
+      for (std::size_t i = prior; i < windows.size(); ++i) {
+        blocked.AddWindow(EhBucket::FromSorted(windows[i], eps / 2.0));
+        (*block_sketch)->AddSortedWindow(windows[i]);
+      }
+    }
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      one.AddWindow(EhBucket::FromSorted(windows[i], eps / 2.0));
+      want.AddWindowSummary(ref::FromSorted(windows[i], eps / 2.0));
+      (*one_sketch)->AddSortedWindow(windows[i]);
+    }
+
+    EXPECT_TRUE(SameBuckets(blocked, one));
+    ExpectSameHistogram(blocked, want);
+    const GkSummary flat = blocked.Flatten();
+    const GkSummary flat_one = one.Flatten();
+    ASSERT_EQ(flat.size(), flat_one.size());
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      EXPECT_TRUE(SameBits(flat.tuples()[i].value, flat_one.tuples()[i].value));
+      EXPECT_EQ(flat.tuples()[i].rmin, flat_one.tuples()[i].rmin);
+      EXPECT_EQ(flat.tuples()[i].rmax, flat_one.tuples()[i].rmax);
+    }
+    // Every rank; a histogram holding a NaN answers through Flatten(),
+    // compared above, so it gets kDiffPhis only.
+    const std::uint64_t n = one.count();
+    std::vector<double> phis(std::begin(kDiffPhis), std::end(kDiffPhis));
+    for (std::uint64_t r = 1; kind != 3 && r <= n; ++r) {
+      phis.push_back((static_cast<double>(r) - 0.5) / static_cast<double>(n));
+    }
+    for (const double phi : phis) {
+      ASSERT_TRUE(SameBits(blocked.Query(phi), one.Query(phi))) << "phi " << phi;
+    }
+    std::vector<std::uint8_t> block_state;
+    std::vector<std::uint8_t> one_state;
+    ASSERT_TRUE((*block_sketch)->AppendCheckpointState(&block_state).ok());
+    ASSERT_TRUE((*one_sketch)->AppendCheckpointState(&one_state).ok());
+    EXPECT_EQ(block_state, one_state);
+    EXPECT_EQ((*block_sketch)->merged_tuples(), (*one_sketch)->merged_tuples());
+    EXPECT_EQ((*block_sketch)->pruned_tuples(), (*one_sketch)->pruned_tuples());
+    if (!negative_nan) {
+      // The tuple-only reference serializes the same cascade (a negative
+      // NaN breaks the value order its GK decoder checks).
+      EXPECT_EQ(one_state, ref::CheckpointBytes(want));
+    }
+  }
+}
+
 TEST(GkDifferential, MergeAndPruneMatchReference) {
   // The two-pointer merge and the one-pass prune against the scanning merge
   // and the binary-search prune, on continuous, duplicate-heavy and
