@@ -142,7 +142,7 @@ EhQuantileSummary::EhQuantileSummary(double epsilon, std::uint64_t window_size,
 bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
                                   std::uint64_t expected_length,
                                   std::uint64_t count,
-                                  std::vector<GkSummary> buckets,
+                                  std::vector<EhBucket> buckets,
                                   EhQuantileSummary* out) {
   if (!(epsilon > 0.0 && epsilon < 1.0) || window_size < 1) return false;
   // Bucket ids grow like log2 of the window count, so even a 2^64-element
@@ -161,11 +161,11 @@ bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
     total += buckets[i].count();
   }
   if (total != count) return false;
-  fresh.buckets_.resize(buckets.size());
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    fresh.buckets_[i] = EhBucket::FromSummary(std::move(buckets[i]));
-    fresh.holds_nan_ = fresh.holds_nan_ || HoldsNan(fresh.buckets_[i]);
+  for (EhBucket& bucket : buckets) {
+    if (bucket.run.empty()) bucket = EhBucket::FromSummary(std::move(bucket.summary));
+    fresh.holds_nan_ = fresh.holds_nan_ || HoldsNan(bucket);
   }
+  fresh.buckets_ = std::move(buckets);
   fresh.count_ = count;
   *out = std::move(fresh);
   return true;

@@ -92,15 +92,15 @@ class EhQuantileSummary {
 
   /// Reconstructs a summary from checkpointed parts (the durability restore
   /// path, docs/DURABILITY.md). `buckets` lists slots() slots: index i
-  /// holds bucket id i+1, empty() = vacant. The configuration arguments must
-  /// match the original constructor call. Validates that the bucket counts
-  /// sum to `count`, that the bucket list stays within a sane cascade depth
-  /// and that every bucket's epsilon is within its id's LevelBudget; returns
-  /// false on violation, leaving `out` untouched. Exact buckets are stored
-  /// as runs.
+  /// holds bucket id i+1, empty() = vacant; each run must be ascending. The
+  /// configuration arguments must match the original constructor call.
+  /// Validates that the bucket counts sum to `count`, that the bucket list
+  /// stays within a sane cascade depth and that every bucket's epsilon is
+  /// within its id's LevelBudget; returns false on violation, leaving `out`
+  /// untouched. A summary bucket that is exact is stored as a run.
   static bool FromParts(double epsilon, std::uint64_t window_size,
                         std::uint64_t expected_length, std::uint64_t count,
-                        std::vector<GkSummary> buckets, EhQuantileSummary* out);
+                        std::vector<EhBucket> buckets, EhQuantileSummary* out);
 
   /// The phi-quantile over everything inserted so far: bit for bit
   /// Flatten().Query(phi), found in the bucket list without building the
@@ -146,7 +146,7 @@ class EhQuantileSummary {
   /// The buckets (index i holds bucket id i+1; empty() = vacant). The list
   /// grows with the highest id the cascade reaches, so a fresh histogram
   /// allocates none; ids past its end are vacant. Exposed for the
-  /// checkpoint, which serializes each bucket's summary
+  /// checkpoint, which writes each bucket's run or summary
   /// (sketch/quantile_sketch.cc).
   const std::vector<EhBucket>& buckets() const { return buckets_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -26,6 +27,30 @@ std::uint64_t StatedBound(double epsilon, std::uint64_t count) {
 core::Status TruncatedState(const char* what) {
   return core::Status::InvalidArgument(std::string("truncated ") + what +
                                        " checkpoint state");
+}
+
+/// The tag byte in front of each GK+EH checkpoint slot.
+enum SlotTag : std::uint8_t { kVacantSlot = 0, kSummarySlot = 1, kRunSlot = 2 };
+
+/// Reads a kRunSlot body from the front of `payload`: a u64 length n >= 1,
+/// then n f32 values, ascending by GkSummary::FromParts's test on tuple
+/// values (no adjacent pair with a > b).
+core::Status ReadRun(std::span<const std::uint8_t>* payload, std::vector<float>* run) {
+  std::uint64_t n = 0;
+  if (!wire::Read(payload, &n)) return TruncatedState("gk");
+  // Compared by division, so a corrupted n never overflows n * 4.
+  if (n == 0 || n > payload->size() / sizeof(float)) {
+    return core::Status::InvalidArgument("gk checkpoint run length " + std::to_string(n) +
+                                         " is empty or overruns the payload");
+  }
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+  run->resize(static_cast<std::size_t>(n));
+  std::memcpy(run->data(), payload->data(), bytes);
+  *payload = payload->subspan(bytes);
+  if (std::ranges::adjacent_find(*run, std::ranges::greater{}) != run->end()) {
+    return core::Status::InvalidArgument("gk checkpoint run values not ascending");
+  }
+  return core::Status::Ok();
 }
 
 /// The paper's backend (§5.2): per-window GK summaries maintained in an
@@ -67,23 +92,31 @@ class GkEhSketch final : public QuantileSketch {
   }
 
   // Full state: the bucket cascade itself. Layout: count u64, slot count
-  // u32, then per slot a present byte followed (when present) by the
-  // bucket's nested SGMS GK envelope — a run's exact tuples, written
-  // straight from the run.
+  // u32, then per slot a SlotTag byte and the slot's body: none when vacant;
+  // a pruned bucket's nested SGMS GK envelope (kSummarySlot); an exact
+  // run's length u64 and ascending f32 values, tuple i being (run[i], i+1,
+  // i+1) (kRunSlot). Restore also reads an exact run written as the
+  // envelope of its tuples under kSummarySlot, as older snapshots hold it.
   core::Status AppendCheckpointState(std::vector<std::uint8_t>* out) const override {
     wire::Append<std::uint64_t>(out, eh_.count());
     const auto& buckets = eh_.buckets();
     const std::size_t slots = eh_.slots();
     wire::Append<std::uint32_t>(out, static_cast<std::uint32_t>(slots));
     for (std::size_t i = 0; i < slots; ++i) {
-      const bool present = i < buckets.size() && !buckets[i].empty();
-      wire::Append<std::uint8_t>(out, present ? 1 : 0);
-      if (!present) continue;
+      if (i >= buckets.size() || buckets[i].empty()) {
+        wire::Append<std::uint8_t>(out, kVacantSlot);
+        continue;
+      }
       const EhBucket& bucket = buckets[i];
-      const core::Status s = bucket.run.empty()
-                                 ? SerializeSummary(bucket.summary, out)
-                                 : SerializeExactSummary(bucket.run, out);
-      if (!s.ok()) return s;
+      if (bucket.run.empty()) {
+        wire::Append<std::uint8_t>(out, kSummarySlot);
+        const core::Status s = SerializeSummary(bucket.summary, out);
+        if (!s.ok()) return s;
+      } else {
+        wire::Append<std::uint8_t>(out, kRunSlot);
+        wire::Append<std::uint64_t>(out, bucket.run.size());
+        wire::AppendArray<float>(out, bucket.run);
+      }
     }
     return core::Status::Ok();
   }
@@ -102,17 +135,20 @@ class GkEhSketch final : public QuantileSketch {
       return core::Status::InvalidArgument("gk checkpoint bucket count " +
                                            std::to_string(slots) + " not plausible");
     }
-    std::vector<GkSummary> buckets(slots);
-    for (std::uint32_t i = 0; i < slots; ++i) {
-      std::uint8_t present = 0;
-      if (!wire::Read(&payload, &present)) return TruncatedState("gk");
-      if (present > 1) {
-        return core::Status::InvalidArgument("gk checkpoint present flag corrupt");
-      }
-      if (present == 1) {
-        auto bucket = DeserializeGkSummary(&payload);
-        if (!bucket.ok()) return bucket.status();
-        buckets[i] = std::move(bucket).value();
+    std::vector<EhBucket> buckets(slots);
+    for (EhBucket& bucket : buckets) {
+      std::uint8_t tag = 0;
+      if (!wire::Read(&payload, &tag)) return TruncatedState("gk");
+      if (tag == kSummarySlot) {
+        auto summary = DeserializeGkSummary(&payload);
+        if (!summary.ok()) return summary.status();
+        bucket.summary = std::move(summary).value();
+      } else if (tag == kRunSlot) {
+        const core::Status s = ReadRun(&payload, &bucket.run);
+        if (!s.ok()) return s;
+      } else if (tag != kVacantSlot) {
+        return core::Status::InvalidArgument("gk checkpoint slot tag " +
+                                             std::to_string(tag) + " unknown");
       }
     }
     if (!payload.empty()) {

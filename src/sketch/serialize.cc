@@ -18,9 +18,6 @@ using core::StatusOr;
 using wire::Append;
 using wire::Read;
 
-/// Pre-envelope GK framing ("GKS1") — readable for one release (shim).
-constexpr std::uint32_t kLegacyGkMagic = 0x474B5331;
-
 /// Same canonical float order as the sort backends (sort::FloatToOrderedKey):
 /// serialization of unordered containers sorts by it so equal summaries
 /// always produce identical bytes.
@@ -151,25 +148,23 @@ StatusOr<Envelope> ParseEnvelope(std::span<const std::uint8_t> bytes) {
 // Per-type payloads.
 
 /// GK payload: count u64 | epsilon f64 | tuple count u64 | per tuple
-/// value f32, rmin u64, rmax u64 (kGkTupleBytes, unpadded). `tuple(i)`
-/// yields tuple i; the tuple list is written in one pass into one resize.
+/// value f32, rmin u64, rmax u64 (kGkTupleBytes, unpadded). The tuple list
+/// is written in one pass into one resize.
 constexpr std::size_t kGkTupleBytes = sizeof(float) + 2 * sizeof(std::uint64_t);
 
-template <typename TupleAt>
-void AppendGkPayload(std::uint64_t count, double epsilon, std::size_t tuples,
-                     TupleAt tuple, std::vector<std::uint8_t>* out) {
-  Append(out, count);
-  Append(out, epsilon);
-  Append(out, static_cast<std::uint64_t>(tuples));
+void AppendGkPayload(const GkSummary& summary, std::vector<std::uint8_t>* out) {
+  Append(out, summary.count());
+  Append(out, summary.epsilon());
+  Append(out, static_cast<std::uint64_t>(summary.size()));
   const std::size_t offset = out->size();
-  out->resize(offset + tuples * kGkTupleBytes);
+  out->resize(offset + summary.size() * kGkTupleBytes);
   std::uint8_t* at = out->data() + offset;
-  for (std::size_t i = 0; i < tuples; ++i, at += kGkTupleBytes) {
-    const GkTuple t = tuple(i);
+  for (const GkTuple& t : summary.tuples()) {
     std::memcpy(at, &t.value, sizeof(float));
     std::memcpy(at + sizeof(float), &t.rmin, sizeof(std::uint64_t));
     std::memcpy(at + sizeof(float) + sizeof(std::uint64_t), &t.rmax,
                 sizeof(std::uint64_t));
+    at += kGkTupleBytes;
   }
 }
 
@@ -348,33 +343,9 @@ StatusOr<MisraGries> ParseMisraGriesPayload(std::span<const std::uint8_t> payloa
   return parsed;
 }
 
-/// Legacy "GKS1" framing: magic u32 | count u64 | epsilon f64 |
-/// tuple_count u64 | tuples. No version, tag, or checksum.
-StatusOr<GkSummary> ParseLegacyGk(std::span<const std::uint8_t>* bytes) {
-  std::span<const std::uint8_t> cursor = *bytes;
-  std::uint32_t magic = 0;
-  if (!Read(&cursor, &magic) || magic != kLegacyGkMagic) {
-    return Status::InvalidArgument("not a legacy GK summary");
-  }
-  StatusOr<GkSummary> parsed = ParseGkPayload(cursor);
-  if (!parsed.ok()) return parsed.status();
-  // The legacy framing is not self-delimiting via a length field; recompute
-  // the consumed size from the parsed tuple count.
-  const std::size_t consumed = sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-                               sizeof(double) + sizeof(std::uint64_t) +
-                               parsed->size() * kGkTupleBytes;
-  *bytes = bytes->subspan(consumed);
-  return parsed;
-}
-
-bool LooksLegacy(std::span<const std::uint8_t> bytes) {
-  std::uint32_t magic = 0;
-  return Read(&bytes, &magic) && magic == kLegacyGkMagic;
-}
-
-/// Shared front half of the typed Deserialize* functions: parse one envelope
-/// (or detect the legacy framing), check the tag, hand the payload to
-/// `parse`, and advance the span only on success.
+/// Shared front half of the typed Deserialize* functions: parse one envelope,
+/// check the tag, hand the payload to `parse`, and advance the span only on
+/// success.
 template <typename T, typename ParseFn>
 StatusOr<T> DeserializeTyped(std::span<const std::uint8_t>* bytes, SketchType want,
                              ParseFn parse) {
@@ -456,20 +427,7 @@ std::uint32_t EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t
 
 core::Status SerializeSummary(const GkSummary& summary, std::vector<std::uint8_t>* out) {
   const std::size_t header = BeginFrame(out);
-  AppendGkPayload(summary.count(), summary.epsilon(), summary.size(),
-                  [&](std::size_t i) { return summary.tuples()[i]; }, out);
-  EndEnvelope(SketchType::kGkSummary, header, out);
-  return Status::Ok();
-}
-
-core::Status SerializeExactSummary(std::span<const float> sorted_run,
-                                   std::vector<std::uint8_t>* out) {
-  const std::size_t header = BeginFrame(out);
-  AppendGkPayload(sorted_run.size(), 0.0, sorted_run.size(),
-                  [&](std::size_t i) {
-                    return GkTuple{sorted_run[i], i + 1, i + 1};
-                  },
-                  out);
+  AppendGkPayload(summary, out);
   EndEnvelope(SketchType::kGkSummary, header, out);
   return Status::Ok();
 }
@@ -497,14 +455,12 @@ core::Status SerializeSummary(const MisraGries& sketch, std::vector<std::uint8_t
 }
 
 core::StatusOr<SketchType> PeekSketchType(std::span<const std::uint8_t> bytes) {
-  if (LooksLegacy(bytes)) return SketchType::kGkSummary;
   StatusOr<Envelope> envelope = ParseEnvelope(bytes);
   if (!envelope.ok()) return envelope.status();
   return envelope->type;
 }
 
 core::StatusOr<GkSummary> DeserializeGkSummary(std::span<const std::uint8_t>* bytes) {
-  if (LooksLegacy(*bytes)) return ParseLegacyGk(bytes);
   return DeserializeTyped<GkSummary>(bytes, SketchType::kGkSummary, ParseGkPayload);
 }
 

@@ -19,10 +19,6 @@
 // structural invariants — and never aborts. Envelopes are self-delimiting:
 // the span cursor advances past exactly one envelope, so summaries can be
 // framed back-to-back in one buffer.
-//
-// Legacy shim (one release): DeserializeGkSummary also accepts the pre-
-// envelope "GKS1" GK framing so summaries checkpointed by the previous
-// release keep loading. SerializeSummary only ever writes the envelope.
 
 #ifndef STREAMGPU_SKETCH_SERIALIZE_H_
 #define STREAMGPU_SKETCH_SERIALIZE_H_
@@ -62,15 +58,10 @@ core::Status SerializeSummary(const KllSketch& sketch, std::vector<std::uint8_t>
 core::Status SerializeSummary(const CountMinSketch& sketch, std::vector<std::uint8_t>* out);
 core::Status SerializeSummary(const MisraGries& sketch, std::vector<std::uint8_t>* out);
 
-/// Appends the envelope of GkSummary::Exact(sorted_run) — the same bytes —
-/// writing each tuple (v, i+1, i+1) straight from the run.
-core::Status SerializeExactSummary(std::span<const float> sorted_run,
-                                   std::vector<std::uint8_t>* out);
-
 /// Reads the envelope header at the front of `bytes` (without consuming it)
 /// and returns the sketch-type tag — how the combiner and `streamgpu_cli
 /// merge` dispatch on shard files. Validates magic, version, length, and
-/// checksum. Also recognizes the legacy "GKS1" framing (as kGkSummary).
+/// checksum.
 core::StatusOr<SketchType> PeekSketchType(std::span<const std::uint8_t> bytes);
 
 /// Parses one enveloped summary from the front of `bytes`, advancing the

@@ -143,115 +143,66 @@ TEST(AllocTest, SteadyStatePipelineLoopIsAllocationFree) {
   EXPECT_LE(after - before, 12u * 32u) << "per-window allocations in the estimator loop";
 }
 
-// The executor in isolation (no summary structures): strictly zero
-// allocations per steady-state batch, inline (one sorter) and threaded.
-TEST(AllocTest, WindowExecutorAloneIsAllocationFree) {
-  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
-
+/// Streams batches of four 1,024-element windows through a WindowExecutor
+/// over `sorters` and expects the steady-state ingest->drain loop to
+/// allocate nothing. While warming up, the drain lags, so ingest fills every
+/// in-flight slot and holds one batch more: the recycle pool then holds as
+/// many batches as the measured loop can ever have alive (with std::sort this
+/// fast, an unhurried drain often left the pool one batch short). The
+/// warm-up also runs until every worker has sorted at least two batches,
+/// counted by a PrepareFn, so no worker meets its first batch while measured.
+void ExpectExecutorLoopAllocationFree(const std::vector<sort::Sorter*>& sorters,
+                                      std::uint64_t seed) {
   constexpr std::uint64_t kWindow = 1 << 10;
   constexpr int kWindowsPerBatch = 4;
   constexpr std::size_t kBatchElements = kWindow * kWindowsPerBatch;
 
-  sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
-  sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
-  for (const std::vector<sort::Sorter*>& sorters :
-       {std::vector<sort::Sorter*>{&sorter_a},
-        std::vector<sort::Sorter*>{&sorter_a, &sorter_b}}) {
-    SCOPED_TRACE(testing::Message() << "sorters=" << sorters.size());
-    std::uint64_t drained = 0;
-    // While warming up, the drain lags, so ingest fills every in-flight slot
-    // and holds one batch more: the recycle pool then holds as many batches
-    // as the measured loop can ever have alive. With std::sort this fast,
-    // an unhurried drain often left the pool one batch short.
-    std::atomic<bool> warming{true};
-    stream::WindowExecutor::Config config;
-    config.max_batches_in_flight = 4;
-    stream::WindowExecutor executor(
-        config, sorters, [&drained, &warming](stream::WindowBatch& batch) {
-          if (warming.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          drained += batch.elements;  // read-only drain; storage stays recyclable
-          return streamgpu::core::Status::Ok();
-        });
+  std::uint64_t drained = 0;
+  std::atomic<bool> warming{true};
+  std::vector<std::atomic<int>> sorted_by(sorters.size());
+  stream::WindowExecutor::Config config;
+  config.max_batches_in_flight = 4;
+  stream::WindowExecutor executor(
+      config, sorters,
+      [&drained, &warming](stream::WindowBatch& batch) {
+        if (warming.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        drained += batch.elements;  // read-only drain; storage stays recyclable
+        return streamgpu::core::Status::Ok();
+      },
+      [&sorted_by](int worker_index, stream::WindowBatch&) {
+        sorted_by[static_cast<std::size_t>(worker_index)].fetch_add(1);
+      });
 
-    stream::StreamGenerator gen(
-        {.distribution = stream::Distribution::kUniformReal, .seed = 11});
-    stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
-
-    auto stream_batches = [&](std::size_t batches) {
-      for (std::size_t b = 0; b < batches; ++b) {
-        const auto data = gen.Take(kBatchElements);
-        for (float v : data) {
-          if (batcher.Push(v)) executor.SubmitStaged(batcher);
-        }
-      }
-      executor.WaitIdle();
-    };
-
-    stream_batches(12);  // warm-up: rings, pool, worker scratch, sorter scratch
-    warming = false;
-
-    // gen.Take above allocates; measure only the ingest->drain loop.
-    std::vector<std::vector<float>> prepared;
-    for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));
-
-    const std::uint64_t before = AllocCount();
-    for (const auto& data : prepared) {
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = seed});
+  stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
+  auto stream_batches = [&](std::size_t batches) {
+    for (std::size_t b = 0; b < batches; ++b) {
+      const auto data = gen.Take(kBatchElements);
       for (float v : data) {
         if (batcher.Push(v)) executor.SubmitStaged(batcher);
       }
     }
     executor.WaitIdle();
-    const std::uint64_t after = AllocCount();
+  };
+  const auto every_worker_warm = [&sorted_by] {
+    return std::ranges::all_of(sorted_by,
+                               [](const std::atomic<int>& n) { return n.load() >= 2; });
+  };
 
-    EXPECT_EQ(after - before, 0u) << "steady-state executor loop allocated";
-    EXPECT_EQ(drained, kBatchElements * 28);
+  // Warm-up: rings, pool, worker scratch, sorter scratch.
+  std::size_t warmup_batches = 12;
+  stream_batches(warmup_batches);
+  for (int round = 0; round < 16 && !every_worker_warm(); ++round) {
+    stream_batches(4);
+    warmup_batches += 4;
   }
-}
-
-// Same strict-zero contract, with the simulated-GPU sorters: covers the
-// device texture/framebuffer arena, the sorter's staging plane, and the
-// rasterizer's per-thread scratch on top of the executor rings.
-TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
-  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
-
-  constexpr std::uint64_t kWindow = 1 << 10;
-  constexpr int kWindowsPerBatch = 4;
-  constexpr std::size_t kBatchElements = kWindow * kWindowsPerBatch;
-
-  gpu::GpuDevice device_a;
-  gpu::GpuDevice device_b;
-  sort::PbsnOptions opt;
-  opt.format = gpu::Format::kFloat16;
-  sort::PbsnGpuSorter sorter_a(&device_a, hwmodel::kGeForce6800Ultra,
-                               hwmodel::kPentium4_3400, opt);
-  sort::PbsnGpuSorter sorter_b(&device_b, hwmodel::kGeForce6800Ultra,
-                               hwmodel::kPentium4_3400, opt);
-  std::uint64_t drained = 0;
-  // As above: a lagging drain during the warm-up fills the recycle pool to
-  // as many batches as the measured loop can have alive.
-  std::atomic<bool> warming{true};
-  stream::WindowExecutor::Config config;
-  config.max_batches_in_flight = 4;
-  stream::WindowExecutor executor(
-      config, {&sorter_a, &sorter_b}, [&drained, &warming](stream::WindowBatch& batch) {
-        if (warming.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        drained += batch.elements;
-        return streamgpu::core::Status::Ok();
-      });
-
-  stream::StreamGenerator gen(
-      {.distribution = stream::Distribution::kUniformReal, .seed = 13});
-  stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
-
-  for (int b = 0; b < 12; ++b) {  // warm-up
-    const auto data = gen.Take(kBatchElements);
-    for (float v : data) {
-      if (batcher.Push(v)) executor.SubmitStaged(batcher);
-    }
+  for (std::size_t w = 0; w < sorted_by.size(); ++w) {
+    ASSERT_GE(sorted_by[w].load(), 2) << "worker " << w << " sorted too few warm-up batches";
   }
-  executor.WaitIdle();
   warming = false;
 
+  // gen.Take above allocates; measure only the ingest->drain loop.
   std::vector<std::vector<float>> prepared;
   for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));
 
@@ -264,8 +215,38 @@ TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
   executor.WaitIdle();
   const std::uint64_t after = AllocCount();
 
-  EXPECT_EQ(after - before, 0u) << "steady-state GPU executor loop allocated";
-  EXPECT_EQ(drained, kBatchElements * 28);
+  EXPECT_EQ(after - before, 0u) << "steady-state executor loop allocated";
+  EXPECT_EQ(drained, kBatchElements * (warmup_batches + 16));
+}
+
+// The executor in isolation (no summary structures): strictly zero
+// allocations per steady-state batch, inline (one sorter) and threaded.
+TEST(AllocTest, WindowExecutorAloneIsAllocationFree) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+  sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
+  sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
+  for (const std::vector<sort::Sorter*>& sorters :
+       {std::vector<sort::Sorter*>{&sorter_a},
+        std::vector<sort::Sorter*>{&sorter_a, &sorter_b}}) {
+    SCOPED_TRACE(testing::Message() << "sorters=" << sorters.size());
+    ExpectExecutorLoopAllocationFree(sorters, 11);
+  }
+}
+
+// Same strict-zero contract, with the simulated-GPU sorters: covers the
+// device texture/framebuffer arena, the sorter's staging plane, and the
+// rasterizer's per-thread scratch on top of the executor rings.
+TEST(AllocTest, GpuWindowExecutorIsAllocationFree) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+  gpu::GpuDevice device_a;
+  gpu::GpuDevice device_b;
+  sort::PbsnOptions opt;
+  opt.format = gpu::Format::kFloat16;
+  sort::PbsnGpuSorter sorter_a(&device_a, hwmodel::kGeForce6800Ultra,
+                               hwmodel::kPentium4_3400, opt);
+  sort::PbsnGpuSorter sorter_b(&device_b, hwmodel::kGeForce6800Ultra,
+                               hwmodel::kPentium4_3400, opt);
+  ExpectExecutorLoopAllocationFree({&sorter_a, &sorter_b}, 13);
 }
 
 // A whole-history GK+EH query reads the bucket list in place: once the

@@ -14,12 +14,15 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -742,12 +745,83 @@ class CorruptionCorpus : public ::testing::Test {
     return restored.ok() ? core::Status::Ok() : restored.status();
   }
 
+  /// The pristine snapshot's kQuantileState payload.
+  std::vector<std::uint8_t> QuantileState() const {
+    auto parsed = ParseSnapshot(pristine_);
+    EXPECT_TRUE(parsed.ok());
+    for (const OwnedRecord& record : parsed->records) {
+      if (record.type == RecordType::kQuantileState) return record.payload;
+    }
+    ADD_FAILURE() << "no quantile state record";
+    return {};
+  }
+
+  /// The pristine snapshot with `state` as its kQuantileState payload,
+  /// framed and footed like the original, so the mutation reaches the
+  /// sketch's own decoder.
+  std::vector<std::uint8_t> WithQuantileState(std::span<const std::uint8_t> state) const {
+    auto parsed = ParseSnapshot(pristine_);
+    EXPECT_TRUE(parsed.ok());
+    std::vector<std::uint8_t> mutant;
+    for (const OwnedRecord& record : parsed->records) {
+      AppendRecord(record.type,
+                   record.type == RecordType::kQuantileState
+                       ? state
+                       : std::span<const std::uint8_t>(record.payload),
+                   &mutant);
+    }
+    std::vector<std::uint8_t> footer;
+    wire::Append<std::uint64_t>(&footer, parsed->records.size());
+    wire::Append<std::uint64_t>(&footer, watermark_);
+    AppendRecord(RecordType::kSnapshotFooter, footer, &mutant);
+    return mutant;
+  }
+
   std::string dir_;
   std::string snap_path_;
   core::Options opt_;
   std::vector<std::uint8_t> pristine_;
   std::uint64_t watermark_ = 0;
 };
+
+/// One slot of the GK+EH state inside a kQuantileState payload. The payload
+/// is four u64 summary-core counters, then the GK state: count u64, slot
+/// count u32, and per slot a tag byte — 0 vacant; 1 and a GK envelope; 2
+/// and an exact run, its length u64 and f32 values.
+struct GkSlot {
+  std::uint8_t tag = 0;
+  std::size_t begin = 0;  ///< offset of the tag byte
+  std::size_t end = 0;    ///< offset past the slot's body
+};
+
+std::vector<GkSlot> GkSlots(std::span<const std::uint8_t> payload) {
+  constexpr std::size_t kPrefix = 5 * sizeof(std::uint64_t);
+  std::vector<GkSlot> out;
+  if (payload.size() < kPrefix) {
+    ADD_FAILURE() << "quantile state shorter than its counters";
+    return out;
+  }
+  std::span<const std::uint8_t> in = payload.subspan(kPrefix);
+  std::uint32_t slots = 0;
+  EXPECT_TRUE(wire::Read(&in, &slots));
+  for (std::uint32_t i = 0; i < slots; ++i) {
+    GkSlot slot;
+    slot.begin = payload.size() - in.size();
+    EXPECT_TRUE(wire::Read(&in, &slot.tag));
+    if (slot.tag == 1) {
+      EXPECT_TRUE(sketch::DeserializeGkSummary(&in).ok());
+    } else if (slot.tag == 2) {
+      std::uint64_t n = 0;
+      EXPECT_TRUE(wire::Read(&in, &n));
+      EXPECT_LE(n, in.size() / sizeof(float));
+      in = in.subspan(std::min<std::size_t>(in.size(), n * sizeof(float)));
+    }
+    slot.end = payload.size() - in.size();
+    out.push_back(slot);
+  }
+  EXPECT_TRUE(in.empty());
+  return out;
+}
 
 TEST_F(CorruptionCorpus, PristineSnapshotRestores) {
   EXPECT_TRUE(RestoreMutant(pristine_).ok());
@@ -836,53 +910,120 @@ TEST_F(CorruptionCorpus, WatermarkMismatchIsRejected) {
 TEST_F(CorruptionCorpus, BucketEpsilonOverLevelBudgetIsRejected) {
   // A well-formed, CRC-valid snapshot whose GK bucket claims more error
   // than its bucket id's LevelBudget: installed, the stream would state an
-  // epsilon*N bound it does not meet, so restore must refuse it.
-  auto parsed = ParseSnapshot(pristine_);
-  ASSERT_TRUE(parsed.ok());
-  std::vector<std::uint8_t> mutant;
-  bool loosened = false;
-  for (const OwnedRecord& record : parsed->records) {
-    if (record.type != RecordType::kQuantileState) {
-      AppendRecord(record.type, record.payload, &mutant);
-      continue;
+  // epsilon*N bound it does not meet, so restore must refuse it. The first
+  // present bucket is rewritten as a GK envelope (tag 1) of its tuples at
+  // epsilon 0.5; an exact run's tuple i is (run[i], i+1, i+1). Rewritten at
+  // its own epsilon, as older snapshots hold a run, it still restores.
+  const std::vector<std::uint8_t> state = QuantileState();
+  const std::vector<GkSlot> slots = GkSlots(state);
+  const auto present = std::ranges::find_if(
+      slots, [](const GkSlot& slot) { return slot.tag != 0; });
+  ASSERT_NE(present, slots.end());
+  std::span<const std::uint8_t> body =
+      std::span(state).subspan(present->begin + 1, present->end - present->begin - 1);
+  std::vector<sketch::GkTuple> tuples;
+  std::uint64_t count = 0;
+  double epsilon = 0;
+  if (present->tag == 1) {
+    auto bucket = sketch::DeserializeGkSummary(&body);
+    ASSERT_TRUE(bucket.ok());
+    tuples = bucket->tuples();
+    count = bucket->count();
+    epsilon = bucket->epsilon();
+  } else {
+    ASSERT_EQ(present->tag, 2);
+    ASSERT_TRUE(wire::Read(&body, &count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      float value = 0;
+      ASSERT_TRUE(wire::Read(&body, &value));
+      tuples.push_back({value, i + 1, i + 1});
     }
-    // Layout: four u64 summary-core counters, then the GK state — count
-    // u64, slot count u32, and per slot a present byte plus a GK envelope.
-    std::span<const std::uint8_t> in(record.payload);
-    constexpr std::size_t kPrefix = 5 * sizeof(std::uint64_t);
-    ASSERT_GE(in.size(), kPrefix);
-    std::vector<std::uint8_t> state(in.begin(), in.begin() + kPrefix);
-    in = in.subspan(kPrefix);
-    std::uint32_t slots = 0;
-    ASSERT_TRUE(wire::Read(&in, &slots));
-    wire::Append(&state, slots);
-    for (std::uint32_t i = 0; i < slots; ++i) {
-      std::uint8_t present = 0;
-      ASSERT_TRUE(wire::Read(&in, &present));
-      wire::Append(&state, present);
-      if (present == 0) continue;
-      auto bucket = sketch::DeserializeGkSummary(&in);
-      ASSERT_TRUE(bucket.ok());
-      if (!loosened) {
-        sketch::GkSummary loose;
-        ASSERT_TRUE(sketch::GkSummary::FromParts(bucket->tuples(), bucket->count(),
-                                                 0.5, &loose));
-        *bucket = std::move(loose);
-        loosened = true;
-      }
-      ASSERT_TRUE(sketch::SerializeSummary(*bucket, &state).ok());
-    }
-    ASSERT_TRUE(in.empty());
-    AppendRecord(record.type, state, &mutant);
   }
-  ASSERT_TRUE(loosened);
-  std::vector<std::uint8_t> footer;
-  wire::Append<std::uint64_t>(&footer, parsed->records.size());
-  wire::Append<std::uint64_t>(&footer, watermark_);
-  AppendRecord(RecordType::kSnapshotFooter, footer, &mutant);
-  const core::Status status = RestoreMutant(mutant);
+  const auto rewritten = [&](double bucket_epsilon) {
+    sketch::GkSummary bucket;
+    EXPECT_TRUE(sketch::GkSummary::FromParts(tuples, count, bucket_epsilon, &bucket));
+    std::vector<std::uint8_t> out(state.begin(), state.begin() + present->begin);
+    wire::Append<std::uint8_t>(&out, 1);
+    EXPECT_TRUE(sketch::SerializeSummary(bucket, &out).ok());
+    out.insert(out.end(), state.begin() + present->end, state.end());
+    return WithQuantileState(out);
+  };
+
+  EXPECT_TRUE(RestoreMutant(rewritten(epsilon)).ok());
+  const core::Status status = RestoreMutant(rewritten(0.5));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), core::Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find("error budget"), std::string::npos) << status.message();
+}
+
+TEST_F(CorruptionCorpus, RunSlotMutantsAreRejected) {
+  // An exact run's slot: tag 2, length u64, ascending f32 values. Each
+  // mutant is CRC-valid, so the run decoder itself must reject it.
+  const std::vector<std::uint8_t> state = QuantileState();
+  const std::vector<GkSlot> slots = GkSlots(state);
+  const auto run = std::ranges::find_if(
+      slots, [](const GkSlot& slot) { return slot.tag == 2; });
+  ASSERT_NE(run, slots.end());
+  const std::size_t length_at = run->begin + 1;
+  const std::size_t values_at = length_at + sizeof(std::uint64_t);
+  const std::size_t n = (run->end - values_at) / sizeof(float);
+  ASSERT_GE(n, 2u);
+  const auto with_length = [&](std::uint64_t length) {
+    std::vector<std::uint8_t> mutant = state;
+    std::memcpy(mutant.data() + length_at, &length, sizeof(length));
+    return mutant;
+  };
+
+  // Each mutant with the fragment its rejection names.
+  struct Mutant {
+    std::string name;
+    std::vector<std::uint8_t> state;
+    std::string message;
+  };
+  std::vector<Mutant> mutants;
+  {
+    std::vector<std::uint8_t> mutant = state;
+    mutant[run->begin] = 3;
+    mutants.push_back({"tag 3", std::move(mutant), "slot tag 3"});
+  }
+  {
+    std::vector<std::uint8_t> mutant = with_length(0);
+    mutant.erase(mutant.begin() + values_at, mutant.begin() + run->end);
+    mutants.push_back({"empty run", std::move(mutant), "run length 0 "});
+  }
+  // Past the payload: one value past what is left, a length whose byte
+  // count wraps to 4 in 64 bits, and the largest length.
+  const std::uint64_t left = (state.size() - values_at) / sizeof(float);
+  for (const std::uint64_t length :
+       {left + 1, (std::uint64_t{1} << 62) + 1, ~std::uint64_t{0}}) {
+    const std::string name = "run length " + std::to_string(length) + " ";
+    mutants.push_back({name, with_length(length), name});
+  }
+  {
+    // Swap the first adjacent pair that is strictly ascending.
+    std::vector<std::uint8_t> mutant = state;
+    float a = 0;
+    float b = 0;
+    std::size_t i = 0;
+    for (; i + 1 < n; ++i) {
+      std::memcpy(&a, mutant.data() + values_at + i * sizeof(float), sizeof(float));
+      std::memcpy(&b, mutant.data() + values_at + (i + 1) * sizeof(float), sizeof(float));
+      if (a < b) break;
+    }
+    ASSERT_LT(i + 1, n) << "the run holds no ascending pair";
+    std::memcpy(mutant.data() + values_at + i * sizeof(float), &b, sizeof(float));
+    std::memcpy(mutant.data() + values_at + (i + 1) * sizeof(float), &a, sizeof(float));
+    mutants.push_back({"descending pair", std::move(mutant), "not ascending"});
+  }
+
+  for (const Mutant& mutant : mutants) {
+    const core::Status status = RestoreMutant(WithQuantileState(mutant.state));
+    EXPECT_EQ(status.code(), core::Status::Code::kInvalidArgument) << mutant.name;
+    EXPECT_NE(status.message().find(mutant.message), std::string::npos)
+        << mutant.name << ": " << status.message();
+  }
+  // The unmutated state, re-framed the same way, still restores.
+  EXPECT_TRUE(RestoreMutant(WithQuantileState(state)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,23 +1247,31 @@ service::StreamConfig GoldenGkConfig() {
   return config;
 }
 
-TEST(GoldenSnapshot, QuantileEstimatorBytesAreStable) {
-  const std::string dir = FreshDir("golden_quantile");
+core::Options GoldenQuantileOptions(const std::string& dir) {
   core::Options opt;
   opt.epsilon = GoldenGkConfig().epsilon;
   opt.expected_stream_length = GoldenGkConfig().expected_stream_length;
   opt.backend = core::Backend::kCpuRadixMerge;
   opt.checkpoint_dir = dir;
-  auto estimator = core::QuantileEstimator::Create(opt);
-  ASSERT_TRUE(estimator.ok());
-  stream::StreamGenerator gen(
-      {.distribution = stream::Distribution::kUniformReal, .seed = 41});
-  ASSERT_TRUE((*estimator)->ObserveBatch(gen.Take(kGoldenLength)).ok());
-  ASSERT_TRUE((*estimator)->Checkpoint().ok());
-  ExpectGoldenSnapshot(dir, "snapshot_quantile.golden");
+  return opt;
 }
 
-TEST(GoldenSnapshot, ServiceBytesAreStable) {
+/// The golden estimator run: kGoldenLength uniform values, checkpointed
+/// once into `dir`.
+std::unique_ptr<core::QuantileEstimator> GoldenQuantileRun(const std::string& dir) {
+  auto estimator = core::QuantileEstimator::Create(GoldenQuantileOptions(dir));
+  if (!estimator.ok()) {
+    ADD_FAILURE() << estimator.status().message();
+    return nullptr;
+  }
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 41});
+  EXPECT_TRUE((*estimator)->ObserveBatch(gen.Take(kGoldenLength)).ok());
+  EXPECT_TRUE((*estimator)->Checkpoint().ok());
+  return std::move(estimator).value();
+}
+
+service::ServiceConfig GoldenServiceConfig() {
   service::ServiceConfig config;
   config.backend = core::Backend::kCpuRadixMerge;
   config.num_workers = 1;
@@ -1130,11 +1279,21 @@ TEST(GoldenSnapshot, ServiceBytesAreStable) {
   config.shard_batch_elements = 128;
   config.admission = stream::AdmissionPolicy::kShed;
   config.shard_ingress_capacity = 512;
-  auto service = service::StreamService::Create(config);
-  ASSERT_TRUE(service.ok());
+  return config;
+}
 
-  // One stream per state kind: GK (exact-run and pruned buckets),
-  // gk-adaptive, KLL and frequency-only.
+// One stream per state kind: GK (exact-run and pruned buckets),
+// gk-adaptive, KLL and frequency-only.
+const service::StreamKey kGoldenKeys[] = {{0, 0}, {0, 1}, {1, 2}, {1, 3}};
+
+/// The golden service run: four streams, part of one shed, checkpointed once
+/// into `dir`.
+std::unique_ptr<service::StreamService> GoldenServiceRun(const std::string& dir) {
+  auto service = service::StreamService::Create(GoldenServiceConfig());
+  if (!service.ok()) {
+    ADD_FAILURE() << service.status().message();
+    return nullptr;
+  }
   const service::StreamConfig gk = GoldenGkConfig();
   service::StreamConfig adaptive = gk;
   adaptive.quantile_sketch = sketch::QuantileSketchKind::kGkAdaptive;
@@ -1143,31 +1302,118 @@ TEST(GoldenSnapshot, ServiceBytesAreStable) {
   service::StreamConfig frequency = gk;
   frequency.track_quantiles = false;
   frequency.track_frequencies = true;
-  const service::StreamKey keys[] = {{0, 0}, {0, 1}, {1, 2}, {1, 3}};
   const service::StreamConfig* configs[] = {&gk, &adaptive, &kll, &frequency};
   for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*service)->Register(keys[i], *configs[i]).ok());
+    EXPECT_TRUE((*service)->Register(kGoldenKeys[i], *configs[i]).ok());
   }
   stream::StreamGenerator gen({.distribution = stream::Distribution::kZipf, .seed = 43});
   const std::vector<float> values = gen.Take(4 * kGoldenLength);
   for (std::size_t at = 0; at < kGoldenLength; at += 25) {
     for (std::size_t i = 0; i < 4; ++i) {
       const auto part = std::span(values).subspan(i * kGoldenLength + at, 25);
-      ASSERT_TRUE((*service)->Append(keys[i], part).ok());
+      EXPECT_TRUE((*service)->Append(kGoldenKeys[i], part).ok());
     }
   }
   // With dispatch paused the shard's backlog passes its capacity, so part
   // of this append is shed and the snapshot carries shed accounting.
   (*service)->PauseDispatch();
-  const auto admitted = (*service)->Append(keys[1], gen.Take(600));
-  ASSERT_TRUE(admitted.ok());
-  ASSERT_LT(*admitted, 600u);
-  ASSERT_TRUE((*service)->ResumeDispatch().ok());
+  const auto admitted = (*service)->Append(kGoldenKeys[1], gen.Take(600));
+  EXPECT_TRUE(admitted.ok() && *admitted < 600u);
+  EXPECT_TRUE((*service)->ResumeDispatch().ok());
 
-  const std::string dir = FreshDir("golden_service");
   CheckpointWriter writer(dir);
-  ASSERT_TRUE((*service)->Checkpoint(&writer).ok());
+  EXPECT_TRUE((*service)->Checkpoint(&writer).ok());
+  return std::move(service).value();
+}
+
+TEST(GoldenSnapshot, QuantileEstimatorBytesAreStable) {
+  const std::string dir = FreshDir("golden_quantile");
+  ASSERT_NE(GoldenQuantileRun(dir), nullptr);
+  ExpectGoldenSnapshot(dir, "snapshot_quantile.golden");
+}
+
+TEST(GoldenSnapshot, ServiceBytesAreStable) {
+  const std::string dir = FreshDir("golden_service");
+  ASSERT_NE(GoldenServiceRun(dir), nullptr);
   ExpectGoldenSnapshot(dir, "snapshot_service.golden");
+}
+
+/// Installs the committed snapshot `name` as epoch 1 of a fresh directory,
+/// with the watermark the live run's manifest in `live_dir` records.
+std::string InstallGolden(const char* name, const std::string& live_dir) {
+  const std::string dir = FreshDir(name);
+  const std::vector<std::uint8_t> bytes = ReadFile(GoldenPath(name));
+  WriteFile(dir + "/snap-1.ckpt", bytes);
+  const auto live = ReadManifest(live_dir);
+  EXPECT_EQ(live.size(), 1u);
+  PointManifestAt(dir, 1, bytes, live.empty() ? 0 : live[0].watermark);
+  return dir;
+}
+
+// Until exact runs got their own slot tag (2: length and f32 values), a
+// checkpoint wrote each as the GK envelope of its (v, i+1, i+1) tuples
+// under tag 1. The *_tuple_runs.golden files are the bytes the two golden
+// runs wrote then. Each must restore to the answers and exports of the live
+// run, and checkpoint again to the live run's bytes.
+TEST(GoldenSnapshot, TupleRunSnapshotsRestoreToTheLiveRun) {
+  {
+    const std::string live_dir = FreshDir("golden_quantile_live");
+    const auto live = GoldenQuantileRun(live_dir);
+    ASSERT_NE(live, nullptr);
+    const std::string dir =
+        InstallGolden("snapshot_quantile_tuple_runs.golden", live_dir);
+    auto restored = core::QuantileEstimator::Restore(GoldenQuantileOptions(dir));
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    EXPECT_EQ((*restored)->observed_length(), kGoldenLength);
+    ASSERT_TRUE((*restored)->Checkpoint().ok());
+    EXPECT_EQ(ReadFile(dir + "/snap-2.ckpt"), ReadFile(live_dir + "/snap-1.ckpt"));
+    ASSERT_TRUE((*restored)->Flush().ok());
+    ASSERT_TRUE(live->Flush().ok());
+    for (double phi : {0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+      EXPECT_EQ((*restored)->Quantile(phi), live->Quantile(phi)) << "phi " << phi;
+    }
+    const auto restored_export = (*restored)->SerializedSummary();
+    const auto live_export = live->SerializedSummary();
+    ASSERT_TRUE(restored_export.ok());
+    ASSERT_TRUE(live_export.ok());
+    EXPECT_EQ(*restored_export, *live_export);
+  }
+  {
+    const std::string live_dir = FreshDir("golden_service_live");
+    const auto live = GoldenServiceRun(live_dir);
+    ASSERT_NE(live, nullptr);
+    const std::string dir =
+        InstallGolden("snapshot_service_tuple_runs.golden", live_dir);
+    auto restored = service::StreamService::RestoreFrom(GoldenServiceConfig(), dir);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    const std::string again = FreshDir("golden_service_again");
+    {
+      CheckpointWriter writer(again);
+      ASSERT_TRUE((*restored)->Checkpoint(&writer).ok());
+    }
+    EXPECT_EQ(ReadFile(again + "/snap-1.ckpt"), ReadFile(live_dir + "/snap-1.ckpt"));
+    ASSERT_TRUE((*restored)->FlushAll().ok());
+    ASSERT_TRUE(live->FlushAll().ok());
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (double phi : {0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+        const auto a = (*restored)->Quantile(kGoldenKeys[i], phi);
+        const auto b = live->Quantile(kGoldenKeys[i], phi);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        EXPECT_EQ(*a, *b) << "stream " << i << " phi " << phi;
+      }
+      const auto export_a = (*restored)->ExportQuantileSummary(kGoldenKeys[i]);
+      const auto export_b = live->ExportQuantileSummary(kGoldenKeys[i]);
+      ASSERT_TRUE(export_a.ok());
+      ASSERT_TRUE(export_b.ok());
+      EXPECT_EQ(*export_a, *export_b) << "stream " << i;
+    }
+    const auto hh_a = (*restored)->HeavyHitters(kGoldenKeys[3], 0.05);
+    const auto hh_b = live->HeavyHitters(kGoldenKeys[3], 0.05);
+    ASSERT_TRUE(hh_a.ok());
+    ASSERT_TRUE(hh_b.ok());
+    EXPECT_EQ(*hh_a, *hh_b);
+  }
 }
 
 }  // namespace

@@ -725,14 +725,32 @@ std::vector<std::uint8_t> WireBytes(const Eh& eh) {
   return out;
 }
 
-/// GkEhSketch::AppendCheckpointState of the same cascade.
+/// True when `s` lists every element at its exact rank: epsilon 0 and
+/// tuple i is (v, i+1, i+1).
+bool IsExact(const Summary& s) {
+  if (s.epsilon != 0.0 || s.tuples.size() != s.count) return false;
+  for (std::uint64_t r = 0; r < s.tuples.size(); ++r) {
+    if (s.tuples[r].rmin != r + 1 || s.tuples[r].rmax != r + 1) return false;
+  }
+  return true;
+}
+
+/// GkEhSketch::AppendCheckpointState of the same cascade: per slot a tag
+/// byte, 0 for a vacant slot, 2 plus the length u64 and the f32 values for
+/// an exact bucket, 1 plus the SGMS envelope for any other.
 std::vector<std::uint8_t> CheckpointBytes(const Eh& eh) {
   std::vector<std::uint8_t> out;
   wire::Append<std::uint64_t>(&out, eh.count());
   wire::Append<std::uint32_t>(&out, static_cast<std::uint32_t>(eh.buckets().size()));
   for (const Summary& bucket : eh.buckets()) {
-    wire::Append<std::uint8_t>(&out, bucket.empty() ? 0 : 1);
-    if (!bucket.empty()) {
+    if (bucket.empty()) {
+      wire::Append<std::uint8_t>(&out, 0);
+    } else if (IsExact(bucket)) {
+      wire::Append<std::uint8_t>(&out, 2);
+      wire::Append<std::uint64_t>(&out, bucket.count);
+      for (const GkTuple& t : bucket.tuples) wire::Append<float>(&out, t.value);
+    } else {
+      wire::Append<std::uint8_t>(&out, 1);
       EXPECT_TRUE(SerializeSummary(ToGk(bucket), &out).ok());
     }
   }
@@ -1022,7 +1040,7 @@ TEST(EhDifferential, QueryMatchesReferenceOnAnyValidBuckets) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const std::vector<float>& pool = pools[trial % 2];
     const std::size_t nan_bucket = trial % 4 == 3 ? rng() % 6 : 6;
-    std::vector<GkSummary> buckets(6);
+    std::vector<EhBucket> buckets(6);
     std::vector<ref::Summary> want;
     std::uint64_t count = 0;
     for (std::size_t id = 0; id < buckets.size(); ++id) {
@@ -1045,7 +1063,7 @@ TEST(EhDifferential, QueryMatchesReferenceOnAnyValidBuckets) {
         bucket.count = rmax + rng() % 3;
         bucket.epsilon = 0.004;
       }
-      buckets[id] = ref::ToGk(bucket);
+      buckets[id].summary = ref::ToGk(bucket);
       count += bucket.count;
       want.push_back(std::move(bucket));
     }

@@ -1,9 +1,9 @@
 // Tests for the versioned summary wire format (sketch/serialize.h): per-type
 // envelope round trips (including empty summaries), back-to-back framing,
-// type dispatch via PeekSketchType, the legacy "GKS1" shim, committed golden
-// wire files (forward-compat detection), a malformed-input corpus — every
-// rejection returns Status, never aborts — and CRC-32 checked against a
-// bitwise reference.
+// type dispatch via PeekSketchType, committed golden wire files
+// (forward-compat detection), a malformed-input corpus — every rejection
+// returns Status, never aborts — and CRC-32 checked against a bitwise
+// reference.
 //
 // Regenerate the golden wire files with:
 //   STREAMGPU_REGEN_GOLDEN=1 ./serialize_test --gtest_filter='*GoldenWire*'
@@ -202,13 +202,21 @@ TEST(SerializeTest, MalformedCorpusReturnsStatus) {
   std::vector<std::uint8_t> buffer;
   ASSERT_TRUE(SerializeSummary(MakeGk(50, 0.1, 9), &buffer).ok());
 
-  // Bad magic.
+  // Bad magic: a flipped byte, and the pre-envelope "GKS1" GK framing
+  // (magic u32, then the GK payload), which is not an envelope.
   {
-    auto corrupted = buffer;
-    corrupted[0] ^= 0xFF;
-    std::span<const std::uint8_t> cursor = corrupted;
-    EXPECT_FALSE(DeserializeGkSummary(&cursor).ok());
-    EXPECT_FALSE(PeekSketchType(corrupted).ok());
+    auto flipped = buffer;
+    flipped[0] ^= 0xFF;
+    std::vector<std::uint8_t> gks1 = {0x31, 0x53, 0x4B, 0x47};
+    gks1.insert(gks1.end(), buffer.begin() + 20, buffer.end());
+    for (const auto& corrupted : {flipped, gks1}) {
+      std::span<const std::uint8_t> cursor = corrupted;
+      const auto parsed = DeserializeGkSummary(&cursor);
+      EXPECT_FALSE(parsed.ok());
+      EXPECT_NE(parsed.status().message().find("magic"), std::string::npos);
+      EXPECT_EQ(cursor.size(), corrupted.size());
+      EXPECT_FALSE(PeekSketchType(corrupted).ok());
+    }
   }
   // Version from the future.
   {
@@ -283,45 +291,6 @@ TEST(SerializeTest, MalformedKllPayloadRejected) {
   EXPECT_NE(parsed.status().message().find("invariant"), std::string::npos);
 }
 
-// Hand-built legacy "GKS1" framing (the previous release's checkpoint
-// format): the shim must keep reading it for one release.
-TEST(SerializeTest, LegacyGkShimReadsOldFraming) {
-  const GkSummary original = MakeGk(500, 0.05, 11);
-  std::vector<std::uint8_t> legacy;
-  const auto append = [&legacy](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    legacy.insert(legacy.end(), b, b + n);
-  };
-  const std::uint32_t magic = 0x474B5331;  // "GKS1" (little-endian "1SKG")
-  const std::uint64_t count = original.count();
-  const double epsilon = original.epsilon();
-  const std::uint64_t tuples = original.size();
-  append(&magic, 4);
-  append(&count, 8);
-  append(&epsilon, 8);
-  append(&tuples, 8);
-  for (const GkTuple& t : original.tuples()) {
-    append(&t.value, 4);
-    append(&t.rmin, 8);
-    append(&t.rmax, 8);
-  }
-
-  const auto peeked = PeekSketchType(legacy);
-  ASSERT_TRUE(peeked.ok());
-  EXPECT_EQ(*peeked, SketchType::kGkSummary);
-
-  std::span<const std::uint8_t> cursor = legacy;
-  const auto parsed = DeserializeGkSummary(&cursor);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(cursor.empty());
-  EXPECT_EQ(parsed->count(), original.count());
-  EXPECT_EQ(parsed->tuples(), original.tuples());
-
-  // Truncated legacy input also fails with Status, not an abort.
-  std::span<const std::uint8_t> truncated(legacy.data(), legacy.size() / 2);
-  EXPECT_FALSE(DeserializeGkSummary(&truncated).ok());
-}
-
 // ---------------------------------------------------------------------------
 // Golden wire files: bytes written by the current writer are committed to
 // the repo; if a format change breaks reading them, released checkpoints
@@ -385,22 +354,6 @@ TEST(SerializeTest, GoldenWireFilesStayReadable) {
         << "this breaks released checkpoints; bump kWireVersion and shim";
     // And the committed bytes must stay readable.
     EXPECT_TRUE(PeekSketchType(committed).ok()) << c.name;
-  }
-}
-
-TEST(SerializeTest, ExactSummaryWritesTheMaterialisedSummaryBytes) {
-  std::mt19937 rng(5);
-  std::uniform_real_distribution<float> d(-1e3f, 1e3f);
-  for (std::size_t n : {0u, 1u, 7u, 1000u}) {
-    std::vector<float> run(n);
-    for (float& v : run) v = d(rng);
-    std::sort(run.begin(), run.end());
-    // A non-empty prefix: the envelope is framed in place after it.
-    std::vector<std::uint8_t> direct = {0xEE, 0xEF};
-    std::vector<std::uint8_t> materialised = direct;
-    ASSERT_TRUE(SerializeExactSummary(run, &direct).ok());
-    ASSERT_TRUE(SerializeSummary(GkSummary::Exact(run), &materialised).ok());
-    EXPECT_EQ(direct, materialised) << "n=" << n;
   }
 }
 
