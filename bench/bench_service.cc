@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #if defined(__linux__)
@@ -56,6 +57,14 @@ std::size_t CurrentRssBytes() {
 #endif
 }
 
+// The Zipf input of both ingest runs, generated before their timers: the
+// generator alone runs slower than either ingest path, so generating inside
+// the timed loops made both rates converge on its speed.
+std::vector<float> GenerateInput(std::size_t n) {
+  return stream::StreamGenerator({.distribution = stream::Distribution::kZipf, .seed = 7})
+      .Take(n);
+}
+
 // Aggregate service ingest: `total` elements spread round-robin over
 // `streams` streams in kChunk-element appends. Returns elements/second.
 double RunService(std::uint64_t streams, std::size_t total) {
@@ -73,18 +82,17 @@ double RunService(std::uint64_t streams, std::size_t total) {
     service.Register(keys.back(), stream_config);
   }
 
-  stream::StreamGenerator gen(
-      {.distribution = stream::Distribution::kZipf, .seed = 7});
-  std::vector<float> chunk(kChunk);
   // At least one round, so reduced-scale runs (STREAMGPU_SCALE < 1) never
   // produce a zero-ingest row; full scale is >= 6 rounds at every count.
   const std::size_t rounds =
       std::max<std::size_t>(1, total / (streams * kChunk));
+  const std::vector<float> input = GenerateInput(rounds * streams * kChunk);
+  const float* next = input.data();
   Timer timer;
   for (std::size_t round = 0; round < rounds; ++round) {
     for (const service::StreamKey& key : keys) {
-      gen.Fill(chunk);
-      service.Append(key, chunk);
+      service.Append(key, std::span<const float>(next, kChunk));
+      next += kChunk;
     }
   }
   service.FlushAll();
@@ -101,14 +109,13 @@ double RunDedicated(std::size_t total) {
   opt.num_sort_workers = kWorkers;
   core::QuantileEstimator estimator(opt);
 
-  stream::StreamGenerator gen(
-      {.distribution = stream::Distribution::kZipf, .seed = 7});
-  std::vector<float> chunk(kChunk);
   const std::size_t rounds = total / kChunk;
+  const std::vector<float> input = GenerateInput(rounds * kChunk);
+  const float* next = input.data();
   Timer timer;
   for (std::size_t round = 0; round < rounds; ++round) {
-    gen.Fill(chunk);
-    estimator.ObserveBatch(chunk);
+    estimator.ObserveBatch(std::span<const float>(next, kChunk));
+    next += kChunk;
   }
   estimator.Flush();
   const double seconds = timer.ElapsedSeconds();
@@ -161,8 +168,16 @@ QueryResult RunBatchQueries(std::uint64_t streams, std::size_t per_stream) {
   return result;
 }
 
+struct RegistryResult {
+  double seconds = 0;
+  double bytes_per_stream = 0;
+};
+
 // Registry footprint: bytes of RSS growth per registered-but-idle stream.
-double MeasureIdleStreamBytes(std::uint64_t streams) {
+// Measured first, in a fresh process: after the ingest runs, RSS growth
+// also depends on how much freed heap they left resident for the registry
+// to reuse.
+RegistryResult MeasureIdleStreams(std::uint64_t streams) {
   auto service = std::make_unique<service::StreamService>(service::ServiceConfig{});
   service::StreamConfig stream_config;
   stream_config.epsilon = kEpsilon;
@@ -171,12 +186,11 @@ double MeasureIdleStreamBytes(std::uint64_t streams) {
   for (std::uint64_t i = 0; i < streams; ++i) {
     service->Register({i % 257, i}, stream_config);
   }
-  const double seconds = timer.ElapsedSeconds();
-  const std::size_t after = CurrentRssBytes();
-  std::printf("registry   %llu idle streams in %.2f s, %.0f bytes/stream RSS\n",
-              static_cast<unsigned long long>(streams), seconds,
-              static_cast<double>(after - before) / static_cast<double>(streams));
-  return static_cast<double>(after - before) / static_cast<double>(streams);
+  RegistryResult result;
+  result.seconds = timer.ElapsedSeconds();
+  result.bytes_per_stream =
+      static_cast<double>(CurrentRssBytes() - before) / static_cast<double>(streams);
+  return result;
 }
 
 }  // namespace
@@ -190,6 +204,8 @@ int main() {
   std::printf("\n%d workers, epsilon %g, %zu-element appends, %zu total elements\n\n",
               kWorkers, kEpsilon, kChunk, total);
 
+  constexpr std::uint64_t kIdleStreams = 100'000;
+  const RegistryResult registry = MeasureIdleStreams(kIdleStreams);
   const double single = RunDedicated(total);
   std::printf("%10s | %14s | %10s\n", "streams", "elements/s", "vs single");
   std::printf("%10s | %14.3g | %10s\n", "dedicated", single, "1.00");
@@ -204,8 +220,9 @@ int main() {
                 static_cast<unsigned long long>(streams), rate, rate / single);
   }
 
-  std::printf("\n");
-  const double idle_bytes = MeasureIdleStreamBytes(100'000);
+  std::printf("\nregistry   %llu idle streams in %.2f s, %.0f bytes/stream RSS\n",
+              static_cast<unsigned long long>(kIdleStreams), registry.seconds,
+              registry.bytes_per_stream);
   const QueryResult queries = RunBatchQueries(1000, 4000);
   std::printf("queries    %.3g reports/s snapshotting 1000 streams (p99 call %.2f ms)\n",
               queries.reports_per_sec, queries.p99_call_seconds * 1e3);
@@ -228,7 +245,7 @@ int main() {
         json.End('}');
       }
       json.End(']');
-      json.Number("bytes_per_idle_stream", idle_bytes);
+      json.Number("bytes_per_idle_stream", registry.bytes_per_stream);
       json.Number("batch_reports_per_sec", queries.reports_per_sec);
       json.Number("batch_p99_call_seconds", queries.p99_call_seconds);
       json.End('}');

@@ -496,30 +496,30 @@ Status SummaryEstimator<Core>::InstallSnapshot(const durable::Snapshot& snapshot
   ScheduleCheckpoint();
 
   if (staged != nullptr) {
-    std::vector<float> buffered;
-    if (!durable::ReadWindowBuffer(staged->payload, &buffered)) {
+    std::size_t buffered = 0;
+    if (!durable::ReadWindowBufferCount(staged->payload, &buffered)) {
       return Status::InvalidArgument("malformed window-buffer record");
     }
     // A checkpoint stages less than one packing unit (Checkpoint() submits
     // a host stream's whole windows first), however large a batch is.
     const std::size_t capacity =
         batcher_.window_size() * static_cast<std::size_t>(pack_windows_);
-    if (buffered.empty() || buffered.size() >= capacity) {
+    if (buffered == 0 || buffered >= capacity) {
       return Status::InvalidArgument(
-          "window-buffer record stages " + std::to_string(buffered.size()) +
+          "window-buffer record stages " + std::to_string(buffered) +
           " elements; a checkpoint stages between 1 and " +
           std::to_string(capacity - 1));
     }
     // The staged elements were quantized at original ingest; copy them back
     // verbatim instead of re-quantizing.
-    const std::span<float> slot = batcher_.Claim(buffered.size());
-    if (slot.size() != buffered.size()) {
+    const std::span<float> slot = batcher_.Claim(buffered);
+    if (slot.size() != buffered) {
       return Status::InvalidArgument(
-          "window-buffer record stages " + std::to_string(buffered.size()) +
+          "window-buffer record stages " + std::to_string(buffered) +
           " elements past the batch that ends " + std::to_string(slot.size()) +
           " elements after window " + std::to_string(windows_released_));
     }
-    std::copy(buffered.begin(), buffered.end(), slot.begin());
+    durable::CopyWindowBuffer(staged->payload, slot);
   }
 
   const std::uint64_t covered = core_.processed() + core_.elements_dropped() +

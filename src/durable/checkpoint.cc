@@ -414,21 +414,21 @@ void AppendWindowBuffer(std::span<const float> staged, std::vector<std::uint8_t>
   wire::AppendArray(out, staged);
 }
 
-bool ReadWindowBuffer(std::span<const std::uint8_t> payload, std::vector<float>* out) {
-  std::uint64_t count = 0;
-  if (!wire::Read(&payload, &count)) return false;
-  if (count != payload.size() / sizeof(float) ||
-      payload.size() % sizeof(float) != 0) {
+bool ReadWindowBufferCount(std::span<const std::uint8_t> payload, std::size_t* count) {
+  std::uint64_t declared = 0;
+  if (!wire::Read(&payload, &declared)) return false;
+  if (payload.size() % sizeof(float) != 0 || declared != payload.size() / sizeof(float)) {
     return false;
   }
-  out->clear();
-  out->reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    float value = 0;
-    wire::Read(&payload, &value);
-    out->push_back(value);
+  *count = static_cast<std::size_t>(declared);
+  return true;
+}
+
+void CopyWindowBuffer(std::span<const std::uint8_t> payload, std::span<float> out) {
+  STREAMGPU_CHECK(payload.size() == sizeof(std::uint64_t) + out.size_bytes());
+  if (!out.empty()) {
+    std::memcpy(out.data(), payload.data() + sizeof(std::uint64_t), out.size_bytes());
   }
-  return payload.empty();
 }
 
 void RecordRestore(const obs::Observability& obs, const Snapshot& snapshot) {

@@ -179,8 +179,14 @@ bool ReadSnapshotHeader(std::span<const std::uint8_t> payload, SnapshotHeader* o
 /// kWindowBuffer payload appended to `out`.
 void AppendWindowBuffer(std::span<const float> staged, std::vector<std::uint8_t>* out);
 
-/// Inverse of AppendWindowBuffer; false on truncation or trailing bytes.
-bool ReadWindowBuffer(std::span<const std::uint8_t> payload, std::vector<float>* out);
+/// Validates a kWindowBuffer payload and sets `*count` to the number of
+/// staged floats it holds; false on truncation, trailing bytes or a count
+/// that disagrees with the payload size.
+bool ReadWindowBufferCount(std::span<const std::uint8_t> payload, std::size_t* count);
+
+/// Copies the staged floats of a payload ReadWindowBufferCount accepted into
+/// `out`, which must hold exactly its count.
+void CopyWindowBuffer(std::span<const std::uint8_t> payload, std::span<float> out);
 
 }  // namespace streamgpu::durable
 

@@ -10,12 +10,13 @@
 #define STREAMGPU_GPU_BLEND_H_
 
 #include <algorithm>
+#include <cstdint>
 
 namespace streamgpu::gpu {
 
 /// Blend equation applied per channel between the incoming fragment color
 /// (source) and the color already in the framebuffer (destination).
-enum class BlendOp {
+enum class BlendOp : std::uint8_t {
   kReplace,  ///< dst = src (blending disabled)
   kMin,      ///< dst = min(dst, src) — GL_MIN
   kMax,      ///< dst = max(dst, src) — GL_MAX

@@ -7,6 +7,64 @@
 
 namespace streamgpu::gpu {
 
+void StageProgram::Reset(int width, int height, std::size_t draws) {
+  STREAMGPU_CHECK(width > 0 && height > 0);
+  width_ = width;
+  height_ = height;
+  declared_ = draws;
+  step_begin_ = 0;
+  draws_.clear();
+  // At most one draw per texel: a program never outgrows the texture's own
+  // f32 storage (16 B per texel).
+  replayable_ = draws > 0 && draws <= static_cast<std::size_t>(width) * height;
+  if (replayable_) {
+    draws_.reserve(draws);
+  } else {
+    draws_ = {};
+  }
+}
+
+void StageProgram::Abandon() {
+  draws_ = {};
+  step_begin_ = 0;
+  replayable_ = false;
+}
+
+void StageProgram::Add(const Quad& quad, BlendOp op) {
+  if (!replayable_) return;
+  UnitRectDraw draw;
+  if (!Rasterizer::Compact(Rasterizer::SetUp(quad, width_, height_), op, width_, height_,
+                           &draw)) {
+    Abandon();
+    return;
+  }
+  draws_.push_back(draw);
+}
+
+void StageProgram::EndStep() {
+  if (!replayable_) return;
+  // The replay's copy is a storage swap, which equals the physical copy only
+  // when the step wrote every texel exactly once: disjoint rectangles whose
+  // areas add up to the framebuffer's.
+  std::uint64_t area = 0;
+  for (std::size_t i = step_begin_; i < draws_.size(); ++i) {
+    const UnitRectDraw& a = draws_[i];
+    for (std::size_t j = step_begin_; j < i; ++j) {
+      const UnitRectDraw& b = draws_[j];
+      if (a.px0 < b.px1 && b.px0 < a.px1 && a.py0 < b.py1 && b.py0 < a.py1) {
+        Abandon();
+        return;
+      }
+    }
+    area += a.fragments();
+  }
+  if (area != static_cast<std::uint64_t>(width_) * static_cast<std::uint64_t>(height_)) {
+    Abandon();
+    return;
+  }
+  step_begin_ = draws_.size();
+}
+
 DeviceFault GpuDevice::PollFaultSlow(DeviceFaultSite site, std::uint64_t elements) {
   DeviceFault fault;
   if (lost_) return fault;
@@ -423,10 +481,7 @@ void GpuDevice::CopyFramebufferToTexture(TextureHandle tex) {
       // When tiled, the framebuffer is fully physical again (every texel was
       // rewritten since the swap) and the alias can simply move on.
     }
-    std::swap(framebuffer_, t);
-    fb_alias_ = tex;
-    fb_written_.clear();
-    fb_written_area_ = 0;
+    SwapFramebufferInto(tex);
     return;
   }
 
@@ -445,6 +500,51 @@ void GpuDevice::CopyFramebufferToTexture(TextureHandle tex) {
       std::memcpy(dst, src, n * sizeof(float));
     }
   }
+}
+
+void GpuDevice::SwapFramebufferInto(TextureHandle tex) {
+  std::swap(framebuffer_, *textures_[static_cast<std::size_t>(tex)]);
+  fb_alias_ = tex;
+  fb_written_.clear();
+  fb_written_area_ = 0;
+}
+
+bool GpuDevice::ReplayStage(TextureHandle tex, const StageProgram& program) {
+  if (fault_hook_ != nullptr || lost_ || Rasterizer::path() != RasterPath::kFast ||
+      !program.replayable()) {
+    return false;
+  }
+  // Either no alias (the framebuffer is physical: the first stage after the
+  // Copy pass) or `tex` holding the framebuffer's content untouched since
+  // the last copy (every later stage).
+  if (fb_alias_ >= 0 && (fb_alias_ != tex || !fb_written_.empty())) return false;
+  Surface& t = MutableTexture(tex);
+  if (t.format() != framebuffer_.format()) return false;
+  STREAMGPU_CHECK_MSG(t.width() == program.width() && t.height() == program.height() &&
+                          framebuffer_.width() == program.width() &&
+                          framebuffer_.height() == program.height(),
+                      "ReplayStage: the program was recorded for another shape");
+
+  // A step ends where its draws have tiled the framebuffer (StageProgram
+  // checked that each step does, without overlap).
+  const std::uint64_t texels = framebuffer_.num_texels();
+  std::uint64_t step_area = 0;
+  for (const UnitRectDraw& draw : program.draws()) {
+    // As DrawQuad: pre-blend values come from the aliased texture, which is
+    // `tex` itself, or from the framebuffer when nothing is aliased.
+    Rasterizer::DrawUnitRect(t, draw, &framebuffer_, &stats_, fb_alias_ >= 0 ? &t : nullptr);
+    step_area += draw.fragments();
+    if (step_area == texels) {
+      // Charged as CopyFramebufferToTexture charges.
+      stats_.bytes_vram += framebuffer_.SizeBytes() + t.SizeBytes();
+      stats_.fb_to_texture_copies += 1;
+      SwapFramebufferInto(tex);
+      step_area = 0;
+    }
+  }
+  // The blend state the stage's last SetBlend leaves.
+  blend_op_ = program.draws().back().op;
+  return true;
 }
 
 }  // namespace streamgpu::gpu

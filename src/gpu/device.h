@@ -30,6 +30,50 @@ namespace streamgpu::gpu {
 /// Opaque texture object handle.
 using TextureHandle = int;
 
+/// One stage of a sorting network, recorded once and replayed by
+/// GpuDevice::ReplayStage. PBSN is periodic: each of its log M stages issues
+/// the same log M steps (§4), and a step's quads depend only on the texture
+/// shape. A step is a run of compact draws (UnitRectDraw, 16 B each) that
+/// tile the framebuffer, each followed by a framebuffer-to-texture copy. A
+/// program holds at most one draw per texel.
+class StageProgram {
+ public:
+  /// Empties the program and starts recording a stage of `draws` draws for
+  /// a width x height texture drawn into a framebuffer of the same shape,
+  /// reserving exactly that many. A stage of no draws, or of more draws
+  /// than texels, is not recorded: the program stays unreplayable.
+  void Reset(int width, int height, std::size_t draws);
+
+  /// Records one draw of the current step: `quad` is set up against the
+  /// program's shape by Rasterizer::SetUp, then compacted. A quad that does
+  /// not compact abandons the program: it is emptied and stays unreplayable
+  /// until the next Reset.
+  void Add(const Quad& quad, BlendOp op);
+
+  /// Closes the current step. A step whose draws do not tile the
+  /// framebuffer exactly (every texel written once) abandons the program.
+  void EndStep();
+
+  /// True when exactly the declared draws were recorded, in closed steps.
+  bool replayable() const {
+    return replayable_ && draws_.size() == declared_ && step_begin_ == declared_;
+  }
+
+  int width() const { return width_; }
+  int height() const { return height_; }
+  std::span<const UnitRectDraw> draws() const { return draws_; }
+
+ private:
+  void Abandon();
+
+  std::vector<UnitRectDraw> draws_;
+  std::size_t declared_ = 0;
+  std::size_t step_begin_ = 0;  // first draw of the open step
+  int width_ = 0;
+  int height_ = 0;
+  bool replayable_ = false;
+};
+
 /// A simulated GPU with video memory, a rasterizer, and a bus to the host.
 class GpuDevice {
  public:
@@ -86,6 +130,20 @@ class GpuDevice {
   /// values seen by Texture()/framebuffer()/ReadbackChannel() — is identical
   /// to a physical copy.
   void CopyFramebufferToTexture(TextureHandle tex);
+
+  /// Replays a recorded stage against texture `tex`, which the bound
+  /// framebuffer renders: each step's draws run with the rectangle kernels
+  /// kFast runs for their quads, over the same rectangles in the same order,
+  /// adding the same GpuStats, and then the step's copy runs as the
+  /// CopyFramebufferToTexture storage swap. Surfaces, counters and the blend
+  /// state end as the stage's SetBlend/DrawQuad/copy sequence leaves them.
+  /// Returns false, with no side effect, when a fault hook is installed
+  /// (every draw would poll it) or the device is lost; when the raster path
+  /// is not kFast; when the framebuffer aliases another texture or was drawn
+  /// since its last copy; when `tex` and the framebuffer differ in format; or
+  /// when `program` is not replayable. The caller then issues the stage's
+  /// draws itself.
+  bool ReplayStage(TextureHandle tex, const StageProgram& program);
 
   /// Runs a user fragment program over a framebuffer rectangle (see
   /// Rasterizer::RunFragmentProgram). Used by the bitonic-sort baseline.
@@ -227,6 +285,11 @@ class GpuDevice {
   /// texture when untouched since the swap, otherwise the (materialized)
   /// framebuffer.
   Surface& ReadableFramebuffer();
+
+  /// CopyFramebufferToTexture as a storage swap, for a framebuffer that is
+  /// fully physical: `tex` takes its logical content and the framebuffer
+  /// aliases `tex` with nothing written since.
+  void SwapFramebufferInto(TextureHandle tex);
 
   std::vector<std::unique_ptr<Surface>> textures_;
   // Retired texture storage, recycled by CreateTexture (Surface::Reset reuses

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,62 @@ void BlendRectUnitDispatch(BlendOp op, const float* src, std::ptrdiff_t src_stri
   }
 }
 
+// Unit-step columns over `rows` rows whose source rows lie `src_stride`
+// floats apart, dispatched on the rounding rule and the column direction.
+void BlendUnit(BlendOp op, bool quantize, int col_step, const float* src,
+               std::ptrdiff_t src_stride, const float* dread, float* dst,
+               std::size_t dst_stride, int rows, int count) {
+  if (col_step == 1) {
+    if (quantize) {
+      BlendRectUnitDispatch<true, 1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
+    } else {
+      BlendRectUnitDispatch<false, 1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
+    }
+  } else {
+    if (quantize) {
+      BlendRectUnitDispatch<true, -1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
+    } else {
+      BlendRectUnitDispatch<false, -1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
+    }
+  }
+}
+
+// Unit kernels skip rounding when the source is already binary16 (operand
+// selection preserves quantization; see the kernel comment above).
+bool QuantizeUnit(const Surface& tex, const Surface& target) {
+  return target.format() == Format::kFloat16 && tex.format() != Format::kFloat16;
+}
+
+// The rectangle kernel: `rows` rows of `count` pixels from (px0, py0), whose
+// first pixel fetches texel (col_first, row_first); columns and rows step by
+// col_step and row_step (+-1), and no fetch clamps.
+void ExecuteUnitRect(const Surface& tex, int col_first, int col_step, int row_first,
+                     int row_step, BlendOp op, const Surface& dsrc, Surface* target, int px0,
+                     int py0, int count, int rows) {
+  const std::ptrdiff_t src_stride =
+      row_step * static_cast<std::ptrdiff_t>(tex.row_stride() * kNumChannels);
+  BlendUnit(op, QuantizeUnit(tex, *target), col_step,
+            tex.TexelData() + tex.Index(col_first, row_first) * kNumChannels, src_stride,
+            dsrc.TexelData() + dsrc.Index(px0, py0) * kNumChannels,
+            target->TexelData() + target->Index(px0, py0) * kNumChannels,
+            target->row_stride() * kNumChannels, rows, count);
+}
+
+// Counts one draw of `fragments` fragments.
+void CountDraw(std::uint64_t fragments, BlendOp op, Format tex_format, Format target_format,
+               GpuStats* stats) {
+  stats->draw_calls += 1;
+  stats->fragments_shaded += fragments;
+  stats->texture_fetches += fragments;
+  if (op != BlendOp::kReplace) stats->blend_fragments += fragments;
+  // VRAM traffic: one texel fetch, one framebuffer write, and — when blending
+  // — one framebuffer read per fragment.
+  const std::uint64_t per_fragment =
+      BytesPerTexel(tex_format) + BytesPerTexel(target_format) +
+      (op != BlendOp::kReplace ? BytesPerTexel(target_format) : 0);
+  stats->bytes_vram += fragments * per_fragment;
+}
+
 void BlendRowGatherDispatch(BlendOp op, const float* src_row, const int* cols,
                             const float* dread_row, int count, float* dst_row,
                             bool quantize_half) {
@@ -287,42 +344,17 @@ void ExecuteFast(const Surface& tex, const QuadSetup& s, BlendOp op, const Surfa
     cols = cols_scratch.data();
   }
 
-  const bool target_half = target->format() == Format::kFloat16;
-  // Unit kernels skip rounding when the source is already binary16 (operand
-  // selection preserves quantization; see kernel comment above).
-  const bool quantize_unit = target_half && tex.format() != Format::kFloat16;
-  const std::size_t ss = tex.row_stride() * kNumChannels;
-  const std::size_t ds = target->row_stride() * kNumChannels;
-
-  // `n` rows of unit-step columns, the source rows `src_stride` floats apart.
-  const auto blend_unit = [&](const float* src, std::ptrdiff_t src_stride,
-                              const float* dread, float* dst, int n) {
-    if (s.cols.step == 1) {
-      if (quantize_unit) {
-        BlendRectUnitDispatch<true, 1>(op, src, src_stride, dread, dst, ds, n, count);
-      } else {
-        BlendRectUnitDispatch<false, 1>(op, src, src_stride, dread, dst, ds, n, count);
-      }
-    } else {
-      if (quantize_unit) {
-        BlendRectUnitDispatch<true, -1>(op, src, src_stride, dread, dst, ds, n, count);
-      } else {
-        BlendRectUnitDispatch<false, -1>(op, src, src_stride, dread, dst, ds, n, count);
-      }
-    }
-  };
-
   if (unit_cols && UnclampedUnit(s.rows, rows, th)) {
     // Unit-step rows, ascending (row-block comparators, Copy) or mirrored
     // (tall-block comparators): the whole quad is one rectangle kernel.
-    blend_unit(tex.TexelData() + tex.Index(s.cols.first, s.rows.first) * kNumChannels,
-               s.rows.step * static_cast<std::ptrdiff_t>(ss),
-               dsrc.TexelData() + dsrc.Index(s.px0, s.py0) * kNumChannels,
-               target->TexelData() + target->Index(s.px0, s.py0) * kNumChannels, rows);
+    ExecuteUnitRect(tex, s.cols.first, s.cols.step, s.rows.first, s.rows.step, op, dsrc,
+                    target, s.px0, s.py0, count, rows);
     return;
   }
 
   // Any other row mapping: one row at a time, with the exact per-row formula.
+  const bool quantize_unit = QuantizeUnit(tex, *target);
+  const bool target_half = target->format() == Format::kFloat16;
   for (int y = s.py0; y < s.py1; ++y) {
     const float sy = (static_cast<float>(y) + 0.5f - v0.y) * s.inv_h;
     const float tv = v0.v + (v3.v - v0.v) * sy;
@@ -332,8 +364,9 @@ void ExecuteFast(const Surface& tex, const QuadSetup& s, BlendOp op, const Surfa
         dsrc.TexelData() + dsrc.Index(s.px0, y) * kNumChannels;
     float* dst_row = target->TexelData() + target->Index(s.px0, y) * kNumChannels;
     if (unit_cols) {
-      blend_unit(src_row + static_cast<std::size_t>(s.cols.first) * kNumChannels, 0,
-                 dread_row, dst_row, 1);
+      BlendUnit(op, quantize_unit, s.cols.step,
+                src_row + static_cast<std::size_t>(s.cols.first) * kNumChannels, 0,
+                dread_row, dst_row, 0, 1, count);
     } else {
       BlendRowGatherDispatch(op, src_row, cols, dread_row, count, dst_row, target_half);
     }
@@ -419,18 +452,43 @@ void Rasterizer::DrawQuad(const Surface& tex, const QuadSetup& s, BlendOp op,
     }
   }
 
-  const std::uint64_t width_px = static_cast<std::uint64_t>(s.px1 - s.px0);
-  const std::uint64_t fragments = width_px * static_cast<std::uint64_t>(s.py1 - s.py0);
-  stats->draw_calls += 1;
-  stats->fragments_shaded += fragments;
-  stats->texture_fetches += fragments;
-  if (op != BlendOp::kReplace) stats->blend_fragments += fragments;
-  // VRAM traffic: one texel fetch, one framebuffer write, and — when blending
-  // — one framebuffer read per fragment.
-  const std::uint64_t per_fragment =
-      BytesPerTexel(tex.format()) + BytesPerTexel(target->format()) +
-      (op != BlendOp::kReplace ? BytesPerTexel(target->format()) : 0);
-  stats->bytes_vram += fragments * per_fragment;
+  const std::uint64_t fragments = static_cast<std::uint64_t>(s.px1 - s.px0) *
+                                  static_cast<std::uint64_t>(s.py1 - s.py0);
+  CountDraw(fragments, op, tex.format(), target->format(), stats);
+}
+
+bool Rasterizer::Compact(const QuadSetup& s, BlendOp op, int tex_width, int tex_height,
+                         UnitRectDraw* out) {
+  constexpr int kLimit = std::numeric_limits<std::uint16_t>::max();
+  if (s.empty() || s.width > kLimit || s.height > kLimit ||
+      tex_width > kLimit || tex_height > kLimit) {
+    return false;
+  }
+  // ExecuteFast's test for the rectangle kernel (a quad that is not
+  // separable has no closed-form mapping, so it fails here too).
+  if (!UnclampedUnit(s.cols, s.px1 - s.px0, tex_width) ||
+      !UnclampedUnit(s.rows, s.py1 - s.py0, tex_height)) {
+    return false;
+  }
+  *out = {.px0 = static_cast<std::uint16_t>(s.px0),
+          .py0 = static_cast<std::uint16_t>(s.py0),
+          .px1 = static_cast<std::uint16_t>(s.px1),
+          .py1 = static_cast<std::uint16_t>(s.py1),
+          .col_first = static_cast<std::uint16_t>(s.cols.first),
+          .row_first = static_cast<std::uint16_t>(s.rows.first),
+          .col_step = static_cast<std::int8_t>(s.cols.step),
+          .row_step = static_cast<std::int8_t>(s.rows.step),
+          .op = op};
+  return true;
+}
+
+void Rasterizer::DrawUnitRect(const Surface& tex, const UnitRectDraw& d, Surface* target,
+                              GpuStats* stats, const Surface* dst_read) {
+  STREAMGPU_DCHECK(d.px1 <= target->width() && d.py1 <= target->height());
+  ExecuteUnitRect(tex, d.col_first, d.col_step, d.row_first, d.row_step, d.op,
+                  dst_read != nullptr ? *dst_read : *target, target, d.px0, d.py0,
+                  d.px1 - d.px0, d.py1 - d.py0);
+  CountDraw(d.fragments(), d.op, tex.format(), target->format(), stats);
 }
 
 }  // namespace streamgpu::gpu

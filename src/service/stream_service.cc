@@ -787,19 +787,19 @@ core::Status StreamService::InstallSnapshot(const durable::Snapshot& snapshot) {
         if (current == nullptr || have_window_buffer) {
           return core::Status::InvalidArgument("misplaced window-buffer record");
         }
-        std::vector<float> buffered;
-        if (!durable::ReadWindowBuffer(payload, &buffered)) {
+        std::size_t buffered = 0;
+        if (!durable::ReadWindowBufferCount(payload, &buffered)) {
           return core::Status::InvalidArgument("malformed window-buffer record");
         }
-        if (buffered.empty() || buffered.size() >= current->window_size) {
+        if (buffered == 0 || buffered >= current->window_size) {
           return core::Status::InvalidArgument(
-              "window-buffer record stages " + std::to_string(buffered.size()) +
+              "window-buffer record stages " + std::to_string(buffered) +
               " elements; a service stream stages between 1 and " +
               std::to_string(current->window_size - 1));
         }
-        // Already quantized at original ingest; copy back verbatim.
-        const std::span<float> slot = current->batcher.Claim(buffered.size());
-        std::copy(buffered.begin(), buffered.end(), slot.begin());
+        // Already quantized at original ingest; copy back verbatim into the
+        // just-registered stream's empty batch.
+        durable::CopyWindowBuffer(payload, current->batcher.Claim(buffered));
         have_window_buffer = true;
         break;
       }

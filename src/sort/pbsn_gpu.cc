@@ -25,6 +25,68 @@ void TextureDims(std::int64_t padded, int* width, int* height) {
   *height = 1 << (levels / 2);
 }
 
+// Fig. 2 (left): blocks lie within rows. One quad per row block covers the
+// same columns of every row; the texture u coordinate mirrors the block
+// (u(x) = 2*offset + B - x) and v is the identity.
+template <typename Draw>
+void RowBlockStep(int width, int height, std::int64_t block_size, bool row_block_optimization,
+                  Draw&& draw) {
+  const auto b = static_cast<float>(block_size);
+  const float h = static_cast<float>(height);
+  const std::int64_t num_row_blocks = width / block_size;
+  for (std::int64_t j = 0; j < num_row_blocks; ++j) {
+    const float off = static_cast<float>(j * block_size);
+    const float row_span = row_block_optimization ? h : 1.0f;
+    for (float y0 = 0; y0 < h; y0 += row_span) {
+      const float y1 = y0 + row_span;
+      // ComputeRowMin: lower half of the block keeps the minimum.
+      draw(gpu::BlendOp::kMin, gpu::Quad::Make(off, y0, off + b / 2, y1,        //
+                                               off + b, y0, off + b / 2, y0,    //
+                                               off + b / 2, y1, off + b, y1));
+      // ComputeRowMax: upper half keeps the maximum.
+      draw(gpu::BlendOp::kMax, gpu::Quad::Make(off + b / 2, y0, off + b, y1,    //
+                                               off + b / 2, y0, off, y0,        //
+                                               off, y1, off + b / 2, y1));
+    }
+  }
+}
+
+// Fig. 2 (right): blocks span block_size/width full rows. The u coordinate
+// mirrors the columns and v mirrors the block's rows (Routine 4.2).
+template <typename Draw>
+void TallBlockStep(int width, int height, std::int64_t block_size, Draw&& draw) {
+  const float w = static_cast<float>(width);
+  const std::int64_t block_height = block_size / width;
+  STREAMGPU_CHECK(block_height >= 2 && block_height % 2 == 0);
+  const std::int64_t num_blocks =
+      static_cast<std::int64_t>(width) * height / block_size;
+  const auto bh = static_cast<float>(block_height);
+  for (std::int64_t i = 0; i < num_blocks; ++i) {
+    const float r = static_cast<float>(i * block_height);
+    // ComputeMin over the block's lower half-rows.
+    draw(gpu::BlendOp::kMin, gpu::Quad::Make(0, r, w, r + bh / 2,        //
+                                             w, r + bh, 0, r + bh,       //
+                                             0, r + bh / 2, w, r + bh / 2));
+    // ComputeMax over the block's upper half-rows.
+    draw(gpu::BlendOp::kMax, gpu::Quad::Make(0, r + bh / 2, w, r + bh,   //
+                                             w, r + bh / 2, 0, r + bh / 2,  //
+                                             0, r, w, r));
+  }
+}
+
+// One step of the sorting network at the given block size: hands the MIN
+// and MAX comparator quads of Routine 4.4 / Fig. 2 to `draw(op, quad)` in
+// drawing order.
+template <typename Draw>
+void SortStep(int width, int height, std::int64_t block_size, bool row_block_optimization,
+              Draw&& draw) {
+  if (block_size <= width) {
+    RowBlockStep(width, height, block_size, row_block_optimization, draw);
+  } else {
+    TallBlockStep(width, height, block_size, draw);
+  }
+}
+
 }  // namespace
 
 PbsnGpuSorter::PbsnGpuSorter(gpu::GpuDevice* device,
@@ -145,10 +207,32 @@ void PbsnGpuSorter::SortGroup(const std::array<std::span<float>, gpu::kNumChanne
   device_->DrawQuad(tex, gpu::Quad::Identity(0, 0, static_cast<float>(width),
                                              static_cast<float>(height)));
 
+  // The network is periodic: every stage issues the same steps, so the first
+  // group of a texture shape records one stage for the device to replay.
   const int stages = CeilLog2(static_cast<std::uint64_t>(padded));
-  for (int stage = 0; stage < stages; ++stage) {
+  const bool row_blocks = options_.use_row_block_optimization;
+  if (stages > 0 && (stage_.width() != width || stage_.height() != height)) {
+    // Counted first, so the record is allocated once at its exact size.
+    std::size_t draws = 0;
     for (std::int64_t block = padded; block >= 2; block /= 2) {
-      SortStep(tex, width, height, block);
+      SortStep(width, height, block, row_blocks,
+               [&draws](gpu::BlendOp, const gpu::Quad&) { ++draws; });
+    }
+    stage_.Reset(width, height, draws);
+    for (std::int64_t block = padded; block >= 2; block /= 2) {
+      SortStep(width, height, block, row_blocks,
+               [this](gpu::BlendOp op, const gpu::Quad& quad) { stage_.Add(quad, op); });
+      stage_.EndStep();
+    }
+  }
+  for (int stage = 0; stage < stages; ++stage) {
+    if (device_->ReplayStage(tex, stage_)) continue;
+    for (std::int64_t block = padded; block >= 2; block /= 2) {
+      SortStep(width, height, block, row_blocks,
+               [this, tex](gpu::BlendOp op, const gpu::Quad& quad) {
+                 device_->SetBlend(op);
+                 device_->DrawQuad(tex, quad);
+               });
       device_->CopyFramebufferToTexture(tex);
     }
   }
@@ -168,67 +252,6 @@ void PbsnGpuSorter::SortGroup(const std::array<std::span<float>, gpu::kNumChanne
   last_breakdown_.transfer_s += b.transfer_s;
 
   device_->DestroyAllTextures();
-}
-
-void PbsnGpuSorter::SortStep(gpu::TextureHandle tex, int width, int height,
-                             std::int64_t block_size) {
-  if (block_size <= width) {
-    RowBlockStep(tex, width, height, block_size);
-  } else {
-    TallBlockStep(tex, width, height, block_size);
-  }
-}
-
-void PbsnGpuSorter::RowBlockStep(gpu::TextureHandle tex, int width, int height,
-                                 std::int64_t block_size) {
-  // Fig. 2 (left): blocks lie within rows. One quad per row block covers the
-  // same columns of every row; the texture u coordinate mirrors the block
-  // (u(x) = 2*offset + B - x) and v is the identity.
-  const auto b = static_cast<float>(block_size);
-  const float h = static_cast<float>(height);
-  const std::int64_t num_row_blocks = width / block_size;
-  for (std::int64_t j = 0; j < num_row_blocks; ++j) {
-    const float off = static_cast<float>(j * block_size);
-    const float row_span = options_.use_row_block_optimization ? h : 1.0f;
-    for (float y0 = 0; y0 < h; y0 += row_span) {
-      const float y1 = y0 + row_span;
-      // ComputeRowMin: lower half of the block keeps the minimum.
-      device_->SetBlend(gpu::BlendOp::kMin);
-      device_->DrawQuad(tex, gpu::Quad::Make(off, y0, off + b / 2, y1,        //
-                                             off + b, y0, off + b / 2, y0,    //
-                                             off + b / 2, y1, off + b, y1));
-      // ComputeRowMax: upper half keeps the maximum.
-      device_->SetBlend(gpu::BlendOp::kMax);
-      device_->DrawQuad(tex, gpu::Quad::Make(off + b / 2, y0, off + b, y1,    //
-                                             off + b / 2, y0, off, y0,        //
-                                             off, y1, off + b / 2, y1));
-    }
-  }
-}
-
-void PbsnGpuSorter::TallBlockStep(gpu::TextureHandle tex, int width, int height,
-                                  std::int64_t block_size) {
-  // Fig. 2 (right): blocks span block_size/width full rows. The u coordinate
-  // mirrors the columns and v mirrors the block's rows (Routine 4.2).
-  const float w = static_cast<float>(width);
-  const std::int64_t block_height = block_size / width;
-  STREAMGPU_CHECK(block_height >= 2 && block_height % 2 == 0);
-  const std::int64_t num_blocks =
-      static_cast<std::int64_t>(width) * height / block_size;
-  const auto bh = static_cast<float>(block_height);
-  for (std::int64_t i = 0; i < num_blocks; ++i) {
-    const float r = static_cast<float>(i * block_height);
-    // ComputeMin over the block's lower half-rows.
-    device_->SetBlend(gpu::BlendOp::kMin);
-    device_->DrawQuad(tex, gpu::Quad::Make(0, r, w, r + bh / 2,        //
-                                           w, r + bh, 0, r + bh,       //
-                                           0, r + bh / 2, w, r + bh / 2));
-    // ComputeMax over the block's upper half-rows.
-    device_->SetBlend(gpu::BlendOp::kMax);
-    device_->DrawQuad(tex, gpu::Quad::Make(0, r + bh / 2, w, r + bh,   //
-                                           w, r + bh / 2, 0, r + bh / 2,  //
-                                           0, r, w, r));
-  }
 }
 
 }  // namespace streamgpu::sort

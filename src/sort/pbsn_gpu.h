@@ -68,6 +68,10 @@ class PbsnGpuSorter final : public Sorter {
   /// Simulated GPU time breakdown of the most recent Sort() call (Fig. 4).
   const hwmodel::GpuTimeBreakdown& last_breakdown() const { return last_breakdown_; }
 
+  /// The stage recorded for the most recent texture shape that has one
+  /// (host-side inspection in tests; see SortGroup).
+  const gpu::StageProgram& stage_program() const { return stage_; }
+
   const Options& options() const { return options_; }
 
  protected:
@@ -76,15 +80,11 @@ class PbsnGpuSorter final : public Sorter {
  private:
   /// Uploads up to four runs into one texture, runs the full PBSN schedule,
   /// and reads the sorted runs back in place. Accumulates stats/timing into
-  /// the current call's record.
+  /// the current call's record. The first group of a texture shape records
+  /// one stage into stage_, and every stage replays it where the device
+  /// accepts (gpu::GpuDevice::ReplayStage); elsewhere the stage's quads are
+  /// drawn one by one, the reference.
   void SortGroup(const std::array<std::span<float>, gpu::kNumChannels>& runs);
-
-  /// One step of the sorting network at the given block size: renders the
-  /// MIN and MAX comparator quads of Routine 4.4 / Fig. 2.
-  void SortStep(gpu::TextureHandle tex, int width, int height, std::int64_t block_size);
-
-  void RowBlockStep(gpu::TextureHandle tex, int width, int height, std::int64_t block_size);
-  void TallBlockStep(gpu::TextureHandle tex, int width, int height, std::int64_t block_size);
 
   gpu::GpuDevice* device_;
   hwmodel::GpuModel gpu_model_;
@@ -93,6 +93,7 @@ class PbsnGpuSorter final : public Sorter {
   SortRunInfo last_run_;
   gpu::GpuStats last_stats_;
   hwmodel::GpuTimeBreakdown last_breakdown_;
+  gpu::StageProgram stage_;
 
   // Reusable scratch (capacity persists across calls, so the steady-state
   // window loop performs no heap allocation): the upload/readback staging

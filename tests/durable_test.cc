@@ -183,19 +183,28 @@ TEST(Codec, WindowBufferRoundTripAndRejection) {
   const std::vector<float> staged = {1.5f, -2.25f, 0.0f, 1e30f};
   std::vector<std::uint8_t> payload;
   AppendWindowBuffer(staged, &payload);
-  std::vector<float> parsed;
-  ASSERT_TRUE(ReadWindowBuffer(payload, &parsed));
+  std::size_t count = 0;
+  ASSERT_TRUE(ReadWindowBufferCount(payload, &count));
+  ASSERT_EQ(count, staged.size());
+  std::vector<float> parsed(count);
+  CopyWindowBuffer(payload, parsed);
   EXPECT_EQ(parsed, staged);
 
   std::vector<std::uint8_t> truncated(payload.begin(), payload.end() - 2);
-  EXPECT_FALSE(ReadWindowBuffer(truncated, &parsed));
+  EXPECT_FALSE(ReadWindowBufferCount(truncated, &count));
   std::vector<std::uint8_t> trailing = payload;
   trailing.push_back(0);
-  EXPECT_FALSE(ReadWindowBuffer(trailing, &parsed));
+  EXPECT_FALSE(ReadWindowBufferCount(trailing, &count));
+  // Whole floats past the declared count.
+  std::vector<std::uint8_t> extra = payload;
+  extra.insert(extra.end(), sizeof(float), 0);
+  EXPECT_FALSE(ReadWindowBufferCount(extra, &count));
   // A count far larger than the payload (would overflow count * sizeof).
   std::vector<std::uint8_t> lying = payload;
   for (std::size_t i = 0; i < 8; ++i) lying[i] = 0xFF;
-  EXPECT_FALSE(ReadWindowBuffer(lying, &parsed));
+  EXPECT_FALSE(ReadWindowBufferCount(lying, &count));
+  // No count at all.
+  EXPECT_FALSE(ReadWindowBufferCount(std::span(payload).first(7), &count));
 }
 
 // ---------------------------------------------------------------------------

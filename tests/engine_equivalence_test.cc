@@ -15,6 +15,11 @@
 // The golden test additionally pins the absolute counter values for a fixed
 // input, so a change that shifts both paths in lockstep (and would slip past
 // the pairwise comparison) still trips the suite.
+//
+// On the fast path a PBSN sorter records one stage per texture shape and the
+// device replays it (GpuDevice::ReplayStage). A fault hook that never fires
+// makes the device decline, so the same sorter then draws every quad on its
+// own: the reference each replay is compared with, bytes and counters.
 
 #include <algorithm>
 #include <bit>
@@ -23,6 +28,7 @@
 #include <limits>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +56,42 @@ struct RunResult {
   double simulated_seconds = 0;
 };
 
+// Installed on a device, any fault hook makes GpuDevice::ReplayStage decline
+// (every draw would poll it); this one never fires, so the draws it forces
+// run exactly as they would without it.
+class NeverFires final : public gpu::DeviceFaultHook {
+ public:
+  gpu::DeviceFault OnDeviceOp(gpu::DeviceFaultSite, std::uint64_t) override { return {}; }
+};
+
+// Every counter, each named on a mismatch.
+void ExpectSameStats(const gpu::GpuStats& got, const gpu::GpuStats& want) {
+  EXPECT_EQ(got.draw_calls, want.draw_calls);
+  EXPECT_EQ(got.fragments_shaded, want.fragments_shaded);
+  EXPECT_EQ(got.blend_fragments, want.blend_fragments);
+  EXPECT_EQ(got.texture_fetches, want.texture_fetches);
+  EXPECT_EQ(got.program_fragments, want.program_fragments);
+  EXPECT_EQ(got.program_instructions, want.program_instructions);
+  EXPECT_EQ(got.bytes_uploaded, want.bytes_uploaded);
+  EXPECT_EQ(got.bytes_readback, want.bytes_readback);
+  EXPECT_EQ(got.bytes_vram, want.bytes_vram);
+  EXPECT_EQ(got.fb_to_texture_copies, want.fb_to_texture_copies);
+  EXPECT_EQ(got.framebuffer_binds, want.framebuffer_binds);
+  EXPECT_EQ(got.depth_test_fragments, want.depth_test_fragments);
+  EXPECT_EQ(got.occlusion_queries, want.occlusion_queries);
+}
+
+// Byte-identical output (memcmp, not float compare: -0.0 vs 0.0 or a NaN
+// payload change must fail), every counter and the simulated time.
+void ExpectSameRun(const RunResult& got, const RunResult& want) {
+  ASSERT_EQ(got.sorted.size(), want.sorted.size());
+  EXPECT_EQ(std::memcmp(got.sorted.data(), want.sorted.data(),
+                        want.sorted.size() * sizeof(float)),
+            0);
+  ExpectSameStats(got.stats, want.stats);
+  EXPECT_DOUBLE_EQ(got.simulated_seconds, want.simulated_seconds);
+}
+
 // RAII guard: the raster path is process-global, restore it on test exit.
 class ScopedRasterPath {
  public:
@@ -64,12 +106,18 @@ class ScopedRasterPath {
 
 // Streams `data` through a WindowBatcher -> WindowExecutor with `workers`
 // PBSN sorters (one simulated device each) under the given raster path, in
-// windows of `window` elements.
+// windows of `window` elements. With `replay` false every device carries a
+// NeverFires hook, so no stage is replayed.
 RunResult RunPipeline(gpu::RasterPath path, gpu::Format format, int workers,
-                      const std::vector<float>& data, std::uint64_t window = kWindow) {
+                      const std::vector<float>& data, std::uint64_t window = kWindow,
+                      bool replay = true) {
   ScopedRasterPath scoped(path);
 
   std::vector<gpu::GpuDevice> devices(workers);
+  NeverFires hook;
+  if (!replay) {
+    for (auto& d : devices) d.set_fault_hook(&hook);
+  }
   std::vector<sort::PbsnGpuSorter> sorters;
   sorters.reserve(workers);
   sort::PbsnOptions opt;
@@ -200,21 +248,20 @@ TEST(EngineEquivalenceTest, FastMatchesGenericAcrossFormatsAndWorkers) {
       ASSERT_EQ(golden.sorted.size(), data.size());
 
       // kCheck runs both paths on every draw and CHECK-fails on a bit
-      // difference in any covered pixel.
-      for (gpu::RasterPath path : {gpu::RasterPath::kGeneric, gpu::RasterPath::kFast,
-                                   gpu::RasterPath::kCheck}) {
+      // difference in any covered pixel. The fast path runs with its stage
+      // replay and with every quad drawn on its own.
+      const struct {
+        gpu::RasterPath path;
+        bool replay;
+      } engines[] = {{gpu::RasterPath::kGeneric, true},
+                     {gpu::RasterPath::kFast, true},
+                     {gpu::RasterPath::kFast, false},
+                     {gpu::RasterPath::kCheck, true}};
+      for (const auto& [path, replay] : engines) {
         for (int workers : {1, 8}) {
-          SCOPED_TRACE(testing::Message() << PathName(path) << " workers=" << workers);
-          const RunResult got = RunPipeline(path, format, workers, data, window);
-
-          ASSERT_EQ(got.sorted.size(), golden.sorted.size());
-          // Byte-identical output: memcmp, not float compare — -0.0 vs 0.0 or
-          // a NaN payload change must fail.
-          EXPECT_EQ(std::memcmp(got.sorted.data(), golden.sorted.data(),
-                                golden.sorted.size() * sizeof(float)),
-                    0);
-          EXPECT_EQ(got.stats, golden.stats);
-          EXPECT_DOUBLE_EQ(got.simulated_seconds, golden.simulated_seconds);
+          SCOPED_TRACE(testing::Message() << PathName(path) << " replay=" << replay
+                                          << " workers=" << workers);
+          ExpectSameRun(RunPipeline(path, format, workers, data, window, replay), golden);
         }
       }
     }
@@ -305,6 +352,311 @@ TEST(EngineEquivalenceTest, GoldenStatsForFixedBatch) {
   }
   sorter2.SortRuns(runs2);
   EXPECT_EQ(device2.stats(), fast);
+}
+
+// The shape a sorter's recorded stage has after one SortRuns call.
+struct StageShape {
+  int width = 0;
+  int height = 0;
+  bool replayable = false;
+
+  friend bool operator==(const StageShape&, const StageShape&) = default;
+};
+
+// Sorts fresh test data on the fast path with one PBSN sorter on its own
+// device: one SortRuns call of four runs per entry of `run_lengths`, the runs
+// taken from the front of the data in order. With `replay` false a
+// NeverFires hook makes every stage draw quad by quad. `stages`, when
+// non-null, receives the recorded stage after each call.
+RunResult SortCalls(const std::vector<std::size_t>& run_lengths, bool replay,
+                    sort::PbsnOptions opt, std::vector<StageShape>* stages = nullptr) {
+  ScopedRasterPath scoped(gpu::RasterPath::kFast);
+  std::size_t total = 0;
+  for (std::size_t len : run_lengths) total += len * kWindowsPerBatch;
+  RunResult result;
+  result.sorted = WithNaNs(TestData(1, total));
+
+  gpu::GpuDevice device;
+  NeverFires hook;
+  if (!replay) device.set_fault_hook(&hook);
+  sort::PbsnGpuSorter sorter(&device, hwmodel::kGeForce6800Ultra, hwmodel::kPentium4_3400,
+                             opt);
+  float* next = result.sorted.data();
+  for (std::size_t len : run_lengths) {
+    std::vector<std::span<float>> runs;
+    for (int r = 0; r < kWindowsPerBatch; ++r, next += len) runs.emplace_back(next, len);
+    sorter.SortRuns(runs);
+    result.simulated_seconds += sorter.last_run().simulated_seconds;
+    if (stages != nullptr) {
+      const gpu::StageProgram& stage = sorter.stage_program();
+      stages->push_back({stage.width(), stage.height(), stage.replayable()});
+    }
+  }
+  result.stats = device.stats();
+  return result;
+}
+
+// bench_engine's PBSN shapes: four windows of 16 (4x4 texture), 250 (16x16)
+// and 4,000 (64x64) elements, three calls each.
+TEST(EngineEquivalenceTest, ReplayMatchesDrawByDrawOnBenchShapes) {
+  for (const auto& [window, side] : {std::pair<std::size_t, int>{16, 4},
+                                     {250, 16},
+                                     {4000, 64}}) {
+    for (gpu::Format format : {gpu::Format::kFloat16, gpu::Format::kFloat32}) {
+      SCOPED_TRACE(testing::Message() << FormatName(format) << " window=" << window);
+      sort::PbsnOptions opt;
+      opt.format = format;
+      const std::vector<std::size_t> calls(3, window);
+      std::vector<StageShape> stages;
+      const RunResult replayed = SortCalls(calls, /*replay=*/true, opt, &stages);
+      ExpectSameRun(replayed, SortCalls(calls, /*replay=*/false, opt));
+      EXPECT_EQ(stages, std::vector<StageShape>(3, {side, side, true}));
+    }
+  }
+}
+
+// A sorter whose groups alternate between two texture shapes records the
+// stage again at every change of shape.
+TEST(EngineEquivalenceTest, ReplayReRecordsWhenTheShapeChanges) {
+  sort::PbsnOptions opt;
+  opt.format = gpu::Format::kFloat16;
+  const std::vector<std::size_t> calls = {1000, 16, 1000, 16, 1000};
+  std::vector<StageShape> stages;
+  const RunResult replayed = SortCalls(calls, /*replay=*/true, opt, &stages);
+  ExpectSameRun(replayed, SortCalls(calls, /*replay=*/false, opt));
+  const StageShape big{32, 32, true};
+  const StageShape small{4, 4, true};
+  EXPECT_EQ(stages, (std::vector<StageShape>{big, small, big, small, big}));
+}
+
+// Without the row-block fast path a stage issues more draws than the texture
+// has texels: the sorter records nothing, the device declines, and every
+// stage is drawn quad by quad.
+TEST(EngineEquivalenceTest, RowBlockAblationStageIsDeclined) {
+  sort::PbsnOptions opt;
+  opt.format = gpu::Format::kFloat16;
+  opt.use_row_block_optimization = false;
+  const std::vector<std::size_t> calls = {1000, 1000};
+  std::vector<StageShape> stages;
+  const RunResult got = SortCalls(calls, /*replay=*/true, opt, &stages);
+  ExpectSameRun(got, SortCalls(calls, /*replay=*/false, opt));
+  EXPECT_EQ(stages, std::vector<StageShape>(2, {32, 32, false}));
+}
+
+// One PBSN step on a 4x4 texture: Routine 4.4's comparator at block 4, a MIN
+// quad over the left half of every row and a MAX quad over the right half,
+// both mirrored.
+const gpu::Quad kMinQuad = gpu::Quad::Make(0, 0, 2, 4, 4, 0, 2, 0, 2, 4, 4, 4);
+const gpu::Quad kMaxQuad = gpu::Quad::Make(2, 0, 4, 4, 2, 0, 0, 0, 0, 4, 2, 4);
+
+gpu::StageProgram OneStepStage() {
+  gpu::StageProgram stage;
+  stage.Reset(4, 4, 2);
+  stage.Add(kMinQuad, gpu::BlendOp::kMin);
+  stage.Add(kMaxQuad, gpu::BlendOp::kMax);
+  stage.EndStep();
+  return stage;
+}
+
+// The step as the sorter issues it when the device declines.
+void DrawStep(gpu::GpuDevice& device, gpu::TextureHandle tex) {
+  device.SetBlend(gpu::BlendOp::kMin);
+  device.DrawQuad(tex, kMinQuad);
+  device.SetBlend(gpu::BlendOp::kMax);
+  device.DrawQuad(tex, kMaxQuad);
+  device.CopyFramebufferToTexture(tex);
+}
+
+// A device in the state a PBSN group's first stage starts from: a 4x4
+// texture uploaded, the framebuffer bound and filled by the Copy pass.
+gpu::TextureHandle PrepareDevice(gpu::GpuDevice& device,
+                                 gpu::Format tex_format = gpu::Format::kFloat16) {
+  const gpu::TextureHandle tex = device.CreateTexture(4, 4, tex_format);
+  const std::vector<float> values = TestData(1, 16, 3);
+  for (int c = 0; c < gpu::kNumChannels; ++c) {
+    std::vector<float> channel(values.rbegin(), values.rend());
+    std::rotate(channel.begin(), channel.begin() + 5 * c, channel.end());
+    device.UploadChannel(tex, c, channel);
+  }
+  device.BindFramebuffer(4, 4, gpu::Format::kFloat16);
+  device.SetBlend(gpu::BlendOp::kReplace);
+  device.DrawQuad(tex, gpu::Quad::Identity(0, 0, 4, 4));
+  return tex;
+}
+
+// Every texel of both surfaces and every counter of two devices.
+void ExpectSameDevice(const gpu::GpuDevice& got, const gpu::GpuDevice& want,
+                      gpu::TextureHandle tex) {
+  const auto bits = [](const gpu::Surface& s) {
+    std::vector<std::uint32_t> out;
+    for (int y = 0; y < s.height(); ++y) {
+      for (int x = 0; x < s.width(); ++x) {
+        for (int c = 0; c < gpu::kNumChannels; ++c) {
+          out.push_back(std::bit_cast<std::uint32_t>(s.Get(c, x, y)));
+        }
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(bits(got.framebuffer()), bits(want.framebuffer()));
+  EXPECT_EQ(bits(got.Texture(tex)), bits(want.Texture(tex)));
+  ExpectSameStats(got.stats(), want.stats());
+}
+
+TEST(EngineEquivalenceTest, ReplayStageMatchesTheDrawsItRecorded) {
+  ScopedRasterPath scoped(gpu::RasterPath::kFast);
+  const gpu::StageProgram stage = OneStepStage();
+  ASSERT_TRUE(stage.replayable());
+  ASSERT_EQ(stage.draws().size(), 2u);
+
+  gpu::GpuDevice replayed;
+  gpu::GpuDevice drawn;
+  const gpu::TextureHandle tex = PrepareDevice(replayed);
+  ASSERT_EQ(PrepareDevice(drawn), tex);
+  // The first stage starts with nothing aliased, the second with the texture
+  // aliased and untouched since the first stage's copy.
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_TRUE(replayed.ReplayStage(tex, stage));
+    DrawStep(drawn, tex);
+  }
+  ExpectSameDevice(replayed, drawn, tex);
+
+  // The replay leaves the blend equation the step's last SetBlend set: a
+  // draw with no SetBlend of its own blends the same way on both devices.
+  for (gpu::GpuDevice* d : {&replayed, &drawn}) {
+    d->DrawQuad(tex, kMinQuad);
+    d->CopyFramebufferToTexture(tex);
+  }
+  ExpectSameDevice(replayed, drawn, tex);
+}
+
+// Each decline leaves the device as it was: the stage drawn quad by quad
+// afterwards gives what a device that was never asked to replay gives.
+TEST(EngineEquivalenceTest, ReplayStageDeclinesWithoutSideEffects) {
+  ScopedRasterPath scoped(gpu::RasterPath::kFast);
+  const gpu::StageProgram stage = OneStepStage();
+
+  const auto expect_declined = [&](const char* why, const auto& set_up,
+                                   const gpu::StageProgram& program,
+                                   gpu::Format tex_format = gpu::Format::kFloat16) {
+    SCOPED_TRACE(why);
+    gpu::GpuDevice asked;
+    gpu::GpuDevice reference;
+    const gpu::TextureHandle tex = PrepareDevice(asked, tex_format);
+    PrepareDevice(reference, tex_format);
+    set_up(asked, tex);
+    set_up(reference, tex);
+    EXPECT_FALSE(asked.ReplayStage(tex, program));
+    for (gpu::GpuDevice* d : {&asked, &reference}) {
+      d->set_fault_hook(nullptr);
+      d->Recover();
+      DrawStep(*d, tex);
+    }
+    ExpectSameDevice(asked, reference, tex);
+  };
+  const auto nothing = [](gpu::GpuDevice&, gpu::TextureHandle) {};
+
+  NeverFires never;
+  expect_declined("fault hook installed",
+                  [&](gpu::GpuDevice& d, gpu::TextureHandle) { d.set_fault_hook(&never); },
+                  stage);
+
+  class LoseDevice final : public gpu::DeviceFaultHook {
+   public:
+    gpu::DeviceFault OnDeviceOp(gpu::DeviceFaultSite, std::uint64_t) override {
+      return {.kind = gpu::DeviceFault::Kind::kDeviceLost};
+    }
+  } lose;
+  expect_declined("device lost",
+                  [&](gpu::GpuDevice& d, gpu::TextureHandle tex) {
+                    d.set_fault_hook(&lose);
+                    d.DrawQuad(tex, gpu::Quad::Identity(0, 0, 4, 4));
+                    d.set_fault_hook(nullptr);
+                    ASSERT_TRUE(d.lost());
+                  },
+                  stage);
+
+  for (gpu::RasterPath path : {gpu::RasterPath::kGeneric, gpu::RasterPath::kCheck}) {
+    ScopedRasterPath other(path);
+    expect_declined(PathName(path), nothing, stage);
+  }
+
+  expect_declined("framebuffer drawn since its last copy",
+                  [](gpu::GpuDevice& d, gpu::TextureHandle tex) {
+                    DrawStep(d, tex);
+                    d.SetBlend(gpu::BlendOp::kMin);
+                    d.DrawQuad(tex, kMinQuad);
+                  },
+                  stage);
+  expect_declined("framebuffer aliases another texture",
+                  [](gpu::GpuDevice& d, gpu::TextureHandle) {
+                    d.CopyFramebufferToTexture(d.CreateTexture(4, 4, gpu::Format::kFloat16));
+                  },
+                  stage);
+  expect_declined("texture format differs from the framebuffer's", nothing, stage,
+                  gpu::Format::kFloat32);
+
+  // Eight two-draw steps put one draw on each of the 16 texels; a stage of
+  // seventeen draws is not recorded.
+  gpu::StageProgram one_per_texel;
+  one_per_texel.Reset(4, 4, 16);
+  for (int step = 0; step < 8; ++step) {
+    one_per_texel.Add(kMinQuad, gpu::BlendOp::kMin);
+    one_per_texel.Add(kMaxQuad, gpu::BlendOp::kMax);
+    one_per_texel.EndStep();
+  }
+  EXPECT_TRUE(one_per_texel.replayable());
+  gpu::StageProgram too_many;
+  too_many.Reset(4, 4, 17);
+  EXPECT_FALSE(too_many.replayable());
+  expect_declined("more draws than texels", nothing, too_many);
+
+  gpu::StageProgram open_step;
+  open_step.Reset(4, 4, 2);
+  open_step.Add(kMinQuad, gpu::BlendOp::kMin);
+  open_step.Add(kMaxQuad, gpu::BlendOp::kMax);
+  EXPECT_FALSE(open_step.replayable());
+  expect_declined("a step left open", nothing, open_step);
+
+  // Two tiling steps where one was declared.
+  gpu::StageProgram past_declared;
+  past_declared.Reset(4, 4, 2);
+  for (int step = 0; step < 2; ++step) {
+    past_declared.Add(kMinQuad, gpu::BlendOp::kMin);
+    past_declared.Add(kMaxQuad, gpu::BlendOp::kMax);
+    past_declared.EndStep();
+  }
+  EXPECT_FALSE(past_declared.replayable());
+  expect_declined("draws past the declared count", nothing, past_declared);
+
+  gpu::StageProgram empty;
+  empty.Reset(4, 4, 0);
+  EXPECT_FALSE(empty.replayable());
+  expect_declined("no draws", nothing, empty);
+
+  gpu::StageProgram untiled;
+  untiled.Reset(4, 4, 1);
+  untiled.Add(kMinQuad, gpu::BlendOp::kMin);
+  untiled.EndStep();
+  EXPECT_FALSE(untiled.replayable());
+  expect_declined("a step that does not tile the framebuffer", nothing, untiled);
+
+  // Two draws over the same half add up to the framebuffer's area but leave
+  // the other half unwritten.
+  gpu::StageProgram overlapping;
+  overlapping.Reset(4, 4, 2);
+  overlapping.Add(kMinQuad, gpu::BlendOp::kMin);
+  overlapping.Add(kMinQuad, gpu::BlendOp::kMax);
+  overlapping.EndStep();
+  EXPECT_FALSE(overlapping.replayable());
+  expect_declined("a step whose draws overlap", nothing, overlapping);
+
+  gpu::StageProgram scaled;
+  scaled.Reset(4, 4, 1);
+  scaled.Add(gpu::Quad::Make(0, 0, 4, 4, 0, 0, 2, 0, 2, 2, 0, 2), gpu::BlendOp::kMin);
+  scaled.EndStep();
+  EXPECT_FALSE(scaled.replayable());
+  expect_declined("a quad that is not a unit-step rectangle", nothing, scaled);
 }
 
 }  // namespace
