@@ -92,10 +92,9 @@ int QuantileSummaryCore::max_block_level() const {
 }
 
 bool QuantileSummaryCore::MergeSortedBlock(std::vector<float>& run, int level,
-                                           double merge_seconds, bool holds_nan) {
+                                           double merge_seconds) {
   const std::size_t elements = run.size();
-  if (whole_ == nullptr ||
-      !whole_->AddSortedBlock(run, level, merge_seconds, holds_nan)) {
+  if (whole_ == nullptr || !whole_->AddSortedBlock(run, level, merge_seconds)) {
     return false;
   }
   histogram_elements_ += elements;
@@ -374,6 +373,10 @@ Status FrequencySummaryCore::RestoreCheckpointState(
     wire::Read(&payload, &e.value);
     wire::Read(&payload, &e.frequency);
     wire::Read(&payload, &e.delta);
+    if (e.value != e.value) {
+      return Status::InvalidArgument("frequency checkpoint entry " + std::to_string(i) +
+                                     " value is NaN");
+    }
     entries.push_back(e);
   }
   sketch::LossyCounting restored(epsilon_);

@@ -73,8 +73,7 @@ class QuantileSummaryCore {
   /// `run` (sketch::EhQuantileSummary::MergeBlock), when that equals
   /// MergeSortedWindow on each of them in turn. Returns false and changes
   /// nothing otherwise; the caller then merges the windows one by one.
-  bool MergeSortedBlock(std::vector<float>& run, int level, double merge_seconds,
-                        bool holds_nan);
+  bool MergeSortedBlock(std::vector<float>& run, int level, double merge_seconds);
 
   /// Accounts one unrecoverable window: not merged, not counted as
   /// processed; widens the error bound by its element count.

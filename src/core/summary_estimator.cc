@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/float_order.h"
 #include "common/timer.h"
 #include "gpu/half.h"
 #include "hwmodel/hardware_profiles.h"
@@ -118,7 +118,22 @@ Status SummaryEstimator<Core>::Observe(float value) {
     return Status::FailedPrecondition(
         "Observe() after Flush(): the estimator is finalized and query-only");
   }
-  return ObserveValue(value);
+  if (value != value) {
+    return Status::InvalidArgument("Observe() value is NaN, which has no rank: not observed");
+  }
+  ++observed_;
+  if (obs_.metrics != nullptr) obs_.metrics->Add(ids_.elements_observed);
+  if (obs_.trace != nullptr && ingest_start_us_ < 0) {
+    ingest_start_us_ = obs_.trace->NowMicros();
+  }
+  if (quantize_) value = gpu::QuantizeToHalf(value);
+  if (batcher_.Push(value)) {
+    EndIngestSpan(batcher_.buffered());
+    const Status status = SubmitBatch();
+    if (!status.ok()) return status;
+    return MaybeAutoCheckpoint();
+  }
+  return Status::Ok();
 }
 
 template <typename Core>
@@ -126,6 +141,11 @@ Status SummaryEstimator<Core>::ObserveBatch(std::span<const float> values) {
   if (finalized_) {
     return Status::FailedPrecondition(
         "ObserveBatch() after Flush(): the estimator is finalized and query-only");
+  }
+  if (const std::size_t nan = FindNan(values); nan != values.size()) {
+    return Status::InvalidArgument("ObserveBatch() element " + std::to_string(nan) + " of " +
+                                   std::to_string(values.size()) +
+                                   " is NaN, which has no rank: none of them observed");
   }
   // Bulk fast path: the lifecycle and backend checks above are hoisted out
   // of the loop, and whole spans are copied (or binary16-quantized) straight
@@ -158,23 +178,6 @@ Status SummaryEstimator<Core>::ObserveBatch(std::span<const float> values) {
       const Status checkpoint = MaybeAutoCheckpoint();
       if (!checkpoint.ok()) return checkpoint;
     }
-  }
-  return Status::Ok();
-}
-
-template <typename Core>
-Status SummaryEstimator<Core>::ObserveValue(float value) {
-  ++observed_;
-  if (obs_.metrics != nullptr) obs_.metrics->Add(ids_.elements_observed);
-  if (obs_.trace != nullptr && ingest_start_us_ < 0) {
-    ingest_start_us_ = obs_.trace->NowMicros();
-  }
-  if (quantize_) value = gpu::QuantizeToHalf(value);
-  if (batcher_.Push(value)) {
-    EndIngestSpan(batcher_.buffered());
-    const Status status = SubmitBatch();
-    if (!status.ok()) return status;
-    return MaybeAutoCheckpoint();
   }
   return Status::Ok();
 }
@@ -298,9 +301,6 @@ void SummaryEstimator<Core>::PrepareBatch(int worker_index, stream::WindowBatch&
     sketch::EhQuantileSummary::MergeBlock(
         std::span<const float>(chunk.data).subspan(i * window, windows * window), window,
         &scratch, &run.values);
-    bool nan = false;
-    for (const float v : run.values) nan |= std::isnan(v);
-    run.holds_nan = nan;
     run.merge_seconds = merge_timer.ElapsedSeconds();
     i += windows;
   }
@@ -497,8 +497,8 @@ Status SummaryEstimator<Core>::InstallSnapshot(const durable::Snapshot& snapshot
 
   if (staged != nullptr) {
     std::size_t buffered = 0;
-    if (!durable::ReadWindowBufferCount(staged->payload, &buffered)) {
-      return Status::InvalidArgument("malformed window-buffer record");
+    if (Status s = durable::ReadWindowBufferCount(staged->payload, &buffered); !s.ok()) {
+      return s;
     }
     // A checkpoint stages less than one packing unit (Checkpoint() submits
     // a host stream's whole windows first), however large a batch is.

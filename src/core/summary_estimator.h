@@ -68,7 +68,7 @@ struct SummaryTraits<QuantileSummaryCore> {
   }
   static bool MergeBlock(QuantileSummaryCore& core, stream::MergedRun& block) {
     return core.MergeSortedBlock(block.values, std::countr_zero(block.windows),
-                                 block.merge_seconds, block.holds_nan);
+                                 block.merge_seconds);
   }
 };
 
@@ -124,11 +124,14 @@ class SummaryEstimator {
   /// Processes one stream element. Fails (and ignores the element) once the
   /// estimator is finalized by Flush(), or — threaded — once the executor
   /// has failed (the drain's sticky Status, or kDeadlineExceeded when
-  /// Options::fault.drain_deadline_seconds elapses on backpressure).
+  /// Options::fault.drain_deadline_seconds elapses on backpressure). A NaN
+  /// has no rank: it is refused with kInvalidArgument and not observed.
   Status Observe(float value);
 
-  /// Processes a batch of stream elements. Stops at the first failing
-  /// element and returns its Status (earlier elements stay observed).
+  /// Processes a batch of stream elements. A batch that holds a NaN is
+  /// refused whole with kInvalidArgument naming the first, and none of it
+  /// is observed. Otherwise stops at the first failing element and returns
+  /// its Status (earlier elements stay observed).
   Status ObserveBatch(std::span<const float> values);
 
   /// Finalizes the stream: processes buffered windows, including a final
@@ -216,9 +219,6 @@ class SummaryEstimator {
   Core core_;
 
  private:
-  /// Hot ingest path for Observe() after the lifecycle check.
-  Status ObserveValue(float value);
-
   /// Hands the staged batch (`whole_windows`: its whole windows only) to
   /// the executor and latches any failure.
   Status SubmitBatch(bool whole_windows = false) const;

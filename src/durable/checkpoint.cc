@@ -414,14 +414,23 @@ void AppendWindowBuffer(std::span<const float> staged, std::vector<std::uint8_t>
   wire::AppendArray(out, staged);
 }
 
-bool ReadWindowBufferCount(std::span<const std::uint8_t> payload, std::size_t* count) {
+core::Status ReadWindowBufferCount(std::span<const std::uint8_t> payload,
+                                   std::size_t* count) {
   std::uint64_t declared = 0;
-  if (!wire::Read(&payload, &declared)) return false;
-  if (payload.size() % sizeof(float) != 0 || declared != payload.size() / sizeof(float)) {
-    return false;
+  if (!wire::Read(&payload, &declared) || payload.size() % sizeof(float) != 0 ||
+      declared != payload.size() / sizeof(float)) {
+    return core::Status::InvalidArgument("malformed window-buffer record");
+  }
+  for (std::size_t i = 0; i < declared; ++i) {
+    float v = 0;
+    std::memcpy(&v, payload.data() + i * sizeof(float), sizeof(float));
+    if (v != v) {
+      return core::Status::InvalidArgument("window-buffer record element " +
+                                           std::to_string(i) + " is NaN");
+    }
   }
   *count = static_cast<std::size_t>(declared);
-  return true;
+  return core::Status::Ok();
 }
 
 void CopyWindowBuffer(std::span<const std::uint8_t> payload, std::span<float> out) {

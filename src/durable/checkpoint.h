@@ -180,9 +180,11 @@ bool ReadSnapshotHeader(std::span<const std::uint8_t> payload, SnapshotHeader* o
 void AppendWindowBuffer(std::span<const float> staged, std::vector<std::uint8_t>* out);
 
 /// Validates a kWindowBuffer payload and sets `*count` to the number of
-/// staged floats it holds; false on truncation, trailing bytes or a count
-/// that disagrees with the payload size.
-bool ReadWindowBufferCount(std::span<const std::uint8_t> payload, std::size_t* count);
+/// staged floats it holds; kInvalidArgument on truncation, trailing bytes, a
+/// count that disagrees with the payload size, or a NaN (which admission
+/// never stages).
+core::Status ReadWindowBufferCount(std::span<const std::uint8_t> payload,
+                                   std::size_t* count);
 
 /// Copies the staged floats of a payload ReadWindowBufferCount accepted into
 /// `out`, which must hold exactly its count.

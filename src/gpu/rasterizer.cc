@@ -2,25 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace streamgpu::gpu {
 
 namespace {
 
-std::atomic<RasterPath> g_raster_path = [] {
-  const char* raw = std::getenv("STREAMGPU_RASTER_PATH");
-  if (raw != nullptr) {
-    const std::string v(raw);
-    if (v == "generic") return RasterPath::kGeneric;
-    if (v == "check") return RasterPath::kCheck;
-  }
-  return RasterPath::kFast;
-}();
+std::atomic<RasterPath> g_raster_path = RasterPath::kFast;
 
 // Clamps a texel coordinate to the valid range (GL_CLAMP_TO_EDGE).
 inline int ClampTexel(float coord, int extent) {
@@ -58,6 +47,14 @@ UnitMapping ClosedFormAxis(float e0, float e1, float t0, float t1, int p0) {
 bool UnclampedUnit(const UnitMapping& m, int count, int extent) {
   const int last = m.first + m.step * (count - 1);
   return m.step != 0 && m.first >= 0 && m.first < extent && last >= 0 && last < extent;
+}
+
+// True when the rectangle kernel runs `s` from a tex_width x tex_height
+// texture: both axes are closed-form unit steps that never clamp. A quad
+// that is not separable has no closed-form mapping, so it fails here too.
+bool TakesUnitRect(const QuadSetup& s, int tex_width, int tex_height) {
+  return UnclampedUnit(s.cols, s.px1 - s.px0, tex_width) &&
+         UnclampedUnit(s.rows, s.py1 - s.py0, tex_height);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,24 +163,6 @@ void BlendRectUnit(const float* src, std::ptrdiff_t src_stride, const float* dre
   }
 }
 
-// Gather fallback for separable quads whose column mapping is not a
-// closed-form unit step, or clamps (no paper routine emits these, but
-// arbitrary quads are legal). Matches the seed implementation exactly,
-// including its always-quantize-on-half rule. `src_row`/`dread_row`/`dst_row`
-// point at the first float of texel column 0 of the respective rows.
-template <BlendOp kOp>
-void BlendRowGather(const float* src_row, const int* cols, const float* dread_row,
-                    int count, float* dst_row, bool quantize_half) {
-  for (int i = 0; i < count; ++i) {
-    const float* st = src_row + static_cast<std::size_t>(cols[i]) * kNumChannels;
-    for (int c = 0; c < kNumChannels; ++c) {
-      float r = ApplyBlend(kOp, dread_row[i * kNumChannels + c], st[c]);
-      if (quantize_half) r = QuantizeToHalf(r);
-      dst_row[i * kNumChannels + c] = r;
-    }
-  }
-}
-
 template <bool kQuantize, int kStep>
 void BlendRectUnitDispatch(BlendOp op, const float* src, std::ptrdiff_t src_stride,
                            const float* dread, float* dst, std::size_t dst_stride,
@@ -204,11 +183,22 @@ void BlendRectUnitDispatch(BlendOp op, const float* src, std::ptrdiff_t src_stri
   }
 }
 
-// Unit-step columns over `rows` rows whose source rows lie `src_stride`
-// floats apart, dispatched on the rounding rule and the column direction.
-void BlendUnit(BlendOp op, bool quantize, int col_step, const float* src,
-               std::ptrdiff_t src_stride, const float* dread, float* dst,
-               std::size_t dst_stride, int rows, int count) {
+// The rectangle kernel: `rows` rows of `count` pixels from (px0, py0), whose
+// first pixel fetches texel (col_first, row_first); columns and rows step by
+// col_step and row_step (+-1), and no fetch clamps. It skips rounding when
+// the source is already binary16 (operand selection preserves quantization;
+// see the kernel comment above).
+void ExecuteUnitRect(const Surface& tex, int col_first, int col_step, int row_first,
+                     int row_step, BlendOp op, const Surface& dsrc, Surface* target, int px0,
+                     int py0, int count, int rows) {
+  const bool quantize =
+      target->format() == Format::kFloat16 && tex.format() != Format::kFloat16;
+  const float* src = tex.TexelData() + tex.Index(col_first, row_first) * kNumChannels;
+  const std::ptrdiff_t src_stride =
+      row_step * static_cast<std::ptrdiff_t>(tex.row_stride() * kNumChannels);
+  const float* dread = dsrc.TexelData() + dsrc.Index(px0, py0) * kNumChannels;
+  float* dst = target->TexelData() + target->Index(px0, py0) * kNumChannels;
+  const std::size_t dst_stride = target->row_stride() * kNumChannels;
   if (col_step == 1) {
     if (quantize) {
       BlendRectUnitDispatch<true, 1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
@@ -224,27 +214,6 @@ void BlendUnit(BlendOp op, bool quantize, int col_step, const float* src,
   }
 }
 
-// Unit kernels skip rounding when the source is already binary16 (operand
-// selection preserves quantization; see the kernel comment above).
-bool QuantizeUnit(const Surface& tex, const Surface& target) {
-  return target.format() == Format::kFloat16 && tex.format() != Format::kFloat16;
-}
-
-// The rectangle kernel: `rows` rows of `count` pixels from (px0, py0), whose
-// first pixel fetches texel (col_first, row_first); columns and rows step by
-// col_step and row_step (+-1), and no fetch clamps.
-void ExecuteUnitRect(const Surface& tex, int col_first, int col_step, int row_first,
-                     int row_step, BlendOp op, const Surface& dsrc, Surface* target, int px0,
-                     int py0, int count, int rows) {
-  const std::ptrdiff_t src_stride =
-      row_step * static_cast<std::ptrdiff_t>(tex.row_stride() * kNumChannels);
-  BlendUnit(op, QuantizeUnit(tex, *target), col_step,
-            tex.TexelData() + tex.Index(col_first, row_first) * kNumChannels, src_stride,
-            dsrc.TexelData() + dsrc.Index(px0, py0) * kNumChannels,
-            target->TexelData() + target->Index(px0, py0) * kNumChannels,
-            target->row_stride() * kNumChannels, rows, count);
-}
-
 // Counts one draw of `fragments` fragments.
 void CountDraw(std::uint64_t fragments, BlendOp op, Format tex_format, Format target_format,
                GpuStats* stats) {
@@ -258,23 +227,6 @@ void CountDraw(std::uint64_t fragments, BlendOp op, Format tex_format, Format ta
       BytesPerTexel(tex_format) + BytesPerTexel(target_format) +
       (op != BlendOp::kReplace ? BytesPerTexel(target_format) : 0);
   stats->bytes_vram += fragments * per_fragment;
-}
-
-void BlendRowGatherDispatch(BlendOp op, const float* src_row, const int* cols,
-                            const float* dread_row, int count, float* dst_row,
-                            bool quantize_half) {
-  switch (op) {
-    case BlendOp::kReplace:
-      BlendRowGather<BlendOp::kReplace>(src_row, cols, dread_row, count, dst_row,
-                                        quantize_half);
-      break;
-    case BlendOp::kMin:
-      BlendRowGather<BlendOp::kMin>(src_row, cols, dread_row, count, dst_row, quantize_half);
-      break;
-    case BlendOp::kMax:
-      BlendRowGather<BlendOp::kMax>(src_row, cols, dread_row, count, dst_row, quantize_half);
-      break;
-  }
 }
 
 // Reference semantics: full per-pixel bilinear interpolation.
@@ -306,70 +258,18 @@ void ExecuteGeneric(const Surface& tex, const QuadSetup& s, BlendOp op, const Su
   }
 }
 
+// Every quad the paper's routines emit maps its columns and its rows as
+// closed-form unit steps that never clamp: the row-block comparators and
+// Copy with ascending rows, the tall-block comparators with mirrored ones.
+// Such a quad runs as one rectangle kernel; any other quad (arbitrary
+// corners are legal) runs the reference.
 void ExecuteFast(const Surface& tex, const QuadSetup& s, BlendOp op, const Surface& dsrc,
                  Surface* target) {
-  // Every comparator mapping in the paper is separable — u depends only on x
-  // and v only on y — which admits the interleaved row kernels; arbitrary
-  // corner assignments fall back to full bilinear interpolation.
-  if (!s.separable) {
-    ExecuteGeneric(tex, s, op, dsrc, target);
-    return;
-  }
-
-  const Vertex& v0 = s.quad.vertices[0];
-  const Vertex& v1 = s.quad.vertices[1];
-  const Vertex& v3 = s.quad.vertices[3];
-  const int tw = tex.width();
-  const int th = tex.height();
-  const int count = s.px1 - s.px0;
-  const int rows = s.py1 - s.py0;
-
-  // Column mapping: the closed form settles every paper quad in O(1) and
-  // sends it to the unit kernels. Any other column mapping, or a closed-form
-  // one whose fetches would clamp, runs the gather over an exact per-column
-  // scan.
-  const bool unit_cols = UnclampedUnit(s.cols, count, tw);
-  const int* cols = nullptr;
-  if (!unit_cols) {
-    // Source texel column for every destination column, amortized over the
-    // covered rows. The scratch is thread-local so concurrent sort workers
-    // never contend and the steady state allocates nothing.
-    static thread_local std::vector<int> cols_scratch;
-    cols_scratch.resize(static_cast<std::size_t>(count));
-    for (int x = s.px0; x < s.px1; ++x) {
-      const float sx = (static_cast<float>(x) + 0.5f - v0.x) * s.inv_w;
-      const float u = v0.u + (v1.u - v0.u) * sx;
-      cols_scratch[x - s.px0] = ClampTexel(u, tw);
-    }
-    cols = cols_scratch.data();
-  }
-
-  if (unit_cols && UnclampedUnit(s.rows, rows, th)) {
-    // Unit-step rows, ascending (row-block comparators, Copy) or mirrored
-    // (tall-block comparators): the whole quad is one rectangle kernel.
+  if (TakesUnitRect(s, tex.width(), tex.height())) {
     ExecuteUnitRect(tex, s.cols.first, s.cols.step, s.rows.first, s.rows.step, op, dsrc,
-                    target, s.px0, s.py0, count, rows);
-    return;
-  }
-
-  // Any other row mapping: one row at a time, with the exact per-row formula.
-  const bool quantize_unit = QuantizeUnit(tex, *target);
-  const bool target_half = target->format() == Format::kFloat16;
-  for (int y = s.py0; y < s.py1; ++y) {
-    const float sy = (static_cast<float>(y) + 0.5f - v0.y) * s.inv_h;
-    const float tv = v0.v + (v3.v - v0.v) * sy;
-    const int ty = ClampTexel(tv, th);
-    const float* src_row = tex.TexelData() + tex.Index(0, ty) * kNumChannels;
-    const float* dread_row =
-        dsrc.TexelData() + dsrc.Index(s.px0, y) * kNumChannels;
-    float* dst_row = target->TexelData() + target->Index(s.px0, y) * kNumChannels;
-    if (unit_cols) {
-      BlendUnit(op, quantize_unit, s.cols.step,
-                src_row + static_cast<std::size_t>(s.cols.first) * kNumChannels, 0,
-                dread_row, dst_row, 0, 1, count);
-    } else {
-      BlendRowGatherDispatch(op, src_row, cols, dread_row, count, dst_row, target_half);
-    }
+                    target, s.px0, s.py0, s.px1 - s.px0, s.py1 - s.py0);
+  } else {
+    ExecuteGeneric(tex, s, op, dsrc, target);
   }
 }
 
@@ -400,8 +300,7 @@ QuadSetup Rasterizer::SetUp(const Quad& quad, int width, int height) {
   s.py1 = std::min(height, static_cast<int>(std::ceil(v2.y - 0.5f)));
   s.inv_w = 1.0f / (v2.x - v0.x);
   s.inv_h = 1.0f / (v2.y - v0.y);
-  s.separable = v0.u == v3.u && v1.u == v2.u && v0.v == v1.v && v3.v == v2.v;
-  if (s.separable) {
+  if (v0.u == v3.u && v1.u == v2.u && v0.v == v1.v && v3.v == v2.v) {
     s.cols = ClosedFormAxis(v0.x, v2.x, v0.u, v1.u, s.px0);
     s.rows = ClosedFormAxis(v0.y, v2.y, v0.v, v3.v, s.py0);
   }
@@ -427,31 +326,11 @@ void Rasterizer::DrawQuad(const Surface& tex, const QuadSetup& s, BlendOp op,
                           dsrc.format() == target->format(),
                       "dst_read must match the target's dimensions and format");
 
-  switch (path()) {
-    case RasterPath::kFast:
-      ExecuteFast(tex, s, op, dsrc, target);
-      break;
-    case RasterPath::kGeneric:
-      ExecuteGeneric(tex, s, op, dsrc, target);
-      break;
-    case RasterPath::kCheck: {
-      Surface reference = *target;
-      ExecuteGeneric(tex, s, op, dsrc, &reference);
-      ExecuteFast(tex, s, op, dsrc, target);
-      // Bit comparison: a fast kernel that wrote +0.0 for -0.0, or another
-      // NaN, diverged as much as one that wrote another number.
-      const std::size_t row_bytes =
-          static_cast<std::size_t>(s.px1 - s.px0) * kNumChannels * sizeof(float);
-      for (int y = s.py0; y < s.py1; ++y) {
-        const std::size_t at = target->Index(s.px0, y) * kNumChannels;
-        STREAMGPU_CHECK_MSG(
-            std::memcmp(target->TexelData() + at, reference.TexelData() + at, row_bytes) == 0,
-            "RasterPath::kCheck: fast kernel output diverged from the generic path");
-      }
-      break;
-    }
+  if (path() == RasterPath::kFast) {
+    ExecuteFast(tex, s, op, dsrc, target);
+  } else {
+    ExecuteGeneric(tex, s, op, dsrc, target);
   }
-
   const std::uint64_t fragments = static_cast<std::uint64_t>(s.px1 - s.px0) *
                                   static_cast<std::uint64_t>(s.py1 - s.py0);
   CountDraw(fragments, op, tex.format(), target->format(), stats);
@@ -464,12 +343,7 @@ bool Rasterizer::Compact(const QuadSetup& s, BlendOp op, int tex_width, int tex_
       tex_width > kLimit || tex_height > kLimit) {
     return false;
   }
-  // ExecuteFast's test for the rectangle kernel (a quad that is not
-  // separable has no closed-form mapping, so it fails here too).
-  if (!UnclampedUnit(s.cols, s.px1 - s.px0, tex_width) ||
-      !UnclampedUnit(s.rows, s.py1 - s.py0, tex_height)) {
-    return false;
-  }
+  if (!TakesUnitRect(s, tex_width, tex_height)) return false;
   *out = {.px0 = static_cast<std::uint16_t>(s.px0),
           .py0 = static_cast<std::uint16_t>(s.py0),
           .px1 = static_cast<std::uint16_t>(s.px1),

@@ -4,22 +4,15 @@
 // sort baseline (§4.5, [40]).
 //
 // Execution paths (docs/ARCHITECTURE.md, "Pass-execution engine"):
-//   kFast    — the default. Separable quads classify their column and row
-//              mappings in closed form, which recognizes the unit-step
-//              mappings the paper's Routines 4.1–4.4 emit; such a quad runs
-//              as one rectangle of contiguous, auto-vectorized min/max/copy
-//              row kernels, its source rows ascending or mirrored. Other
-//              row mappings fall back to a per-row loop, other (or
-//              clamping) column mappings to a gather row loop over an exact
-//              per-column scan, non-separable quads to per-pixel bilinear.
+//   kFast    — the default. A quad whose column and row mappings are
+//              closed-form unit steps that never clamp (Rasterizer::SetUp
+//              recognizes them; every quad the paper's Routines 4.1–4.4
+//              emit is one) runs as one rectangle of contiguous,
+//              auto-vectorized min/max/copy row kernels, its source rows
+//              ascending or mirrored. Any other quad runs kGeneric.
 //   kGeneric — per-pixel bilinear interpolation for every fragment (the
-//              reference semantics). Slow; used for equivalence testing.
-//   kCheck   — runs both paths and CHECK-fails on any output bit that
-//              differs. Debug aid; assumes quads with dyadic extents (the
-//              only family the paper's routines emit), where the two paths
-//              agree bit-exactly.
-// The startup default can be overridden with STREAMGPU_RASTER_PATH =
-// fast | generic | check.
+//              reference semantics). Slow; tests select it through SetPath
+//              to compare the two.
 
 #ifndef STREAMGPU_GPU_RASTERIZER_H_
 #define STREAMGPU_GPU_RASTERIZER_H_
@@ -36,9 +29,8 @@ namespace streamgpu::gpu {
 
 /// Which DrawQuad execution path runs (see file comment).
 enum class RasterPath {
-  kFast,     ///< vectorized row kernels with generic fallback (default)
+  kFast,     ///< the rectangle kernel where it applies, else kGeneric (default)
   kGeneric,  ///< reference per-pixel bilinear path
-  kCheck,    ///< run both, CHECK outputs are bit-identical
 };
 
 /// One axis of a separable quad's texel mapping in closed form: the pixel
@@ -62,9 +54,9 @@ struct QuadSetup {
   int px0 = 0, py0 = 0, px1 = 0, py1 = 0;
   float inv_w = 0.0f;  // 1 / screen width of the quad
   float inv_h = 0.0f;  // 1 / screen height of the quad
-  /// u depends only on x and v only on y (every paper routine's quads).
-  bool separable = false;
-  /// Closed-form column (u) and row (v) mappings of a separable quad.
+  /// Closed-form column (u) and row (v) mappings of a separable quad, one
+  /// whose u depends only on x and v only on y (every paper routine's
+  /// quads); step 0 on both axes of any other quad.
   UnitMapping cols;
   UnitMapping rows;
 
@@ -136,8 +128,7 @@ class Rasterizer {
   static void DrawUnitRect(const Surface& tex, const UnitRectDraw& draw, Surface* target,
                            GpuStats* stats, const Surface* dst_read = nullptr);
 
-  /// Selects the DrawQuad execution path. Initialized from the
-  /// STREAMGPU_RASTER_PATH environment variable at startup; tests switch it
+  /// Selects the DrawQuad execution path (kFast at startup). Tests switch it
   /// before spawning sort workers. Thread-safe to read concurrently.
   static void SetPath(RasterPath path);
   static RasterPath path();

@@ -1,10 +1,11 @@
 #include "gpudb/gpu_relation.h"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
+#include "common/float_order.h"
 #include "sort/pbsn_network.h"
 
 namespace streamgpu::gpudb {
@@ -40,21 +41,6 @@ gpu::DepthFunc ToDepthFunc(Predicate pred) {
       return gpu::DepthFunc::kNotEqual;
   }
   return gpu::DepthFunc::kNever;
-}
-
-// Order-preserving mapping between floats and unsigned keys (sign-magnitude
-// flip), for the binary search of KthLargest.
-std::uint32_t OrderedKey(float value) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
-}
-
-float FromOrderedKey(std::uint32_t key) {
-  const std::uint32_t bits = (key & 0x80000000u) != 0 ? key & 0x7FFFFFFFu : ~key;
-  float value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
 }
 
 }  // namespace
@@ -219,13 +205,14 @@ float GpuRelation::KthLargest(std::uint64_t k, std::size_t attribute) {
   std::uint32_t hi = OrderedKey(std::numeric_limits<float>::infinity());
   while (lo + 1 < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (CountLoaded(Predicate::kGreater, FromOrderedKey(mid)) <= k - 1) {
+    if (CountLoaded(Predicate::kGreater, std::bit_cast<float>(OrderedKeyToFloat(mid))) <=
+        k - 1) {
       hi = mid;
     } else {
       lo = mid;
     }
   }
-  return FromOrderedKey(hi);
+  return std::bit_cast<float>(OrderedKeyToFloat(hi));
 }
 
 hwmodel::GpuTimeBreakdown GpuRelation::SimulatedCosts() const {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/float_order.h"
 #include "common/timer.h"
 #include "gpu/half.h"
 #include "sketch/combiner.h"
@@ -215,6 +216,11 @@ core::StatusOr<std::size_t> StreamService::Append(const StreamKey& key,
     return core::Status::FailedPrecondition("stream is finalized");
   }
   if (values.empty()) return std::size_t{0};
+  if (const std::size_t nan = FindNan(values); nan != values.size()) {
+    return core::Status::InvalidArgument("Append() element " + std::to_string(nan) + " of " +
+                                         std::to_string(values.size()) +
+                                         " is NaN, which has no rank: none of them admitted");
+  }
 
   const std::size_t admitted = admission_.Admit(state->shard, values.size());
   const std::size_t dropped = values.size() - admitted;
@@ -788,8 +794,8 @@ core::Status StreamService::InstallSnapshot(const durable::Snapshot& snapshot) {
           return core::Status::InvalidArgument("misplaced window-buffer record");
         }
         std::size_t buffered = 0;
-        if (!durable::ReadWindowBufferCount(payload, &buffered)) {
-          return core::Status::InvalidArgument("malformed window-buffer record");
+        if (core::Status s = durable::ReadWindowBufferCount(payload, &buffered); !s.ok()) {
+          return s;
         }
         if (buffered == 0 || buffered >= current->window_size) {
           return core::Status::InvalidArgument(

@@ -214,8 +214,9 @@ class StreamService {
   /// values.size() under kBlock; possibly fewer under kShed — the admitted
   /// count is the exact prefix of `values` that entered the stream, so a
   /// caller can mirror it elsewhere). Returns kInvalidArgument for an
-  /// unknown key, kFailedPrecondition after Flush(key), or the executor's
-  /// sticky failure.
+  /// unknown key or for a call that holds a NaN (naming the first; none of
+  /// the call is admitted or shed), kFailedPrecondition after Flush(key), or
+  /// the executor's sticky failure.
   core::StatusOr<std::size_t> Append(const StreamKey& key,
                                      std::span<const float> values);
 

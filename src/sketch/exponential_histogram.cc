@@ -13,9 +13,8 @@ namespace streamgpu::sketch {
 namespace {
 
 /// Merges two ascending runs into `out` (a.size() + b.size() floats) with
-/// GkSummary::Merge's tie rule — a's value first when a <= b, b's otherwise
-/// (so also when either is NaN) — so Exact(result) == Merge(Exact(a),
-/// Exact(b)).
+/// GkSummary::Merge's tie rule — a's value first when a <= b, b's otherwise —
+/// so Exact(result) == Merge(Exact(a), Exact(b)).
 void MergeRunsInto(std::span<const float> a, std::span<const float> b, float* out) {
   std::size_t i = 0;
   std::size_t j = 0;
@@ -34,13 +33,6 @@ std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b)
   std::vector<float> out(a.size() + b.size());
   MergeRunsInto(a, b, out.data());
   return out;
-}
-
-bool HoldsNan(const EhBucket& bucket) {
-  bool nan = false;
-  for (const float v : bucket.run) nan |= std::isnan(v);
-  for (const GkTuple& t : bucket.summary.tuples()) nan |= std::isnan(t.value);
-  return nan;
 }
 
 /// Tuple i of `bucket`, a run's implicit (run[i], i+1, i+1) included.
@@ -163,7 +155,6 @@ bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
   if (total != count) return false;
   for (EhBucket& bucket : buckets) {
     if (bucket.run.empty()) bucket = EhBucket::FromSummary(std::move(bucket.summary));
-    fresh.holds_nan_ = fresh.holds_nan_ || HoldsNan(bucket);
   }
   fresh.buckets_ = std::move(buckets);
   fresh.count_ = count;
@@ -189,7 +180,6 @@ void EhQuantileSummary::AddWindow(EhBucket window) {
   STREAMGPU_CHECK_MSG(window.epsilon() <= LevelBudget(1) + 1e-12,
                       "window summary must be (epsilon/2)-approximate");
   count_ += window.count();
-  holds_nan_ = holds_nan_ || HoldsNan(window);
   Carry(std::move(window), 1);
 }
 
@@ -228,14 +218,13 @@ void EhQuantileSummary::MergeBlock(std::span<const float> windows,
 }
 
 bool EhQuantileSummary::AddBlock(std::vector<float>& run, int level,
-                                 double merge_seconds, bool holds_nan) {
+                                 double merge_seconds) {
   STREAMGPU_CHECK(level >= 1 && run.size() <= prune_tuples_ + 1);
   const std::size_t vacant_below = std::min(static_cast<std::size_t>(level), buckets_.size());
   for (std::size_t i = 0; i < vacant_below; ++i) {
     if (!buckets_[i].empty()) return false;
   }
   count_ += run.size();
-  holds_nan_ = holds_nan_ || holds_nan;
   // Every element sat in one merged run per level of the block.
   const std::uint64_t merged = static_cast<std::uint64_t>(level) * run.size();
   merged_tuples_ += merged;
@@ -291,7 +280,6 @@ EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
 
 float EhQuantileSummary::Query(double phi) const {
   STREAMGPU_CHECK_MSG(count_ > 0, "query on empty summary");
-  if (holds_nan_) return Flatten().Query(phi);
   STREAMGPU_CHECK(phi > 0.0 && phi <= 1.0);
   const std::uint64_t rank = GkSummary::RankForPhi(phi, count_);
   // Flatten() lists the tuples by value, equal values in id order, and its
@@ -377,14 +365,6 @@ std::size_t EhQuantileSummary::TotalTuples() const {
   std::size_t total = 0;
   for (const EhBucket& bucket : buckets_) total += bucket.size();
   return total;
-}
-
-int EhQuantileSummary::MaxBucketId() const {
-  int max_id = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (!buckets_[i].empty()) max_id = static_cast<int>(i) + 1;
-  }
-  return max_id;
 }
 
 }  // namespace streamgpu::sketch

@@ -87,8 +87,7 @@ class EhQuantileSummary {
   /// combines (level tuples per element, merged and pruned) and adds
   /// `merge_seconds`, the time MergeBlock took. Otherwise returns false and
   /// changes nothing, `run` included.
-  bool AddBlock(std::vector<float>& run, int level, double merge_seconds,
-                bool holds_nan);
+  bool AddBlock(std::vector<float>& run, int level, double merge_seconds);
 
   /// Reconstructs a summary from checkpointed parts (the durability restore
   /// path, docs/DURABILITY.md). `buckets` lists slots() slots: index i
@@ -108,15 +107,14 @@ class EhQuantileSummary {
   /// its own plus, from every other bucket, the rmin of that bucket's last
   /// tuple before it and the rmax - 1 of its first tuple after it (its count
   /// when there is none), so Flatten().Query's binary search splits into
-  /// binary searches inside each bucket. A histogram that holds a NaN
-  /// answers through Flatten().Query itself: GK Merge's NaN rule breaks the
-  /// value order those searches rely on.
+  /// binary searches inside each bucket. The values hold no NaN (the
+  /// estimators refuse it at admission, the decoders in a snapshot), so
+  /// every bucket is in value order.
   float Query(double phi) const;
 
   /// One GkSummary over everything inserted: the buckets merged in id order
   /// (GkSummary::Merge(flat, bucket)), epsilon MaxBucketEpsilon(). The
-  /// mergeable export (sketch/quantile_sketch.cc) serializes it, and a
-  /// histogram that holds a NaN answers queries from it.
+  /// mergeable export (sketch/quantile_sketch.cc) serializes it.
   GkSummary Flatten() const;
 
   /// Flatten().epsilon() without flattening: the largest bucket epsilon.
@@ -133,9 +131,6 @@ class EhQuantileSummary {
 
   /// Number of levels the structure was provisioned for.
   int levels() const { return levels_; }
-
-  /// Highest occupied bucket id (0 when empty).
-  int MaxBucketId() const;
 
   /// The error budget of bucket id b: eps/2 + eps*b/(2*(levels+1)).
   double LevelBudget(int bucket_id) const;
@@ -176,7 +171,6 @@ class EhQuantileSummary {
   int levels_;
   std::size_t prune_tuples_;
   std::uint64_t count_ = 0;
-  bool holds_nan_ = false;  ///< a window or restored bucket held a NaN
   std::vector<EhBucket> buckets_;  ///< index i holds bucket id i+1; empty = vacant
   double merge_seconds_ = 0;
   double compress_seconds_ = 0;

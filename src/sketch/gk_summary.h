@@ -61,8 +61,7 @@ class GkSummary {
   /// tuples is kept with recombined rank bounds; the result is
   /// max(a.epsilon(), b.epsilon())-approximate for a.count() + b.count()
   /// elements ([21]'s merge). On equal values every tuple of `a` precedes
-  /// those of `b`; a NaN on either side orders `b`'s tuple first. The merge
-  /// of two exact summaries is exact.
+  /// those of `b`. The merge of two exact summaries is exact.
   static GkSummary Merge(const GkSummary& a, const GkSummary& b);
 
   /// Reduces the summary to at most max_tuples + 1 tuples by querying it at

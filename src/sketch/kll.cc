@@ -1,26 +1,16 @@
 #include "sketch/kll.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
 #include "common/check.h"
+#include "common/float_order.h"
 #include "common/timer.h"
 
 namespace streamgpu::sketch {
 
 namespace {
-
-/// The repo's canonical float total order (same transform as
-/// sort::FloatToOrderedKey): strictly monotone over bit patterns, -0.0 <
-/// +0.0, NaNs ordered by payload at the top. Compaction sorts with this so
-/// the alternation — and hence the sketch bytes — never depend on how a
-/// platform's std::sort breaks operator< ties.
-inline std::uint32_t OrderKey(float value) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
-  return bits & 0x80000000u ? ~bits : bits | 0x80000000u;
-}
 
 inline std::uint64_t SplitMix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -69,8 +59,10 @@ void KllSketch::CompactLevel(std::size_t level) {
   if (level + 1 == levels_.size()) levels_.emplace_back();
 
   std::vector<float>& items = levels_[level];
+  // The canonical total order, so the alternation — and hence the sketch
+  // bytes — never depend on how a platform's std::sort breaks operator< ties.
   std::sort(items.begin(), items.end(),
-            [](float a, float b) { return OrderKey(a) < OrderKey(b); });
+            [](float a, float b) { return OrderedKey(a) < OrderedKey(b); });
 
   // An odd item count keeps one item (the smallest) at this level so the
   // compacted range is even and promotion conserves weight exactly:
@@ -166,7 +158,7 @@ float KllSketch::QueryRank(std::uint64_t rank) const {
   items.reserve(summary_size());
   for (std::size_t h = 0; h < levels_.size(); ++h) {
     const std::uint64_t weight = std::uint64_t{1} << h;
-    for (float v : levels_[h]) items.push_back({OrderKey(v), v, weight});
+    for (float v : levels_[h]) items.push_back({OrderedKey(v), v, weight});
   }
   STREAMGPU_CHECK_MSG(!items.empty(), "non-zero count with no retained items");
   std::sort(items.begin(), items.end(),

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/float_order.h"
 #include "common/timer.h"
 #include "sketch/exponential_histogram.h"
 #include "sketch/gk_adaptive.h"
@@ -33,8 +34,8 @@ core::Status TruncatedState(const char* what) {
 enum SlotTag : std::uint8_t { kVacantSlot = 0, kSummarySlot = 1, kRunSlot = 2 };
 
 /// Reads a kRunSlot body from the front of `payload`: a u64 length n >= 1,
-/// then n f32 values, ascending by GkSummary::FromParts's test on tuple
-/// values (no adjacent pair with a > b).
+/// then n f32 values, none NaN and ascending by GkSummary::FromParts's test
+/// on tuple values (no adjacent pair with a > b).
 core::Status ReadRun(std::span<const std::uint8_t>* payload, std::vector<float>* run) {
   std::uint64_t n = 0;
   if (!wire::Read(payload, &n)) return TruncatedState("gk");
@@ -47,6 +48,10 @@ core::Status ReadRun(std::span<const std::uint8_t>* payload, std::vector<float>*
   run->resize(static_cast<std::size_t>(n));
   std::memcpy(run->data(), payload->data(), bytes);
   *payload = payload->subspan(bytes);
+  if (const std::size_t nan = FindNan(*run); nan != run->size()) {
+    return core::Status::InvalidArgument("gk checkpoint run value " + std::to_string(nan) +
+                                         " is NaN");
+  }
   if (std::ranges::adjacent_find(*run, std::ranges::greater{}) != run->end()) {
     return core::Status::InvalidArgument("gk checkpoint run values not ascending");
   }
@@ -73,9 +78,8 @@ class GkEhSketch final : public QuantileSketch {
   }
 
   int max_block_level() const override { return eh_.max_block_level(); }
-  bool AddSortedBlock(std::vector<float>& run, int level, double merge_seconds,
-                      bool holds_nan) override {
-    return eh_.AddBlock(run, level, merge_seconds, holds_nan);
+  bool AddSortedBlock(std::vector<float>& run, int level, double merge_seconds) override {
+    return eh_.AddBlock(run, level, merge_seconds);
   }
 
   float Query(double phi) const override { return eh_.Query(phi); }
@@ -254,6 +258,10 @@ class GkAdaptiveSketch final : public QuantileSketch {
       wire::Read(&payload, &t.value);
       wire::Read(&payload, &t.g);
       wire::Read(&payload, &t.delta);
+      if (t.value != t.value) {
+        return core::Status::InvalidArgument("gk-adaptive checkpoint tuple " +
+                                             std::to_string(i) + " value is NaN");
+      }
       tuples.push_back(t);
     }
     GkAdaptive restored(gk_.epsilon());

@@ -61,7 +61,7 @@ class QuantileSketch {
   /// Otherwise returns false and changes nothing: the caller then adds the
   /// windows one by one.
   virtual bool AddSortedBlock(std::vector<float>& /*run*/, int /*level*/,
-                              double /*merge_seconds*/, bool /*holds_nan*/) {
+                              double /*merge_seconds*/) {
     return false;
   }
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstring>
 #include <string>
 #include <utility>
 
+#include "common/float_order.h"
 #include "sketch/wire.h"
 
 namespace streamgpu::sketch {
@@ -17,14 +17,6 @@ using core::Status;
 using core::StatusOr;
 using wire::Append;
 using wire::Read;
-
-/// Same canonical float order as the sort backends (sort::FloatToOrderedKey):
-/// serialization of unordered containers sorts by it so equal summaries
-/// always produce identical bytes.
-inline std::uint32_t OrderKey(float value) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
-  return bits & 0x80000000u ? ~bits : bits | 0x80000000u;
-}
 
 /// IEEE 802.3 CRC-32 polynomial, reflected.
 constexpr std::uint32_t kCrcPolynomial = 0xEDB88320u;
@@ -182,9 +174,14 @@ StatusOr<GkSummary> ParseGkPayload(std::span<const std::uint8_t> payload) {
                                    " does not fit the payload");
   }
   std::vector<GkTuple> tuples(static_cast<std::size_t>(tuple_count));
-  for (GkTuple& t : tuples) {
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    GkTuple& t = tuples[i];
     if (!Read(&payload, &t.value) || !Read(&payload, &t.rmin) || !Read(&payload, &t.rmax)) {
       return Status::InvalidArgument("GK payload truncated inside the tuple list");
+    }
+    if (t.value != t.value) {
+      return Status::InvalidArgument("GK payload tuple " + std::to_string(i) +
+                                     " value is NaN");
     }
   }
   GkSummary parsed;
@@ -241,6 +238,11 @@ StatusOr<KllSketch> ParseKllPayload(std::span<const std::uint8_t> payload) {
       if (!Read(&payload, &v)) {
         return Status::InvalidArgument("KLL payload truncated inside a level");
       }
+    }
+    if (const std::size_t nan = FindNan(level); nan != level.size()) {
+      return Status::InvalidArgument("KLL payload level " +
+                                     std::to_string(&level - levels.data()) + " item " +
+                                     std::to_string(nan) + " is NaN");
     }
   }
   KllSketch parsed(0.5);  // overwritten by FromParts on success
@@ -305,7 +307,7 @@ void AppendMisraGriesPayload(const MisraGries& sketch,
                                                        sketch.counters().end());
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) {
-              return OrderKey(a.first) < OrderKey(b.first);
+              return OrderedKey(a.first) < OrderedKey(b.first);
             });
   Append(out, static_cast<std::uint64_t>(entries.size()));
   for (const auto& [value, count] : entries) {
@@ -329,9 +331,14 @@ StatusOr<MisraGries> ParseMisraGriesPayload(std::span<const std::uint8_t> payloa
   }
   std::vector<std::pair<float, std::uint64_t>> entries(
       static_cast<std::size_t>(entry_count));
-  for (auto& [value, count] : entries) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    auto& [value, count] = entries[i];
     if (!Read(&payload, &value) || !Read(&payload, &count)) {
       return Status::InvalidArgument("Misra-Gries payload truncated inside the entries");
+    }
+    if (value != value) {
+      return Status::InvalidArgument("Misra-Gries payload entry " + std::to_string(i) +
+                                     " value is NaN");
     }
   }
   MisraGries parsed(0.5);  // overwritten by FromParts on success

@@ -31,24 +31,11 @@
 #include <span>
 #include <vector>
 
+#include "common/float_order.h"
 #include "hwmodel/cpu_model.h"
 #include "sort/sorter.h"
 
 namespace streamgpu::sort {
-
-/// Maps a float's bit pattern to an unsigned key with the same total order:
-/// negative floats have their bits inverted, non-negative floats get the sign
-/// bit set. Strictly monotone over bit patterns, so sorting the keys sorts
-/// the floats with -0.0 < +0.0 and NaNs (sign-cleared payload order) at the
-/// top — a deterministic total order where operator< is only partial.
-inline std::uint32_t FloatToOrderedKey(std::uint32_t bits) {
-  return bits & 0x80000000u ? ~bits : bits | 0x80000000u;
-}
-
-/// Inverse of FloatToOrderedKey.
-inline std::uint32_t OrderedKeyToFloat(std::uint32_t key) {
-  return key & 0x80000000u ? key & 0x7FFFFFFFu : ~key;
-}
 
 /// Sorts `keys` ascending in place with byte-wise LSD counting passes
 /// (insertion sort below a small cutoff). `scratch` is resized to

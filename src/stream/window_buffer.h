@@ -41,7 +41,7 @@ class WindowBatcher {
   }
 
   /// Adds one element. Returns true when a full batch is ready (the caller
-  /// should then consume TakeWindows()).
+  /// should then consume it: TakeBuffer() or contents()).
   bool Push(float value) {
     buffer_.push_back(value);
     return buffer_.size() == capacity_;
@@ -63,19 +63,8 @@ class WindowBatcher {
   }
 
   /// True when the current batch is complete (the caller should consume
-  /// Windows() or TakeBuffer()).
+  /// it: TakeBuffer() or contents()).
   bool full() const { return buffer_.size() == capacity_; }
-
-  /// Views of the buffered windows (the final one may be partial). The spans
-  /// point into internal storage: consume them, then call Clear().
-  std::vector<std::span<float>> Windows() {
-    std::vector<std::span<float>> out;
-    for (std::size_t off = 0; off < buffer_.size(); off += window_size_) {
-      const std::size_t len = std::min<std::size_t>(window_size_, buffer_.size() - off);
-      out.emplace_back(buffer_.data() + off, len);
-    }
-    return out;
-  }
 
   /// Discards the buffered elements after they have been consumed.
   void Clear() { buffer_.clear(); }

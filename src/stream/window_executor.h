@@ -89,7 +89,6 @@ struct MergedRun {
   std::size_t windows = 0;       ///< windows merged
   std::vector<float> values;
   double merge_seconds = 0;  ///< worker wall time spent merging
-  bool holds_nan = false;
 };
 
 /// The executor's unit of work.

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -184,27 +185,27 @@ TEST(Codec, WindowBufferRoundTripAndRejection) {
   std::vector<std::uint8_t> payload;
   AppendWindowBuffer(staged, &payload);
   std::size_t count = 0;
-  ASSERT_TRUE(ReadWindowBufferCount(payload, &count));
+  ASSERT_TRUE(ReadWindowBufferCount(payload, &count).ok());
   ASSERT_EQ(count, staged.size());
   std::vector<float> parsed(count);
   CopyWindowBuffer(payload, parsed);
   EXPECT_EQ(parsed, staged);
 
   std::vector<std::uint8_t> truncated(payload.begin(), payload.end() - 2);
-  EXPECT_FALSE(ReadWindowBufferCount(truncated, &count));
+  EXPECT_FALSE(ReadWindowBufferCount(truncated, &count).ok());
   std::vector<std::uint8_t> trailing = payload;
   trailing.push_back(0);
-  EXPECT_FALSE(ReadWindowBufferCount(trailing, &count));
+  EXPECT_FALSE(ReadWindowBufferCount(trailing, &count).ok());
   // Whole floats past the declared count.
   std::vector<std::uint8_t> extra = payload;
   extra.insert(extra.end(), sizeof(float), 0);
-  EXPECT_FALSE(ReadWindowBufferCount(extra, &count));
+  EXPECT_FALSE(ReadWindowBufferCount(extra, &count).ok());
   // A count far larger than the payload (would overflow count * sizeof).
   std::vector<std::uint8_t> lying = payload;
   for (std::size_t i = 0; i < 8; ++i) lying[i] = 0xFF;
-  EXPECT_FALSE(ReadWindowBufferCount(lying, &count));
+  EXPECT_FALSE(ReadWindowBufferCount(lying, &count).ok());
   // No count at all.
-  EXPECT_FALSE(ReadWindowBufferCount(std::span(payload).first(7), &count));
+  EXPECT_FALSE(ReadWindowBufferCount(std::span(payload).first(7), &count).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -730,14 +731,28 @@ TEST(FrequencyRestore, BitIdenticalHeavyHitters) {
 class CorruptionCorpus : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = FreshDir("corpus");
-    opt_ = EstimatorOptions(dir_, sketch::QuantileSketchKind::kGk, 1);
+    Snapshot(EstimatorOptions(FreshDir("corpus"), sketch::QuantileSketchKind::kGk, 1),
+             /*frequency=*/false);
+  }
+
+  /// Makes the pristine snapshot: a quantile (or, with `frequency`, a
+  /// frequency) estimator under `opt` checkpointed after 3,210 elements, an
+  /// off-window cut, so it carries a staged partial window.
+  void Snapshot(const core::Options& opt, bool frequency) {
+    opt_ = opt;
+    frequency_ = frequency;
+    dir_ = opt.checkpoint_dir;
     const std::vector<float> stream = MakeStream(4000, 23);
-    auto estimator = core::QuantileEstimator::Create(opt_);
-    ASSERT_TRUE(estimator.ok());
-    // Off-window cut so the snapshot carries a staged partial window.
-    ASSERT_TRUE((*estimator)->ObserveBatch(std::span(stream).first(3210)).ok());
-    ASSERT_TRUE((*estimator)->Checkpoint().ok());
+    const auto checkpoint = [&](auto estimator) {
+      ASSERT_TRUE(estimator.ok());
+      ASSERT_TRUE((*estimator)->ObserveBatch(std::span(stream).first(3210)).ok());
+      ASSERT_TRUE((*estimator)->Checkpoint().ok());
+    };
+    if (frequency) {
+      checkpoint(core::FrequencyEstimator::Create(opt_));
+    } else {
+      checkpoint(core::QuantileEstimator::Create(opt_));
+    }
     snap_path_ = dir_ + "/snap-1.ckpt";
     pristine_ = ReadFile(snap_path_);
     ASSERT_FALSE(pristine_.empty());
@@ -750,33 +765,42 @@ class CorruptionCorpus : public ::testing::Test {
   core::Status RestoreMutant(std::span<const std::uint8_t> mutant) {
     WriteFile(snap_path_, mutant);
     PointManifestAt(dir_, 1, mutant, watermark_);
+    if (frequency_) {
+      auto restored = core::FrequencyEstimator::Restore(opt_);
+      return restored.ok() ? core::Status::Ok() : restored.status();
+    }
     auto restored = core::QuantileEstimator::Restore(opt_);
     return restored.ok() ? core::Status::Ok() : restored.status();
   }
 
-  /// The pristine snapshot's kQuantileState payload.
-  std::vector<std::uint8_t> QuantileState() const {
+  /// The pristine snapshot's payload of the record of `type`.
+  std::vector<std::uint8_t> Payload(RecordType type) const {
     auto parsed = ParseSnapshot(pristine_);
     EXPECT_TRUE(parsed.ok());
     for (const OwnedRecord& record : parsed->records) {
-      if (record.type == RecordType::kQuantileState) return record.payload;
+      if (record.type == type) return record.payload;
     }
-    ADD_FAILURE() << "no quantile state record";
+    ADD_FAILURE() << "no " << RecordTypeName(type) << " record";
     return {};
   }
 
-  /// The pristine snapshot with `state` as its kQuantileState payload,
-  /// framed and footed like the original, so the mutation reaches the
-  /// sketch's own decoder.
-  std::vector<std::uint8_t> WithQuantileState(std::span<const std::uint8_t> state) const {
+  /// The pristine snapshot's kQuantileState payload.
+  std::vector<std::uint8_t> QuantileState() const {
+    return Payload(RecordType::kQuantileState);
+  }
+
+  /// The pristine snapshot with `payload` as the payload of its record of
+  /// `type`, framed and footed like the original, so the mutation reaches
+  /// that record's own decoder.
+  std::vector<std::uint8_t> WithPayload(RecordType type,
+                                        std::span<const std::uint8_t> payload) const {
     auto parsed = ParseSnapshot(pristine_);
     EXPECT_TRUE(parsed.ok());
     std::vector<std::uint8_t> mutant;
     for (const OwnedRecord& record : parsed->records) {
       AppendRecord(record.type,
-                   record.type == RecordType::kQuantileState
-                       ? state
-                       : std::span<const std::uint8_t>(record.payload),
+                   record.type == type ? payload
+                                       : std::span<const std::uint8_t>(record.payload),
                    &mutant);
     }
     std::vector<std::uint8_t> footer;
@@ -786,9 +810,14 @@ class CorruptionCorpus : public ::testing::Test {
     return mutant;
   }
 
+  std::vector<std::uint8_t> WithQuantileState(std::span<const std::uint8_t> state) const {
+    return WithPayload(RecordType::kQuantileState, state);
+  }
+
   std::string dir_;
   std::string snap_path_;
   core::Options opt_;
+  bool frequency_ = false;
   std::vector<std::uint8_t> pristine_;
   std::uint64_t watermark_ = 0;
 };
@@ -1033,6 +1062,103 @@ TEST_F(CorruptionCorpus, RunSlotMutantsAreRejected) {
   }
   // The unmutated state, re-framed the same way, still restores.
   EXPECT_TRUE(RestoreMutant(WithQuantileState(state)).ok());
+}
+
+/// `bytes` with the f32 at `offset` overwritten by a NaN.
+std::vector<std::uint8_t> WithNanAt(std::vector<std::uint8_t> bytes, std::size_t offset) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_LE(offset + sizeof(float), bytes.size());
+  std::memcpy(bytes.data() + offset, &nan, sizeof(float));
+  return bytes;
+}
+
+TEST_F(CorruptionCorpus, NanValuesAreRejected) {
+  // Admission refuses NaN, so no snapshot holds one: every decoder that
+  // carries values refuses a NaN in a CRC-valid, re-footed snapshot, and
+  // names it. Offsets past the summary core's four u64 counters (kCounters)
+  // follow each state's layout.
+  constexpr std::size_t kCounters = 4 * sizeof(std::uint64_t);
+  struct Mutant {
+    std::string name;
+    std::vector<std::uint8_t> snapshot;
+    std::string message;
+  };
+  std::vector<Mutant> mutants;
+
+  // GK+EH: an exact run's first value (tag 2: length u64, then f32 values),
+  // and the first present bucket rewritten as a GK envelope (tag 1) whose
+  // first tuple value is NaN, the envelope's CRC refreshed (its 20-byte
+  // header holds the payload CRC at 16; the payload starts with count u64,
+  // epsilon f64 and tuple count u64).
+  const std::vector<std::uint8_t> state = QuantileState();
+  const std::vector<GkSlot> slots = GkSlots(state);
+  const auto run = std::ranges::find_if(slots, [](const GkSlot& s) { return s.tag == 2; });
+  ASSERT_NE(run, slots.end());
+  mutants.push_back({"tag-2 run value",
+                     WithQuantileState(WithNanAt(state, run->begin + 1 + sizeof(std::uint64_t))),
+                     "run value 0 is NaN"});
+  {
+    std::span<const std::uint8_t> body =
+        std::span(state).subspan(run->begin + 1 + sizeof(std::uint64_t),
+                                 run->end - run->begin - 1 - sizeof(std::uint64_t));
+    std::vector<sketch::GkTuple> tuples;
+    for (std::uint64_t i = 0; i < body.size() / sizeof(float); ++i) {
+      float value = 0;
+      ASSERT_TRUE(wire::Read(&body, &value));
+      tuples.push_back({value, i + 1, i + 1});
+    }
+    const std::uint64_t count = tuples.size();
+    sketch::GkSummary bucket;
+    ASSERT_TRUE(sketch::GkSummary::FromParts(std::move(tuples), count, 0.0, &bucket));
+    std::vector<std::uint8_t> envelope;
+    ASSERT_TRUE(sketch::SerializeSummary(bucket, &envelope).ok());
+    envelope = WithNanAt(std::move(envelope), 20 + 3 * sizeof(std::uint64_t));
+    const std::uint32_t crc = sketch::Crc32(std::span(envelope).subspan(20));
+    std::memcpy(envelope.data() + 16, &crc, sizeof(crc));
+    std::vector<std::uint8_t> rewritten(state.begin(), state.begin() + run->begin);
+    rewritten.push_back(1);
+    rewritten.insert(rewritten.end(), envelope.begin(), envelope.end());
+    rewritten.insert(rewritten.end(), state.begin() + run->end, state.end());
+    mutants.push_back({"tag-1 GK tuple", WithQuantileState(rewritten), "tuple 0 value is NaN"});
+  }
+  // The staged partial window: a u64 count, then f32 values.
+  mutants.push_back({"window buffer",
+                     WithPayload(RecordType::kWindowBuffer,
+                                 WithNanAt(Payload(RecordType::kWindowBuffer),
+                                           sizeof(std::uint64_t))),
+                     "element 0 is NaN"});
+  for (const Mutant& mutant : mutants) {
+    const core::Status status = RestoreMutant(mutant.snapshot);
+    EXPECT_EQ(status.code(), core::Status::Code::kInvalidArgument) << mutant.name;
+    EXPECT_NE(status.message().find(mutant.message), std::string::npos)
+        << mutant.name << ": " << status.message();
+  }
+  EXPECT_TRUE(RestoreMutant(pristine_).ok());
+
+  // gk-adaptive: n u64, tuple count u64, then tuples of f32 value, g u64
+  // and delta u64.
+  Snapshot(EstimatorOptions(FreshDir("corpus_gka"), sketch::QuantileSketchKind::kGkAdaptive,
+                            1),
+           /*frequency=*/false);
+  core::Status status = RestoreMutant(WithQuantileState(
+      WithNanAt(QuantileState(), kCounters + 2 * sizeof(std::uint64_t))));
+  EXPECT_EQ(status.code(), core::Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find("tuple 0 value is NaN"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(RestoreMutant(pristine_).ok());
+
+  // Lossy counting: n u64, bucket id u64, entry count u64, then entries of
+  // f32 value, frequency u64 and delta u64.
+  Snapshot(EstimatorOptions(FreshDir("corpus_freq"), sketch::QuantileSketchKind::kGk, 1),
+           /*frequency=*/true);
+  const std::vector<std::uint8_t> frequency_state = Payload(RecordType::kFrequencyState);
+  status = RestoreMutant(WithPayload(
+      RecordType::kFrequencyState,
+      WithNanAt(frequency_state, kCounters + 3 * sizeof(std::uint64_t))));
+  EXPECT_EQ(status.code(), core::Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find("entry 0 value is NaN"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(RestoreMutant(pristine_).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@
 //
 // The invariant (docs/ARCHITECTURE.md, "Pass-execution engine") is strict:
 // byte-identical sorted output and identical GpuStats for every cell of
-// {generic, fast, check} x {kFloat16, kFloat32} x {1, 8 workers}, over
+// {generic, fast} x {kFloat16, kFloat32} x {1, 8 workers}, over
 // 1,024-element windows (32x32 textures), 2,048-element windows (64x32) and
 // 1-element windows (1x1), with ±0, ±inf, NaN, binary16 subnormals and values
 // past the binary16 range in the stream. Host-side engine choices — row
 // kernels vs. bilinear loops, framebuffer aliasing, worker fan-out — are
-// performance details; any observable divergence is a bug. The check path
-// compares every draw's output bit for bit, not only the readback.
+// performance details; any observable divergence is a bug.
 //
 // The golden test additionally pins the absolute counter values for a fixed
 // input, so a change that shifts both paths in lockstep (and would slip past
@@ -220,8 +219,6 @@ const char* PathName(gpu::RasterPath path) {
       return "fast";
     case gpu::RasterPath::kGeneric:
       return "generic";
-    case gpu::RasterPath::kCheck:
-      return "check";
   }
   return "?";
 }
@@ -247,16 +244,14 @@ TEST(EngineEquivalenceTest, FastMatchesGenericAcrossFormatsAndWorkers) {
           RunPipeline(gpu::RasterPath::kGeneric, format, /*workers=*/1, data, window);
       ASSERT_EQ(golden.sorted.size(), data.size());
 
-      // kCheck runs both paths on every draw and CHECK-fails on a bit
-      // difference in any covered pixel. The fast path runs with its stage
-      // replay and with every quad drawn on its own.
+      // The fast path runs with its stage replay and with every quad drawn
+      // on its own.
       const struct {
         gpu::RasterPath path;
         bool replay;
       } engines[] = {{gpu::RasterPath::kGeneric, true},
                      {gpu::RasterPath::kFast, true},
-                     {gpu::RasterPath::kFast, false},
-                     {gpu::RasterPath::kCheck, true}};
+                     {gpu::RasterPath::kFast, false}};
       for (const auto& [path, replay] : engines) {
         for (int workers : {1, 8}) {
           SCOPED_TRACE(testing::Message() << PathName(path) << " replay=" << replay
@@ -332,8 +327,8 @@ TEST(EngineEquivalenceTest, GoldenStatsForFixedBatch) {
   EXPECT_EQ(s.bytes_readback, kWindow * kWindowsPerBatch * sizeof(float) / 2);
   EXPECT_GT(s.bytes_vram, 0u);
 
-  // Absolute counter pins (regenerate with STREAMGPU_RASTER_PATH=generic to
-  // confirm both paths still agree before updating).
+  // Absolute counter pins (the generic path below must land on them too
+  // before they are updated).
   EXPECT_EQ(s.draw_calls, 1241u);
   EXPECT_EQ(s.blend_fragments, 102400u);
   const gpu::GpuStats fast = s;
@@ -576,9 +571,9 @@ TEST(EngineEquivalenceTest, ReplayStageDeclinesWithoutSideEffects) {
                   },
                   stage);
 
-  for (gpu::RasterPath path : {gpu::RasterPath::kGeneric, gpu::RasterPath::kCheck}) {
-    ScopedRasterPath other(path);
-    expect_declined(PathName(path), nothing, stage);
+  {
+    ScopedRasterPath generic(gpu::RasterPath::kGeneric);
+    expect_declined(PathName(gpu::RasterPath::kGeneric), nothing, stage);
   }
 
   expect_declined("framebuffer drawn since its last copy",

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/float_order.h"
 #include "sketch/exact.h"
 #include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
@@ -23,7 +24,6 @@
 #include "sketch/quantile_sketch.h"
 #include "sketch/serialize.h"
 #include "sketch/wire.h"
-#include "sort/radix_sort.h"
 
 namespace streamgpu::sketch {
 namespace {
@@ -303,7 +303,10 @@ TEST_P(EhProperty, AtMostOneBucketPerLevel) {
     std::sort(w.begin(), w.end());
     eh.AddWindowSummary(GkSummary::FromSorted(w, p.eps / 2.0));
     // Canonical binary-counter state: ids within the provisioned levels.
-    EXPECT_LE(eh.MaxBucketId(), eh.levels() + 1);
+    const std::vector<EhBucket>& buckets = eh.buckets();
+    const auto top = std::find_if(buckets.rbegin(), buckets.rend(),
+                                  [](const EhBucket& b) { return !b.empty(); });
+    EXPECT_LE(buckets.rend() - top, eh.levels() + 1);
   }
 }
 
@@ -763,14 +766,9 @@ constexpr double kDiffPhis[] = {1e-4, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0};
 
 /// The phis a differential check queries the histogram whose flattened
 /// reference is `flat` at: kDiffPhis, plus one phi per rank 1..count while
-/// count <= 2,000 and 256 evenly spaced ones above that. A histogram that
-/// holds a NaN answers through Flatten().Query, which the tuple comparisons
-/// already pin, so it gets kDiffPhis only.
+/// count <= 2,000 and 256 evenly spaced ones above that.
 std::vector<double> DiffPhis(const ref::Summary& flat) {
   std::vector<double> phis(std::begin(kDiffPhis), std::end(kDiffPhis));
-  if (std::ranges::any_of(flat.tuples, [](const GkTuple& t) { return std::isnan(t.value); })) {
-    return phis;
-  }
   const std::uint64_t count = flat.count;
   const double n = static_cast<double>(count);
   if (count <= 2000) {
@@ -809,11 +807,10 @@ bool SameBits(float a, float b) {
 }
 
 /// Sorts a window in the backends' canonical bit-pattern order (-0.0 before
-/// +0.0, NaNs at the ends), as every sort backend hands windows over.
+/// +0.0), as every sort backend hands windows over.
 void SortCanonical(std::vector<float>* w) {
   std::sort(w->begin(), w->end(), [](float a, float b) {
-    return sort::FloatToOrderedKey(std::bit_cast<std::uint32_t>(a)) <
-           sort::FloatToOrderedKey(std::bit_cast<std::uint32_t>(b));
+    return OrderedKey(a) < OrderedKey(b);
   });
 }
 
@@ -850,22 +847,19 @@ void ExpectSameHistogram(const EhQuantileSummary& eh, const ref::Eh& want) {
 
 /// `restored`: the sketch was restored from a checkpoint, whose operation
 /// counters restart at zero. `bytes`: compare the wire and checkpoint bytes.
-void ExpectSameSketch(const QuantileSketch& sketch, const ref::Eh& want, bool restored,
-                      bool bytes) {
+void ExpectSameSketch(const QuantileSketch& sketch, const ref::Eh& want, bool restored) {
   ASSERT_EQ(sketch.count(), want.count());
   EXPECT_EQ(sketch.summary_size(), want.TotalTuples());
   if (!restored) {
     EXPECT_EQ(sketch.merged_tuples(), want.merged_tuples());
     EXPECT_EQ(sketch.pruned_tuples(), want.pruned_tuples());
   }
-  if (bytes) {
-    std::vector<std::uint8_t> wire_bytes;
-    ASSERT_TRUE(sketch.AppendWireSummary(&wire_bytes).ok());
-    EXPECT_EQ(wire_bytes, ref::WireBytes(want));
-    std::vector<std::uint8_t> state;
-    ASSERT_TRUE(sketch.AppendCheckpointState(&state).ok());
-    EXPECT_EQ(state, ref::CheckpointBytes(want));
-  }
+  std::vector<std::uint8_t> wire_bytes;
+  ASSERT_TRUE(sketch.AppendWireSummary(&wire_bytes).ok());
+  EXPECT_EQ(wire_bytes, ref::WireBytes(want));
+  std::vector<std::uint8_t> state;
+  ASSERT_TRUE(sketch.AppendCheckpointState(&state).ok());
+  EXPECT_EQ(state, ref::CheckpointBytes(want));
   if (want.count() == 0) return;
   const ref::Summary flat = want.Flatten();
   for (double phi : DiffPhis(flat)) {
@@ -878,11 +872,9 @@ void ExpectSameSketch(const QuantileSketch& sketch, const ref::Eh& want, bool re
 /// points, and to the GK QuantileSketch; the sketch is also checkpointed
 /// after `restore_after` windows and a restored copy continues alongside.
 /// Everything is compared after every window while at most 2,000 elements
-/// are in, then every 97 windows and at the end. restore_after 0 skips the
-/// checkpoint and the byte comparisons, for streams whose summaries the GK
-/// decoder rejects. `expected_length` is the histograms' N, 0 for the
-/// stream's length. Returns whether a run bucket ever sat above a tuple
-/// bucket (Flatten's non-leading runs).
+/// are in, then every 97 windows and at the end. `expected_length` is the
+/// histograms' N, 0 for the stream's length. Returns whether a run bucket
+/// ever sat above a tuple bucket (Flatten's non-leading runs).
 bool ExpectSameAsReference(double eps, const std::vector<std::size_t>& window_sizes,
                            const std::vector<float>& stream, std::size_t restore_after,
                            std::uint64_t expected_length = 0) {
@@ -928,15 +920,11 @@ bool ExpectSameAsReference(double eps, const std::vector<std::size_t>& window_si
       SCOPED_TRACE("after window " + std::to_string(windows));
       ExpectSameHistogram(by_window, want);
       ExpectSameHistogram(by_summary, want);
-      ExpectSameSketch(**sketch, want, /*restored=*/false, restore_after != 0);
-      if (restored != nullptr) {
-        ExpectSameSketch(*restored, want, /*restored=*/true, /*bytes=*/true);
-      }
+      ExpectSameSketch(**sketch, want, /*restored=*/false);
+      if (restored != nullptr) ExpectSameSketch(*restored, want, /*restored=*/true);
     }
   }
-  if (restore_after != 0) {
-    EXPECT_NE(restored, nullptr) << "the stream ended before the restore point";
-  }
+  EXPECT_NE(restored, nullptr) << "the stream ended before the restore point";
   return run_above_tuples;
 }
 
@@ -997,58 +985,37 @@ std::vector<float> DrawFrom(const std::vector<float>& pool, std::size_t n, unsig
   return out;
 }
 
-TEST(EhDifferential, SignedZerosAndNaNs) {
+TEST(EhDifferential, SignedZerosAndInfinities) {
   // -0.0 and +0.0 compare equal (a tie, resolved by the merge's tie rule)
-  // but are different bits; NaNs compare false both ways, and the merge
-  // takes the second side's value against one.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // but are different bits; queries search the bucket list, where a tie
+  // between the zeros is decided by bucket id.
   const float inf = std::numeric_limits<float>::infinity();
-  // Without a NaN, queries search the bucket list, where a tie between the
-  // zeros is decided by bucket id.
   const std::vector<float> zeros =
       DrawFrom({-0.0f, 0.0f, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 210);
   ExpectSameAsReference(0.01, {100}, zeros, 300);
   ExpectSameAsReference(0.01, {100, 250, 7}, zeros, 100);
-  // With one, they answer through Flatten().
-  const std::vector<float> stream =
-      DrawFrom({-0.0f, 0.0f, nan, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 205);
-  ExpectSameAsReference(0.01, {100}, stream, 300);
-  ExpectSameAsReference(0.01, {100, 250, 7}, stream, 100);
-  // A negative NaN sorts first, and that NaN rule then interleaves the
-  // merged values out of ascending order, so the GK decoder rejects these
-  // summaries (the tuple-only cascade builds the same ones): compare tuples
-  // and answers only.
-  const std::vector<float> negative_nans =
-      DrawFrom({-0.0f, 0.0f, nan, -nan, 1.0f, -1.0f, inf, -inf, 2.5f}, 60000, 207);
-  ExpectSameAsReference(0.01, {100}, negative_nans, 0);
-  ExpectSameAsReference(0.01, {100, 250, 7}, negative_nans, 0);
 }
 
 TEST(EhDifferential, QueryMatchesReferenceOnAnyValidBuckets) {
   // A restored histogram's buckets need only pass FromParts, so their rank
   // bounds can be looser than the cascade ever builds: neighbouring tuples
   // can deviate equally from a rank, and the last tuple's rmin can sit below
-  // the count, so that no tuple reaches 2*rank. Every fourth trial carries a
-  // NaN, in a run or in a tuple bucket, which must send the queries through
-  // Flatten(). Odd trials draw no positive value, so the zeros tie at the
-  // top too.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // the count, so that no tuple reaches 2*rank. Odd trials draw no positive
+  // value, so the zeros tie at the top too.
   const std::vector<float> pools[] = {{-0.0f, 0.0f, -1.0f, 1.0f, 2.5f, 7.0f},
                                       {-0.0f, 0.0f, -1.0f, -2.5f}};
   std::mt19937 rng(211);
   for (int trial = 0; trial < 200; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const std::vector<float>& pool = pools[trial % 2];
-    const std::size_t nan_bucket = trial % 4 == 3 ? rng() % 6 : 6;
     std::vector<EhBucket> buckets(6);
     std::vector<ref::Summary> want;
     std::uint64_t count = 0;
     for (std::size_t id = 0; id < buckets.size(); ++id) {
-      if (rng() % 3 == 0 && id != nan_bucket) continue;
+      if (rng() % 3 == 0) continue;
       std::vector<float> values(1 + rng() % 40);
       for (float& v : values) v = pool[rng() % pool.size()];
       SortCanonical(&values);
-      if (id == nan_bucket) values[rng() % values.size()] = rng() % 2 == 0 ? nan : -nan;
       ref::Summary bucket;
       if (rng() % 2 == 0) {
         bucket = ref::FromSorted(values, 0.005);  // exact: a run
@@ -1120,12 +1087,11 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
   // windows one by one through today's AddWindow does; with one of them
   // occupied the insert must be refused and change nothing. Prior window
   // counts are random, aligned and not, blocks hold 2..32 windows, and the
-  // values are continuous, duplicate-heavy, or ±0 with NaNs of both signs.
+  // values are continuous, duplicate-heavy, or ±0 and infinities.
   const double eps = 0.01;
   const std::uint64_t window = 100;
   const std::uint64_t big_n = window << 32;  // a core's default provisioning
   ASSERT_EQ(EhQuantileSummary(eps, window, big_n).max_block_level(), 5);
-  const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const std::vector<float> signed_pool = {-0.0f, 0.0f, 1.0f, -1.0f, inf, -inf, 2.5f};
   std::mt19937 rng(212);
@@ -1135,10 +1101,8 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
     const std::size_t block_windows = std::size_t{1} << level;
     std::size_t prior = rng() % 80;
     if (trial % 2 == 0) prior -= prior % block_windows;  // aligned half the time
-    // Continuous, duplicate-heavy, ±0 and infinities, and those plus NaNs of
-    // both signs.
-    const int kind = (trial / 2) % 4;
-    bool negative_nan = false;
+    // Continuous, duplicate-heavy, or ±0 and infinities.
+    const int kind = (trial / 2) % 3;
     std::vector<std::vector<float>> windows(prior + block_windows);
     for (std::vector<float>& w : windows) {
       w.resize(window);
@@ -1149,10 +1113,6 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
           v = static_cast<float>(rng() % 9);
         } else {
           v = signed_pool[rng() % signed_pool.size()];
-          if (kind == 3 && rng() % 50 == 0) {
-            v = rng() % 2 == 0 ? nan : -nan;
-            negative_nan = negative_nan || std::signbit(v);
-          }
         }
       }
       SortCanonical(&w);
@@ -1176,13 +1136,12 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
     std::vector<float> scratch;
     std::vector<float> run;
     EhQuantileSummary::MergeBlock(joined, window, &scratch, &run);
-    const bool holds_nan = std::ranges::any_of(run, [](float v) { return std::isnan(v); });
     std::vector<float> sketch_run = run;
     const std::vector<float> built = run;
     const EhQuantileSummary before = blocked;
     const bool aligned = prior % block_windows == 0;
-    ASSERT_EQ(blocked.AddBlock(run, level, 0.0, holds_nan), aligned);
-    ASSERT_EQ((*block_sketch)->AddSortedBlock(sketch_run, level, 0.0, holds_nan), aligned);
+    ASSERT_EQ(blocked.AddBlock(run, level, 0.0), aligned);
+    ASSERT_EQ((*block_sketch)->AddSortedBlock(sketch_run, level, 0.0), aligned);
     if (!aligned) {
       // Refused: the histogram and the run are as they were.
       EXPECT_TRUE(SameBuckets(blocked, before));
@@ -1208,11 +1167,10 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
       EXPECT_EQ(flat.tuples()[i].rmin, flat_one.tuples()[i].rmin);
       EXPECT_EQ(flat.tuples()[i].rmax, flat_one.tuples()[i].rmax);
     }
-    // Every rank; a histogram holding a NaN answers through Flatten(),
-    // compared above, so it gets kDiffPhis only.
+    // Every rank.
     const std::uint64_t n = one.count();
     std::vector<double> phis(std::begin(kDiffPhis), std::end(kDiffPhis));
-    for (std::uint64_t r = 1; kind != 3 && r <= n; ++r) {
+    for (std::uint64_t r = 1; r <= n; ++r) {
       phis.push_back((static_cast<double>(r) - 0.5) / static_cast<double>(n));
     }
     for (const double phi : phis) {
@@ -1225,11 +1183,8 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
     EXPECT_EQ(block_state, one_state);
     EXPECT_EQ((*block_sketch)->merged_tuples(), (*one_sketch)->merged_tuples());
     EXPECT_EQ((*block_sketch)->pruned_tuples(), (*one_sketch)->pruned_tuples());
-    if (!negative_nan) {
-      // The tuple-only reference serializes the same cascade (a negative
-      // NaN breaks the value order its GK decoder checks).
-      EXPECT_EQ(one_state, ref::CheckpointBytes(want));
-    }
+    // The tuple-only reference serializes the same cascade.
+    EXPECT_EQ(one_state, ref::CheckpointBytes(want));
   }
 }
 

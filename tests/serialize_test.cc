@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -272,6 +273,82 @@ TEST(SerializeTest, MalformedCorpusReturnsStatus) {
     std::span<const std::uint8_t> cursor(buffer.data(), cut);
     EXPECT_FALSE(DeserializeGkSummary(&cursor).ok()) << "cut=" << cut;
     EXPECT_EQ(cursor.size(), cut);
+  }
+}
+
+/// `envelope` with the f32 at payload offset `offset` overwritten by a NaN
+/// and the checksum refreshed, so the payload decoder does the rejecting.
+std::vector<std::uint8_t> WithNanAt(std::vector<std::uint8_t> envelope, std::size_t offset) {
+  constexpr std::size_t kHeader = 20;  // magic, version, tag, length, CRC at 16
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_LE(kHeader + offset + sizeof(float), envelope.size());
+  std::memcpy(envelope.data() + kHeader + offset, &nan, sizeof(float));
+  const std::uint32_t crc = Crc32(std::span<const std::uint8_t>(envelope).subspan(kHeader));
+  std::memcpy(envelope.data() + 16, &crc, sizeof(crc));
+  return envelope;
+}
+
+TEST(SerializeTest, NanValuesAreRejected) {
+  // Admission refuses NaN, so no export holds one: each decoder that carries
+  // values refuses a NaN in a CRC-valid envelope and names it, and the
+  // unmutated envelope still decodes.
+  std::vector<std::uint8_t> gk;
+  ASSERT_TRUE(SerializeSummary(MakeGk(50, 0.1, 9), &gk).ok());
+  // count u64, epsilon f64, tuple count u64, then the tuples.
+  {
+    const std::vector<std::uint8_t> mutant = WithNanAt(gk, 3 * sizeof(std::uint64_t));
+    std::span<const std::uint8_t> cursor = mutant;
+    const auto parsed = DeserializeGkSummary(&cursor);
+    EXPECT_EQ(parsed.status().code(), core::Status::Code::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("tuple 0 value is NaN"), std::string::npos)
+        << parsed.status().message();
+    std::span<const std::uint8_t> pristine = gk;
+    EXPECT_TRUE(DeserializeGkSummary(&pristine).ok());
+  }
+
+  // KLL: epsilon f64, seed, count, worst case and compactions u64, level
+  // count u32, then per level an item count u64 and its f32 items. The NaN
+  // goes into the first item of the first non-empty level.
+  std::vector<std::uint8_t> kll;
+  ASSERT_TRUE(SerializeSummary(MakeKll(5000, 0.02, 10), &kll).ok());
+  {
+    std::size_t offset = 5 * sizeof(std::uint64_t);
+    std::uint32_t levels = 0;
+    std::memcpy(&levels, kll.data() + 20 + offset, sizeof(levels));
+    offset += sizeof(levels);
+    std::size_t level = 0;
+    for (; level < levels; ++level) {
+      std::uint64_t items = 0;
+      std::memcpy(&items, kll.data() + 20 + offset, sizeof(items));
+      offset += sizeof(items);
+      if (items > 0) break;
+    }
+    ASSERT_LT(level, levels);
+    const std::vector<std::uint8_t> mutant = WithNanAt(kll, offset);
+    std::span<const std::uint8_t> cursor = mutant;
+    const auto parsed = DeserializeKllSketch(&cursor);
+    EXPECT_EQ(parsed.status().code(), core::Status::Code::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("level " + std::to_string(level) +
+                                             " item 0 is NaN"),
+              std::string::npos)
+        << parsed.status().message();
+    std::span<const std::uint8_t> pristine = kll;
+    EXPECT_TRUE(DeserializeKllSketch(&pristine).ok());
+  }
+
+  // Misra-Gries: epsilon f64, n u64, entry count u64, then entries of f32
+  // value and u64 count.
+  std::vector<std::uint8_t> mg;
+  ASSERT_TRUE(SerializeSummary(MakeMisraGries(2000, 11), &mg).ok());
+  {
+    const std::vector<std::uint8_t> mutant = WithNanAt(mg, 3 * sizeof(std::uint64_t));
+    std::span<const std::uint8_t> cursor = mutant;
+    const auto parsed = DeserializeMisraGries(&cursor);
+    EXPECT_EQ(parsed.status().code(), core::Status::Code::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("entry 0 value is NaN"), std::string::npos)
+        << parsed.status().message();
+    std::span<const std::uint8_t> pristine = mg;
+    EXPECT_TRUE(DeserializeMisraGries(&pristine).ok());
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -125,11 +126,8 @@ TEST(WindowBatcherTest, SignalsFullBatch) {
   EXPECT_FALSE(b.Push(4));
   EXPECT_FALSE(b.Push(5));
   EXPECT_TRUE(b.Push(6));  // 2 windows x 3 elements
-  const auto windows = b.Windows();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].size(), 3u);
-  EXPECT_EQ(windows[1].size(), 3u);
-  EXPECT_EQ(windows[1][2], 6.0f);
+  ASSERT_EQ(b.buffered(), 6u);
+  EXPECT_EQ(b.contents()[5], 6.0f);
   b.Clear();
   EXPECT_TRUE(b.empty());
 }
@@ -137,19 +135,21 @@ TEST(WindowBatcherTest, SignalsFullBatch) {
 TEST(WindowBatcherTest, PartialFinalWindow) {
   WindowBatcher b(4, 4);
   for (int i = 0; i < 6; ++i) b.Push(static_cast<float>(i));
-  const auto windows = b.Windows();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].size(), 4u);
-  EXPECT_EQ(windows[1].size(), 2u);
+  // One whole window of 4 and a partial one of 2, neither a full batch.
+  EXPECT_FALSE(b.full());
+  ASSERT_EQ(b.buffered(), 6u);
+  EXPECT_EQ(b.buffered() / b.window_size(), 1u);
+  EXPECT_EQ(b.contents()[5], 5.0f);
 }
 
 TEST(WindowBatcherTest, SpansAliasInternalStorage) {
   WindowBatcher b(2, 1);
   b.Push(3);
-  b.Push(4);
-  auto windows = b.Windows();
-  windows[0][0] = 99.0f;
-  EXPECT_EQ(b.Windows()[0][0], 99.0f);
+  const std::span<float> slot = b.Claim(5);
+  ASSERT_EQ(slot.size(), 1u);  // the space left in the batch
+  slot[0] = 99.0f;
+  EXPECT_TRUE(b.full());
+  EXPECT_EQ(b.contents()[1], 99.0f);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 //   streamgpu_cli restore     <quantiles|frequencies|serve> [options]
 //
 // Common options:
-//   --input PATH           read float values (text, one per line) from PATH
+//   --input PATH           read whitespace-separated float values (inf and
+//                          -inf included) from PATH; a malformed token or a
+//                          NaN exits 2 with its line number
 //   --generate DIST        synthesize the stream: uniform | zipf | sorted |
 //                          network | finance   (default zipf)
 //   --n COUNT              generated stream length       (default 1000000)
@@ -123,6 +125,7 @@
 //   streamgpu_cli sort --n 262144 --sort-backend pbsn
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
@@ -131,6 +134,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -431,9 +435,34 @@ std::vector<float> LoadStream(const CliOptions& opt) {
       std::fprintf(stderr, "error: cannot open %s\n", opt.input_path.c_str());
       std::exit(1);
     }
+    // Each whitespace-separated token must be one whole float, as ParseReal
+    // reads a flag: `inf` and `-inf` are values, a NaN has no rank, and a
+    // token that does not parse (or overflows) is an error, not the end.
     std::vector<float> values;
-    float v = 0;
-    while (in >> v) values.push_back(v);
+    std::string line;
+    for (int line_number = 1; std::getline(in, line); ++line_number) {
+      std::istringstream tokens(line);
+      std::string token;
+      while (tokens >> token) {
+        char* end = nullptr;
+        errno = 0;
+        const float v = std::strtof(token.c_str(), &end);
+        const char* problem = nullptr;
+        if (*end != '\0') {
+          problem = "is not a number";
+        } else if (std::isnan(v)) {
+          problem = "is NaN, which has no rank";
+        } else if (errno == ERANGE && std::isinf(v)) {
+          problem = "overflows a float";
+        }
+        if (problem != nullptr) {
+          std::fprintf(stderr, "error: %s:%d: '%s' %s\n", opt.input_path.c_str(), line_number,
+                       token.c_str(), problem);
+          std::exit(2);
+        }
+        values.push_back(v);
+      }
+    }
     if (values.empty()) {
       std::fprintf(stderr, "error: no values in %s\n", opt.input_path.c_str());
       std::exit(1);
