@@ -188,12 +188,6 @@ class QueryBench {
   std::vector<double> call_seconds_;
 };
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
-}
-
 struct RegistryResult {
   double seconds = 0;
   double bytes_per_stream = 0;
@@ -254,14 +248,14 @@ int main() {
     queries.RunBatch();
   }
 
-  const double single = Median(singles);
+  const double single = bench::Median(singles);
   std::printf("%10s | %14s | %10s | %s\n", "streams", "elements/s", "vs single",
               "paired ratios");
   std::printf("%10s | %14.3g | %10s |\n", "dedicated", single, "1.00");
   std::vector<double> rates, ratios;
   for (std::size_t i = 0; i < stream_counts.size(); ++i) {
-    rates.push_back(Median(rep_rates[i]));
-    ratios.push_back(Median(rep_ratios[i]));
+    rates.push_back(bench::Median(rep_rates[i]));
+    ratios.push_back(bench::Median(rep_ratios[i]));
     const auto [lo, hi] = std::minmax_element(rep_ratios[i].begin(), rep_ratios[i].end());
     std::printf("%10llu | %14.3g | %10.2f | %.2f-%.2f (median of %d)\n",
                 static_cast<unsigned long long>(stream_counts[i]), rates[i], ratios[i], *lo,

@@ -12,10 +12,12 @@
 #ifndef STREAMGPU_BENCH_BENCH_UTIL_H_
 #define STREAMGPU_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/env.h"
 
@@ -98,6 +100,13 @@ class JsonWriter {
   bool first_ = true;
   bool value_pending_ = false;
 };
+
+/// Median of `values`; the mean of the middle two for an even count.
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
+}
 
 /// Prints the standard figure header.
 inline void PrintHeader(const char* figure, const char* claim) {

@@ -354,6 +354,7 @@ core::Status StreamService::Flush(const StreamKey& key) {
     const core::Status status = StageWindow(*state, /*final_partial=*/true);
     if (!status.ok()) return status;
   }
+  state->batcher.ReleaseStorage();  // no append comes after the final window
   return DispatchShard(state->shard);
 }
 
@@ -366,8 +367,15 @@ core::Status StreamService::FlushAll() {
       const core::Status status = StageWindow(*state, /*final_partial=*/true);
       if (!status.ok()) return status;
     }
+    state->batcher.ReleaseStorage();
   }
-  return WaitIdle();
+  if (core::Status status = WaitIdle(); !status.ok()) return status;
+  // Every stream is finalized and the pool is idle: free the batch storage
+  // no append can use, as SummaryEstimator::Flush does. A stream registered
+  // later allocates its own.
+  for (auto& shard : shards_) shard->pending = stream::WindowBatch();
+  executor_->ReleaseRecycled();
+  return core::Status::Ok();
 }
 
 core::Status StreamService::WaitIdle() {

@@ -221,14 +221,16 @@ class StreamService {
                                      std::span<const float> values);
 
   /// Finalizes one stream: its buffered partial window is dispatched (as
-  /// the stream's final, possibly partial, window) and further appends are
-  /// rejected. Idempotent. Does not wait — call WaitIdle() before relying
-  /// on the final answer.
+  /// the stream's final, possibly partial, window), its staging storage is
+  /// freed and further appends are rejected. Idempotent. Does not wait —
+  /// call WaitIdle() before relying on the final answer.
   core::Status Flush(const StreamKey& key);
 
   /// Finalizes every stream, dispatches all pending shard batches, and
   /// waits for the pool to drain. After an OK return, every query answers
-  /// over everything ever admitted.
+  /// over everything ever admitted, and the service holds no staging or
+  /// batch storage: only its registry and summaries. Streams registered
+  /// afterwards ingest as usual.
   core::Status FlushAll();
 
   /// Dispatches every pending shard batch without finalizing any stream

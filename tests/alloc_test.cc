@@ -11,6 +11,8 @@
 //
 // The hook lives in this dedicated test binary only (gtest itself allocates
 // freely; the counter is sampled around the hot loop, not asserted globally).
+// It also records the largest request and, with glibc, the live heap bytes,
+// which the checkpoint and service memory tests below read.
 
 // The counting hooks forward to malloc/free by construction, but when GCC
 // inlines only the delete side at a use site it pairs the opaque
@@ -26,10 +28,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -37,8 +46,10 @@
 #include "core/quantile_estimator.h"
 #include "core/status.h"
 #include "core/summary_core.h"
+#include "durable/checkpoint.h"
 #include "gpu/device.h"
 #include "hwmodel/hardware_profiles.h"
+#include "service/stream_service.h"
 #include "sort/cpu_sort.h"
 #include "sort/pbsn_gpu.h"
 #include "stream/generator.h"
@@ -48,39 +59,64 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};      // largest request since reset
+std::atomic<std::int64_t> g_live_bytes{0};  // usable bytes of live blocks (glibc)
+
+std::size_t UsableSize(void* p) {
+#if defined(__GLIBC__)
+  return malloc_usable_size(p);
+#else
+  (void)p;
+  return 0;
+#endif
+}
+
+void* Counted(void* p, std::size_t size) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size, std::memory_order_relaxed)) {
+  }
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(UsableSize(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void Release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(UsableSize(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
 // Counting allocator hooks. Sized/aligned variants forward here.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return Counted(std::malloc(size ? size : 1), size); }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0) {
     throw std::bad_alloc();
   }
-  return p;
+  return Counted(p, size);
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { Release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { Release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { Release(p); }
 
 namespace streamgpu {
 namespace {
@@ -98,6 +134,39 @@ constexpr bool kSanitized = false;
 #endif
 
 std::uint64_t AllocCount() { return g_allocations.load(std::memory_order_relaxed); }
+
+std::int64_t LiveBytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+
+#if defined(__GLIBC__)
+constexpr bool kTracksLiveBytes = true;
+#else
+constexpr bool kTracksLiveBytes = false;
+#endif
+
+/// A fresh, empty directory under the test temp root.
+std::string FreshDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("alloc_" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+/// Registers `streams` streams and appends `per_stream` Zipf values to each.
+std::vector<service::StreamKey> Populate(service::StreamService& svc, std::size_t streams,
+                                         std::size_t per_stream, double epsilon) {
+  service::StreamConfig config;
+  config.epsilon = epsilon;
+  stream::StreamGenerator gen({.distribution = stream::Distribution::kZipf, .seed = 31});
+  std::vector<service::StreamKey> keys;
+  for (std::size_t i = 0; i < streams; ++i) {
+    keys.push_back({i % 16, i});
+    EXPECT_TRUE(svc.Register(keys.back(), config).ok());
+    const auto admitted = svc.Append(keys.back(), gen.Take(per_stream));
+    EXPECT_TRUE(admitted.ok() && *admitted == per_stream);
+  }
+  return keys;
+}
 
 // The full estimator stack: ingest -> batcher -> pipeline (2 GPU workers)
 // -> sorted-batch drain into the quantile summary. After `warmup_batches`
@@ -278,6 +347,109 @@ TEST(AllocTest, GkEhQuantileQueryIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0u) << "steady-state GK+EH queries allocated";
   EXPECT_GT(sum, 0.0f);
+}
+
+// A service checkpoint streams to its .tmp file as it is encoded: however
+// large the snapshot, no allocation made while it runs exceeds the flush
+// size plus the largest record, doubled for the buffer's growth.
+TEST(AllocTest, ServiceCheckpointHoldsAFlushNotTheSnapshot) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+  service::StreamService svc(service::ServiceConfig{});
+  (void)Populate(svc, 2000, 450, 0.01);
+  ASSERT_TRUE(svc.WaitIdle().ok());
+
+  const std::string dir = FreshDir("service_checkpoint");
+  durable::CheckpointWriter writer(dir);
+  g_largest.store(0);
+  ASSERT_TRUE(svc.Checkpoint(&writer).ok());
+  const std::size_t largest_allocation = g_largest.load();
+
+  const auto snapshot = durable::LoadLatestSnapshot(dir);
+  ASSERT_TRUE(snapshot.ok());
+  std::size_t largest_record = 0;
+  for (const durable::OwnedRecord& record : snapshot->records) {
+    largest_record =
+        std::max(largest_record, durable::kRecordHeaderSize + record.payload.size());
+  }
+  const std::size_t bound = 2 * (durable::kSnapshotFlushBytes + largest_record);
+  ASSERT_GT(writer.last_snapshot_bytes(), 4 * bound);
+  EXPECT_LE(largest_allocation, bound)
+      << "snapshot " << writer.last_snapshot_bytes() << " B, largest record "
+      << largest_record << " B";
+}
+
+// Once its streams are finalized, a service holds its registry and its
+// summaries only. Flush(key) frees the stream's staged window; FlushAll also
+// frees the shards' and the executor's batches, leaving no more live heap
+// than the same service restored from its checkpoint holds, give or take
+// the sorter's scratch. Answers, exports and checkpoint bytes survive the
+// release, and a stream registered afterwards ingests as usual.
+TEST(AllocTest, FlushedServiceHoldsOnlyRegistryAndSummaries) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+  if (!kTracksLiveBytes) GTEST_SKIP() << "live heap bytes need glibc";
+  constexpr std::size_t kStreams = 500;
+  constexpr double kEpsilon = 0.001;  // 1,000-element windows
+  constexpr std::int64_t kWindowBytes = 1000 * sizeof(float);
+  const service::ServiceConfig config;
+
+  const std::int64_t base = LiveBytes();
+  auto svc = std::make_unique<service::StreamService>(config);
+  // One whole window each goes to the shards; one element stays staged.
+  const std::vector<service::StreamKey> keys = Populate(*svc, kStreams, 1001, kEpsilon);
+  ASSERT_TRUE(svc->WaitIdle().ok());
+  const std::int64_t staged = LiveBytes();
+  for (std::size_t i = 0; i < kStreams / 2; ++i) ASSERT_TRUE(svc->Flush(keys[i]).ok());
+  ASSERT_TRUE(svc->WaitIdle().ok());
+  EXPECT_LT(LiveBytes(), staged - static_cast<std::int64_t>(kStreams / 2) * kWindowBytes * 3 / 4);
+  ASSERT_TRUE(svc->FlushAll().ok());
+  const std::int64_t held = LiveBytes() - base;
+
+  const std::string dir = FreshDir("flushed_service");
+  {
+    durable::CheckpointWriter writer(dir);
+    ASSERT_TRUE(svc->Checkpoint(&writer).ok());
+  }
+  const std::int64_t before_restore = LiveBytes();
+  auto restored = service::StreamService::RestoreFrom(config, dir);
+  ASSERT_TRUE(restored.ok());
+  const std::int64_t restored_held = LiveBytes() - before_restore;
+  EXPECT_LT(held, restored_held + 64 * kWindowBytes)
+      << "flushed " << held << " B, restored " << restored_held << " B";
+
+  for (const double phi : {0.01, 0.5, 0.99}) {
+    EXPECT_EQ(svc->BatchQuantiles(keys, phi), (*restored)->BatchQuantiles(keys, phi));
+  }
+  for (const service::StreamKey& key : keys) {
+    EXPECT_EQ(*svc->ExportQuantileSummary(key), *(*restored)->ExportQuantileSummary(key));
+  }
+  const std::string again = FreshDir("flushed_service_again");
+  {
+    durable::CheckpointWriter writer(again);
+    ASSERT_TRUE((*restored)->Checkpoint(&writer).ok());
+  }
+  const auto first = durable::LoadLatestSnapshot(dir);
+  const auto second = durable::LoadLatestSnapshot(again);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(first->records.size(), second->records.size());
+  for (std::size_t r = 0; r < first->records.size(); ++r) {
+    EXPECT_EQ(first->records[r].payload, second->records[r].payload) << "record " << r;
+  }
+
+  // A stream registered after FlushAll ingests into fresh storage and
+  // answers as it would on a fresh service.
+  service::StreamService fresh(config);
+  const service::StreamKey late{99, 99};
+  const std::vector<service::StreamKey> fresh_keys = Populate(fresh, 1, 2500, kEpsilon);
+  service::StreamConfig stream_config;
+  stream_config.epsilon = kEpsilon;
+  ASSERT_TRUE(svc->Register(late, stream_config).ok());
+  stream::StreamGenerator gen({.distribution = stream::Distribution::kZipf, .seed = 31});
+  const auto admitted = svc->Append(late, gen.Take(2500));
+  ASSERT_TRUE(admitted.ok() && *admitted == 2500);
+  ASSERT_TRUE(svc->FlushAll().ok());
+  ASSERT_TRUE(fresh.FlushAll().ok());
+  EXPECT_EQ(*svc->ExportQuantileSummary(late), *fresh.ExportQuantileSummary(fresh_keys[0]));
+  EXPECT_EQ(svc->BatchQuantiles(keys, 0.5), (*restored)->BatchQuantiles(keys, 0.5));
 }
 
 }  // namespace
