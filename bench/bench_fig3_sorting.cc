@@ -24,8 +24,9 @@
 // A second table sweeps the second-generation host backends (sample sort,
 // radix/merge) and the cost-model "auto" planner against PBSN on host
 // wall-clock; each row's per-backend numbers land in the JSON under
-// "backends" and tools/check_bench_regression.py --fig3-backends gates the
-// planner's >2x ns/key win over PBSN at n >= 1M (docs/SORT_BACKENDS.md).
+// "backends" and tools/check_bench_regression.py --fig3-backends holds the
+// planner within 1.2x of the fastest other backend's ns/key at n >= 1M
+// (docs/SORT_BACKENDS.md).
 //
 // A third table re-runs PBSN with observability fully ENABLED (labeled
 // metrics + latency summaries via core::TracingSorter, plus an armed
@@ -38,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -103,15 +105,23 @@ BackendSample Measure(sort::Sorter& sorter, const std::vector<float>& data,
   return b;
 }
 
-// Best-of-N wall clock: the paired obs-overhead gate divides two wall
-// measurements of the same sort, so single-run jitter would dominate the
-// < 2% budget it checks. Minimum-of-repeats is the standard stabilizer.
-BackendSample MeasureBest(sort::Sorter& sorter, const std::vector<float>& data,
-                          double memcpy_ns_per_byte, int reps = 5) {
-  BackendSample best = Measure(sorter, data, memcpy_ns_per_byte);
-  for (int r = 1; r < reps; ++r) {
-    const BackendSample s = Measure(sorter, data, memcpy_ns_per_byte);
-    if (s.wall_ms < best.wall_ms) best = s;
+// Best-of-N wall clock of one sort run plain and with telemetry enabled,
+// their repetitions interleaved: the paired obs-overhead gate divides the
+// two, so single-run jitter would dominate the < 2% budget it checks.
+// Minimum-of-repeats is the standard stabilizer; interleaving puts both
+// sides under the same host conditions, which matters once a sort takes
+// less time than a slow stretch of a shared host lasts.
+std::pair<BackendSample, BackendSample> MeasureBestPair(sort::Sorter& plain,
+                                                        sort::Sorter& traced,
+                                                        const std::vector<float>& data,
+                                                        double memcpy_ns_per_byte,
+                                                        int reps = 5) {
+  std::pair<BackendSample, BackendSample> best;
+  for (int r = 0; r < reps; ++r) {
+    const BackendSample p = Measure(plain, data, memcpy_ns_per_byte);
+    if (r == 0 || p.wall_ms < best.first.wall_ms) best.first = p;
+    const BackendSample t = Measure(traced, data, memcpy_ns_per_byte);
+    if (r == 0 || t.wall_ms < best.second.wall_ms) best.second = t;
   }
   return best;
 }
@@ -192,11 +202,18 @@ int main() {
                                {hwmodel::SortBackend::kCpuQuicksort, &intel}},
                               obs::Observability{}, "bench.");
 
+    // The same PBSN sort with telemetry fully enabled: labeled counters, the
+    // GK latency summary, and an armed flight recorder all on the hot path.
+    obs::MetricsRegistry obs_metrics;
+    obs::FlightRecorder obs_flight;
+    core::TracingSorter traced(
+        &pbsn, &device, obs::Observability{&obs_metrics, nullptr, &obs_flight},
+        "bench");
+
     Row row;
     row.n = n;
-    // Best-of-3: the obs-overhead gate below divides two wall measurements
-    // of this same sort, so both sides use the jitter-stabilized minimum.
-    const BackendSample pbsn_best = MeasureBest(pbsn, data, memcpy_ns_per_byte);
+    const auto [pbsn_best, obs_best] =
+        MeasureBestPair(pbsn, traced, data, memcpy_ns_per_byte);
     row.pbsn_sim_ms = pbsn_best.sim_ms;
     row.pbsn_wall_ms = pbsn_best.wall_ms;
     row.pbsn_ns_per_key = pbsn_best.ns_per_key;
@@ -208,15 +225,6 @@ int main() {
     row.radix = Measure(radix, data, memcpy_ns_per_byte);
     row.autos = Measure(autos, data, memcpy_ns_per_byte);
     row.auto_chosen = hwmodel::SortBackendName(autos.last_choice());
-
-    // The same PBSN sort with telemetry fully enabled: labeled counters, the
-    // GK latency summary, and an armed flight recorder all on the hot path.
-    obs::MetricsRegistry obs_metrics;
-    obs::FlightRecorder obs_flight;
-    core::TracingSorter traced(
-        &pbsn, &device, obs::Observability{&obs_metrics, nullptr, &obs_flight},
-        "bench");
-    const BackendSample obs_best = MeasureBest(traced, data, memcpy_ns_per_byte);
     row.obs_ns_per_key = obs_best.ns_per_key;
     row.obs_rel_memcpy = obs_best.rel_memcpy;
     rows.push_back(row);

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "common/check.h"
 #include "core/frequency_estimator.h"
 #include "core/quantile_estimator.h"
 #include "core/status.h"
@@ -26,11 +27,20 @@ namespace streamgpu::core {
 /// When Options::obs wires metrics/tracing sinks, both estimators share them:
 /// the frequency side records under "freq.", the quantile side under
 /// "quant." (docs/OBSERVABILITY.md).
+///
+/// A miner does not checkpoint: Options::checkpoint_dir must be empty. The
+/// two estimators would each write their own snapshots and epochs into the
+/// one directory and prune each other's. To make both summaries durable,
+/// run a FrequencyEstimator and a QuantileEstimator, each with its own
+/// checkpoint_dir (docs/DURABILITY.md).
 class StreamMiner {
  public:
   /// Validated construction: returns configuration errors — the union of
-  /// both estimators' rules — instead of aborting. Never null on ok().
+  /// both estimators' rules, plus an empty checkpoint_dir — instead of
+  /// aborting. Never null on ok().
   static StatusOr<std::unique_ptr<StreamMiner>> Create(const Options& options) {
+    const Status status = CheckNoCheckpointDir(options);
+    if (!status.ok()) return status;
     // FrequencyEstimator::Create applies Options::Validate() plus the
     // frequency-specific whole-history window cap; the quantile rules are a
     // subset, so one factory call covers the miner.
@@ -41,7 +51,7 @@ class StreamMiner {
 
   /// Direct construction CHECK-aborts on invalid options; prefer Create().
   explicit StreamMiner(const Options& options)
-      : frequencies_(std::make_unique<FrequencyEstimator>(options)),
+      : frequencies_(std::make_unique<FrequencyEstimator>(Checked(options))),
         quantiles_(options) {}
 
   /// Processes one stream element through both summaries. Fails once
@@ -89,6 +99,21 @@ class StreamMiner {
  private:
   StreamMiner(std::unique_ptr<FrequencyEstimator> frequencies, const Options& options)
       : frequencies_(std::move(frequencies)), quantiles_(options) {}
+
+  static Status CheckNoCheckpointDir(const Options& options) {
+    if (options.checkpoint_dir.empty()) return Status::Ok();
+    return Status::InvalidArgument(
+        "StreamMiner does not checkpoint (checkpoint_dir is set): checkpoint a "
+        "FrequencyEstimator and a QuantileEstimator, each with its own directory");
+  }
+
+  // `options`, CHECK-failing before either estimator is built when Create()
+  // would reject them for the miner.
+  static const Options& Checked(const Options& options) {
+    const Status status = CheckNoCheckpointDir(options);
+    STREAMGPU_CHECK_MSG(status.ok(), status.message().c_str());
+    return options;
+  }
 
   // unique_ptr so the Create() path reuses the already-validated frequency
   // estimator instead of constructing (and CHECK-validating) twice.

@@ -1,68 +1,291 @@
 #include "gpu/device.h"
 
+#include <xmmintrin.h>
+
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
 namespace streamgpu::gpu {
 
+namespace {
+
+// True when the pixels [p0, p1) of one axis fetch through `m` the texels
+// p - p % block + block - 1 - p % block: each pixel's mirror within its
+// aligned block, the identity for blocks of 1. Every pixel does when the
+// first one does and the mapping walks down (or up, for the identity) without
+// leaving the block.
+bool MirrorsAxis(const UnitMapping& m, int p0, int p1, std::uint64_t block) {
+  const std::uint64_t offset = static_cast<std::uint64_t>(p0) % block;
+  const std::uint64_t mirror = p0 - offset + block - 1 - offset;
+  if (m.first < 0 || static_cast<std::uint64_t>(m.first) != mirror) return false;
+  if (p1 - p0 == 1) return true;
+  if (block == 1) return m.step == 1;
+  return m.step == -1 && static_cast<std::uint64_t>(p0) / block ==
+                             static_cast<std::uint64_t>(p1 - 1) / block;
+}
+
+// ---------------------------------------------------------------------------
+// The recorded-stage replay: a stage's mirror compare-exchange steps, run in
+// place on the texture's storage.
+//
+// Steps b, b/2, ..., b/2^(s-1) close over groups of 2^s texels: for s = 3
+// and t < b/8 the positions t, b/4-1-t, b/4+t, b/2-1-t, b/2+t, 3b/4-1-t,
+// 3b/4+t and b-1-t of a block pair up with each other in all three steps. A
+// pass loads such a group into SSE registers, one texel (its four channels)
+// per register, runs the steps there and stores it back. In ascending order
+// the group's texels are a block of the mirror network again, so step s
+// pairs group positions within spans of kGroup >> s.
+// ---------------------------------------------------------------------------
+
+// A MIN draw over the lower texel and a MAX draw over the upper one, each
+// fetching the other. std::min(dst, src) is _mm_min_ps(src, dst) and
+// std::max(dst, src) is _mm_max_ps(src, dst): both return their second
+// operand unless the first compares strictly less (greater), so ±0 and NaN
+// blend as the draws blend them.
+[[gnu::always_inline]] inline void CompareExchange(__m128& lo, __m128& hi) {
+  const __m128 min = _mm_min_ps(hi, lo);
+  hi = _mm_max_ps(lo, hi);
+  lo = min;
+}
+
+// The steps of spans kSpan, kSpan/2, ..., 2 over a group held in registers.
+template <int kGroup, int kSpan>
+[[gnu::always_inline]] inline void MirrorSteps(__m128 (&x)[kGroup]) {
+  if constexpr (kSpan >= 2) {
+#pragma GCC unroll 16
+    for (int base = 0; base < kGroup; base += kSpan) {
+#pragma GCC unroll 16
+      for (int r = 0; r < kSpan / 2; ++r) {
+        CompareExchange(x[base + r], x[base + kSpan - 1 - r]);
+      }
+    }
+    MirrorSteps<kGroup, kSpan / 2>(x);
+  }
+}
+
+// One pass: the kGroup == 2^s steps block, block/2, ... over every closed
+// group, in place in `tex`. With kTwoSource the first step's pre-blend values
+// come from `dst`, a surface of the texture's layout, and its fetched values
+// from `tex`, as a draw into an unaliased framebuffer reads them.
+template <int kGroup, bool kTwoSource>
+void MirrorPass(float* tex, const float* dst, std::uint64_t width, std::uint64_t height,
+                std::size_t row_floats, std::uint64_t block) {
+  // Within a block, group t holds the positions kq + t (k even, ascending
+  // with t) and (k + 1)q - 1 - t (k odd, descending), t < q. The positions
+  // of up to `run` consecutive groups stay within a row each.
+  const std::uint64_t q = block / kGroup;
+  const std::uint64_t run = std::min(q, width);
+  std::ptrdiff_t first[kGroup];  // floats from the block's first texel
+  for (int k = 0; k < kGroup; ++k) {
+    const std::uint64_t pos = k % 2 == 0 ? k * q : (k + 1) * q - 1;
+    first[k] = static_cast<std::ptrdiff_t>((pos / width) * row_floats +
+                                           (pos % width) * kNumChannels);
+  }
+  // A block lies within a row or spans whole rows. Past the first run of a
+  // block's groups (q > W), ascending positions move down a row per run and
+  // descending ones up.
+  const std::uint64_t block_rows = block > width ? block / width : 1;
+  const std::uint64_t row_blocks = block > width ? 1 : width / block;
+  for (std::uint64_t y = 0; y < height; y += block_rows) {
+    for (std::uint64_t b = 0; b < row_blocks; ++b) {
+      float* const base = tex + y * row_floats + b * block * kNumChannels;
+      for (std::uint64_t r = 0; r < q / run; ++r) {
+        const std::ptrdiff_t rows = static_cast<std::ptrdiff_t>(r * row_floats);
+        float* p[kGroup];
+#pragma GCC unroll 16
+        for (int k = 0; k < kGroup; ++k) {
+          p[k] = base + first[k] + (k % 2 == 0 ? rows : -rows);
+        }
+        for (std::uint64_t t = 0; t < run; ++t) {
+          const std::ptrdiff_t step = static_cast<std::ptrdiff_t>(t * kNumChannels);
+          // Texel k of the group: ascending positions for even k, descending
+          // for odd.
+          const auto at = [&](int k) { return p[k] + (k % 2 == 0 ? step : -step); };
+          __m128 x[kGroup];
+#pragma GCC unroll 16
+          for (int k = 0; k < kGroup; ++k) x[k] = _mm_loadu_ps(at(k));
+          if constexpr (kTwoSource) {
+            // Step one blends into the framebuffer's values: MIN of the lower
+            // texel's with the fetched upper one, MAX of the upper's with the
+            // fetched lower one.
+            __m128 d[kGroup];
+#pragma GCC unroll 16
+            for (int k = 0; k < kGroup; ++k) d[k] = _mm_loadu_ps(dst + (at(k) - tex));
+#pragma GCC unroll 16
+            for (int lo = 0; lo < kGroup / 2; ++lo) {
+              const int hi = kGroup - 1 - lo;
+              const __m128 min = _mm_min_ps(x[hi], d[lo]);
+              x[hi] = _mm_max_ps(x[lo], d[hi]);
+              x[lo] = min;
+            }
+            MirrorSteps<kGroup, kGroup / 2>(x);
+          } else {
+            MirrorSteps<kGroup, kGroup>(x);
+          }
+#pragma GCC unroll 16
+          for (int k = 0; k < kGroup; ++k) _mm_storeu_ps(at(k), x[k]);
+        }
+      }
+    }
+  }
+}
+
+template <int kGroup>
+void MirrorPass(float* tex, const float* dst, std::uint64_t width, std::uint64_t height,
+                std::size_t row_floats, std::uint64_t block) {
+  if (dst != nullptr) {
+    MirrorPass<kGroup, true>(tex, dst, width, height, row_floats, block);
+  } else {
+    MirrorPass<kGroup, false>(tex, dst, width, height, row_floats, block);
+  }
+}
+
+// Runs the mirror steps of `steps` (block sizes; StageProgram proved each)
+// in place in `tex`. `first_dst`, when non-null, holds the first step's
+// pre-blend values in the texture's layout. A pass costs one round trip
+// through memory, whatever its steps, so a halving run of steps is split
+// into as few passes of at most four steps (16 texels, as many as SSE has
+// registers) as it allows, of as even a length as possible.
+void RunMirrorNetwork(std::span<const std::uint64_t> steps, const float* first_dst,
+                      Surface* tex) {
+  const std::uint64_t width = static_cast<std::uint64_t>(tex->width());
+  const std::uint64_t height = static_cast<std::uint64_t>(tex->height());
+  const std::size_t row_floats = tex->row_stride() * kNumChannels;
+  float* data = tex->TexelData();
+  const float* dst = first_dst;
+  for (std::size_t i = 0; i < steps.size();) {
+    std::size_t halving = 1;
+    while (i + halving < steps.size() &&
+           steps[i + halving] * 2 == steps[i + halving - 1]) {
+      ++halving;
+    }
+    const std::size_t passes = (halving + 3) / 4;
+    const std::size_t fused = (halving + passes - 1) / passes;
+    switch (fused) {
+      case 4:
+        MirrorPass<16>(data, dst, width, height, row_floats, steps[i]);
+        break;
+      case 3:
+        MirrorPass<8>(data, dst, width, height, row_floats, steps[i]);
+        break;
+      case 2:
+        MirrorPass<4>(data, dst, width, height, row_floats, steps[i]);
+        break;
+      default:
+        MirrorPass<2>(data, dst, width, height, row_floats, steps[i]);
+        break;
+    }
+    dst = nullptr;
+    i += fused;
+  }
+}
+
+}  // namespace
+
 void StageProgram::Reset(int width, int height, std::size_t draws) {
   STREAMGPU_CHECK(width > 0 && height > 0);
   width_ = width;
   height_ = height;
   declared_ = draws;
-  step_begin_ = 0;
-  draws_.clear();
-  // At most one draw per texel: a program never outgrows the texture's own
-  // f32 storage (16 B per texel).
-  replayable_ = draws > 0 && draws <= static_cast<std::size_t>(width) * height;
+  draws_ = 0;
+  steps_.clear();
+  step_block_ = 0;
+  step_area_ = 0;
+  last_op_ = BlendOp::kReplace;
+  // Power-of-two sides make every block of a power-of-two size lie within a
+  // row or span whole rows. At most one draw per texel.
+  const std::uint64_t texels = static_cast<std::uint64_t>(width) * height;
+  replayable_ = std::has_single_bit(static_cast<unsigned>(width)) &&
+                std::has_single_bit(static_cast<unsigned>(height)) && draws > 0 &&
+                draws <= texels;
   if (replayable_) {
-    draws_.reserve(draws);
+    steps_.reserve(static_cast<std::size_t>(std::bit_width(texels) - 1));
+    covered_.assign(texels, 0);
   } else {
-    draws_ = {};
+    Abandon();
   }
 }
 
 void StageProgram::Abandon() {
-  draws_ = {};
-  step_begin_ = 0;
+  steps_ = {};
+  covered_ = {};
   replayable_ = false;
+}
+
+bool StageProgram::ProveMirrorDraw(const QuadSetup& s, BlendOp op) {
+  if (s.empty() || s.cols.step == 0 || s.rows.step == 0) return false;
+  // The first pixel i fetches texel j = mirror_b(i) only if
+  // i + j + 1 = b * (2 * (i / b) + 1): b is the largest power of two that
+  // divides i + j + 1.
+  if (s.rows.first < 0 || s.cols.first < 0) return false;
+  const std::uint64_t w = static_cast<std::uint64_t>(width_);
+  const std::uint64_t i = static_cast<std::uint64_t>(s.py0) * w + s.px0;
+  const std::uint64_t j = static_cast<std::uint64_t>(s.rows.first) * w +
+                          static_cast<std::uint64_t>(s.cols.first);
+  const std::uint64_t block = std::uint64_t{1} << std::countr_zero(i + j + 1);
+  if (block < 2 || block > w * static_cast<std::uint64_t>(height_)) return false;
+  if (step_block_ != 0 && block != step_block_) return false;
+  // A block within a row mirrors its columns; a block of b / W rows mirrors
+  // whole rows and, within the block, the rows.
+  const std::uint64_t col_block = std::min(block, w);
+  const std::uint64_t row_block = block / col_block;
+  if (!MirrorsAxis(s.cols, s.px0, s.px1, col_block) ||
+      !MirrorsAxis(s.rows, s.py0, s.py1, row_block)) {
+    return false;
+  }
+  // MIN over the block's lower half, MAX over its upper half, along the axis
+  // that splits the block's halves.
+  const bool by_rows = row_block > 1;
+  const std::uint64_t half = (by_rows ? row_block : col_block) / 2;
+  const int p0 = by_rows ? s.py0 : s.px0;
+  const int p1 = by_rows ? s.py1 : s.px1;
+  const std::uint64_t first = static_cast<std::uint64_t>(p0) / half;
+  const std::uint64_t last = static_cast<std::uint64_t>(p1 - 1) / half;
+  const BlendOp want = first % 2 == 0 ? BlendOp::kMin : BlendOp::kMax;
+  if (first != last || op != want) return false;
+  step_block_ = block;
+  return true;
+}
+
+bool StageProgram::Cover(const QuadSetup& s) {
+  for (int y = s.py0; y < s.py1; ++y) {
+    std::uint8_t* row = covered_.data() + static_cast<std::size_t>(y) * width_;
+    if (std::find(row + s.px0, row + s.px1, 1) != row + s.px1) return false;
+    std::fill(row + s.px0, row + s.px1, 1);
+  }
+  step_area_ += static_cast<std::uint64_t>(s.px1 - s.px0) *
+                static_cast<std::uint64_t>(s.py1 - s.py0);
+  return true;
 }
 
 void StageProgram::Add(const Quad& quad, BlendOp op) {
   if (!replayable_) return;
-  UnitRectDraw draw;
-  if (!Rasterizer::Compact(Rasterizer::SetUp(quad, width_, height_), op, width_, height_,
-                           &draw)) {
+  const QuadSetup s = Rasterizer::SetUp(quad, width_, height_);
+  if (draws_ == declared_ || !ProveMirrorDraw(s, op) || !Cover(s)) {
     Abandon();
     return;
   }
-  draws_.push_back(draw);
+  ++draws_;
+  last_op_ = op;
 }
 
 void StageProgram::EndStep() {
   if (!replayable_) return;
-  // The replay's copy is a storage swap, which equals the physical copy only
-  // when the step wrote every texel exactly once: disjoint rectangles whose
-  // areas add up to the framebuffer's.
-  std::uint64_t area = 0;
-  for (std::size_t i = step_begin_; i < draws_.size(); ++i) {
-    const UnitRectDraw& a = draws_[i];
-    for (std::size_t j = step_begin_; j < i; ++j) {
-      const UnitRectDraw& b = draws_[j];
-      if (a.px0 < b.px1 && b.px0 < a.px1 && a.py0 < b.py1 && b.py0 < a.py1) {
-        Abandon();
-        return;
-      }
-    }
-    area += a.fragments();
-  }
-  if (area != static_cast<std::uint64_t>(width_) * static_cast<std::uint64_t>(height_)) {
+  if (step_area_ != static_cast<std::uint64_t>(width_) * height_) {
     Abandon();
     return;
   }
-  step_begin_ = draws_.size();
+  steps_.push_back(step_block_);
+  step_block_ = 0;
+  step_area_ = 0;
+  if (draws_ == declared_) {
+    covered_ = {};  // recorded
+  } else {
+    std::fill(covered_.begin(), covered_.end(), 0);
+  }
 }
 
 DeviceFault GpuDevice::PollFaultSlow(DeviceFaultSite site, std::uint64_t elements) {
@@ -481,7 +704,10 @@ void GpuDevice::CopyFramebufferToTexture(TextureHandle tex) {
       // When tiled, the framebuffer is fully physical again (every texel was
       // rewritten since the swap) and the alias can simply move on.
     }
-    SwapFramebufferInto(tex);
+    std::swap(framebuffer_, t);
+    fb_alias_ = tex;
+    fb_written_.clear();
+    fb_written_area_ = 0;
     return;
   }
 
@@ -502,13 +728,6 @@ void GpuDevice::CopyFramebufferToTexture(TextureHandle tex) {
   }
 }
 
-void GpuDevice::SwapFramebufferInto(TextureHandle tex) {
-  std::swap(framebuffer_, *textures_[static_cast<std::size_t>(tex)]);
-  fb_alias_ = tex;
-  fb_written_.clear();
-  fb_written_area_ = 0;
-}
-
 bool GpuDevice::ReplayStage(TextureHandle tex, const StageProgram& program) {
   if (fault_hook_ != nullptr || lost_ || Rasterizer::path() != RasterPath::kFast ||
       !program.replayable()) {
@@ -525,25 +744,22 @@ bool GpuDevice::ReplayStage(TextureHandle tex, const StageProgram& program) {
                           framebuffer_.height() == program.height(),
                       "ReplayStage: the program was recorded for another shape");
 
-  // A step ends where its draws have tiled the framebuffer (StageProgram
-  // checked that each step does, without overlap).
-  const std::uint64_t texels = framebuffer_.num_texels();
-  std::uint64_t step_area = 0;
-  for (const UnitRectDraw& draw : program.draws()) {
-    // As DrawQuad: pre-blend values come from the aliased texture, which is
-    // `tex` itself, or from the framebuffer when nothing is aliased.
-    Rasterizer::DrawUnitRect(t, draw, &framebuffer_, &stats_, fb_alias_ >= 0 ? &t : nullptr);
-    step_area += draw.fragments();
-    if (step_area == texels) {
-      // Charged as CopyFramebufferToTexture charges.
-      stats_.bytes_vram += framebuffer_.SizeBytes() + t.SizeBytes();
-      stats_.fb_to_texture_copies += 1;
-      SwapFramebufferInto(tex);
-      step_area = 0;
-    }
-  }
-  // The blend state the stage's last SetBlend leaves.
-  blend_op_ = program.draws().back().op;
+  // As DrawQuad: the first step's pre-blend values come from the physical
+  // framebuffer when nothing is aliased, otherwise from `tex` itself.
+  RunMirrorNetwork(program.steps(), fb_alias_ < 0 ? framebuffer_.TexelData() : nullptr,
+                   &t);
+
+  // Charged as the stage's draws and copies charge: the draws of a step
+  // cover every texel once, each blending MIN or MAX.
+  const std::uint64_t steps = program.steps().size();
+  Rasterizer::CountDraws(program.draws(), steps * t.num_texels(), BlendOp::kMin,
+                         t.format(), framebuffer_.format(), &stats_);
+  stats_.bytes_vram += steps * (framebuffer_.SizeBytes() + t.SizeBytes());
+  stats_.fb_to_texture_copies += steps;
+  // The state the last copy's storage swap leaves: `tex` holds the
+  // framebuffer's content and nothing was drawn since.
+  fb_alias_ = tex;
+  blend_op_ = program.last_op();
   return true;
 }
 

@@ -33,44 +33,73 @@ using TextureHandle = int;
 /// One stage of a sorting network, recorded once and replayed by
 /// GpuDevice::ReplayStage. PBSN is periodic: each of its log M stages issues
 /// the same log M steps (§4), and a step's quads depend only on the texture
-/// shape. A step is a run of compact draws (UnitRectDraw, 16 B each) that
-/// tile the framebuffer, each followed by a framebuffer-to-texture copy. A
-/// program holds at most one draw per texel.
+/// shape. Recording proves that each step, a run of draws followed by a
+/// framebuffer-to-texture copy, is the mirror compare-exchange of one
+/// power-of-two block size b over the texels in row-major order: the pixel
+/// at linear index i fetches texel i - i mod b + b - 1 - i mod b, MIN blends
+/// the block's lower half and MAX its upper half, and the step's draws cover
+/// every pixel once. The program keeps each step's b and the stage's draw
+/// count, no draw.
 class StageProgram {
  public:
   /// Empties the program and starts recording a stage of `draws` draws for
-  /// a width x height texture drawn into a framebuffer of the same shape,
-  /// reserving exactly that many. A stage of no draws, or of more draws
-  /// than texels, is not recorded: the program stays unreplayable.
+  /// a width x height texture drawn into a framebuffer of the same shape. A
+  /// stage of no draws or of more draws than texels, or a shape whose sides
+  /// are not powers of two, is not recorded: the program stays
+  /// unreplayable.
   void Reset(int width, int height, std::size_t draws);
 
   /// Records one draw of the current step: `quad` is set up against the
-  /// program's shape by Rasterizer::SetUp, then compacted. A quad that does
-  /// not compact abandons the program: it is emptied and stays unreplayable
-  /// until the next Reset.
+  /// program's shape by Rasterizer::SetUp. A draw past the declared count,
+  /// one whose pixels do not all fetch their mirror texel through a
+  /// closed-form unit-step mapping, blend MIN on a block's lower half or MAX
+  /// on its upper half, or one that covers a pixel an earlier draw of the
+  /// step covered, abandons the program: it stays unreplayable until the
+  /// next Reset. All draws of a step must mirror the same block size.
   void Add(const Quad& quad, BlendOp op);
 
-  /// Closes the current step. A step whose draws do not tile the
-  /// framebuffer exactly (every texel written once) abandons the program.
+  /// Closes the current step. A step whose draws leave a pixel uncovered
+  /// abandons the program.
   void EndStep();
 
   /// True when exactly the declared draws were recorded, in closed steps.
   bool replayable() const {
-    return replayable_ && draws_.size() == declared_ && step_begin_ == declared_;
+    return replayable_ && draws_ == declared_ && step_area_ == 0;
   }
 
   int width() const { return width_; }
   int height() const { return height_; }
-  std::span<const UnitRectDraw> draws() const { return draws_; }
+
+  /// The block size b of each recorded step, in drawing order.
+  std::span<const std::uint64_t> steps() const { return steps_; }
+
+  /// Draws recorded: the draw calls the stage's steps issue.
+  std::uint64_t draws() const { return draws_; }
+
+  /// The blend equation of the stage's last draw.
+  BlendOp last_op() const { return last_op_; }
 
  private:
+  /// True when every pixel of the draw `s` blends as the open step's mirror
+  /// compare-exchange does (the first draw of a step fixes its block size).
+  bool ProveMirrorDraw(const QuadSetup& s, BlendOp op);
+
+  /// Marks the draw's pixels covered; false when one already was.
+  bool Cover(const QuadSetup& s);
+
   void Abandon();
 
-  std::vector<UnitRectDraw> draws_;
-  std::size_t declared_ = 0;
-  std::size_t step_begin_ = 0;  // first draw of the open step
+  std::vector<std::uint64_t> steps_;
+  // Pixels covered by the open step's draws, one byte each; held only while
+  // recording.
+  std::vector<std::uint8_t> covered_;
+  std::uint64_t declared_ = 0;
+  std::uint64_t draws_ = 0;
+  std::uint64_t step_block_ = 0;  // b of the open step; 0 before its first draw
+  std::uint64_t step_area_ = 0;   // pixels the open step's draws cover
   int width_ = 0;
   int height_ = 0;
+  BlendOp last_op_ = BlendOp::kReplace;
   bool replayable_ = false;
 };
 
@@ -132,11 +161,15 @@ class GpuDevice {
   void CopyFramebufferToTexture(TextureHandle tex);
 
   /// Replays a recorded stage against texture `tex`, which the bound
-  /// framebuffer renders: each step's draws run with the rectangle kernels
-  /// kFast runs for their quads, over the same rectangles in the same order,
-  /// adding the same GpuStats, and then the step's copy runs as the
-  /// CopyFramebufferToTexture storage swap. Surfaces, counters and the blend
-  /// state end as the stage's SetBlend/DrawQuad/copy sequence leaves them.
+  /// framebuffer renders, as an in-place compare-exchange network on the
+  /// texture's own storage: each run of up to four steps b, b/2, ... is one
+  /// pass over closed groups of up to 16 texels. The first step's pre-blend
+  /// values come from the physical framebuffer when nothing is aliased (the
+  /// stage after the Copy pass), as they do for its draws. The stage's
+  /// GpuStats are charged in bulk, and the framebuffer ends aliased to `tex`
+  /// with nothing written, the state the copies' storage swaps leave.
+  /// Surfaces, counters and the blend state end as the stage's
+  /// SetBlend/DrawQuad/copy sequence leaves them.
   /// Returns false, with no side effect, when a fault hook is installed
   /// (every draw would poll it) or the device is lost; when the raster path
   /// is not kFast; when the framebuffer aliases another texture or was drawn
@@ -285,11 +318,6 @@ class GpuDevice {
   /// texture when untouched since the swap, otherwise the (materialized)
   /// framebuffer.
   Surface& ReadableFramebuffer();
-
-  /// CopyFramebufferToTexture as a storage swap, for a framebuffer that is
-  /// fully physical: `tex` takes its logical content and the framebuffer
-  /// aliases `tex` with nothing written since.
-  void SwapFramebufferInto(TextureHandle tex);
 
   std::vector<std::unique_ptr<Surface>> textures_;
   // Retired texture storage, recycled by CreateTexture (Surface::Reset reuses

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 
 namespace streamgpu::gpu {
 
@@ -183,23 +182,24 @@ void BlendRectUnitDispatch(BlendOp op, const float* src, std::ptrdiff_t src_stri
   }
 }
 
-// The rectangle kernel: `rows` rows of `count` pixels from (px0, py0), whose
-// first pixel fetches texel (col_first, row_first); columns and rows step by
-// col_step and row_step (+-1), and no fetch clamps. It skips rounding when
-// the source is already binary16 (operand selection preserves quantization;
-// see the kernel comment above).
-void ExecuteUnitRect(const Surface& tex, int col_first, int col_step, int row_first,
-                     int row_step, BlendOp op, const Surface& dsrc, Surface* target, int px0,
-                     int py0, int count, int rows) {
+// The rectangle kernel for a quad whose columns and rows are closed-form
+// unit steps that never clamp. It skips rounding when the source is already
+// binary16 (operand selection preserves quantization; see the kernel comment
+// above).
+void ExecuteUnitRect(const Surface& tex, const QuadSetup& s, BlendOp op,
+                     const Surface& dsrc, Surface* target) {
   const bool quantize =
       target->format() == Format::kFloat16 && tex.format() != Format::kFloat16;
-  const float* src = tex.TexelData() + tex.Index(col_first, row_first) * kNumChannels;
+  const float* src =
+      tex.TexelData() + tex.Index(s.cols.first, s.rows.first) * kNumChannels;
   const std::ptrdiff_t src_stride =
-      row_step * static_cast<std::ptrdiff_t>(tex.row_stride() * kNumChannels);
-  const float* dread = dsrc.TexelData() + dsrc.Index(px0, py0) * kNumChannels;
-  float* dst = target->TexelData() + target->Index(px0, py0) * kNumChannels;
+      s.rows.step * static_cast<std::ptrdiff_t>(tex.row_stride() * kNumChannels);
+  const float* dread = dsrc.TexelData() + dsrc.Index(s.px0, s.py0) * kNumChannels;
+  float* dst = target->TexelData() + target->Index(s.px0, s.py0) * kNumChannels;
   const std::size_t dst_stride = target->row_stride() * kNumChannels;
-  if (col_step == 1) {
+  const int count = s.px1 - s.px0;
+  const int rows = s.py1 - s.py0;
+  if (s.cols.step == 1) {
     if (quantize) {
       BlendRectUnitDispatch<true, 1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
     } else {
@@ -212,21 +212,6 @@ void ExecuteUnitRect(const Surface& tex, int col_first, int col_step, int row_fi
       BlendRectUnitDispatch<false, -1>(op, src, src_stride, dread, dst, dst_stride, rows, count);
     }
   }
-}
-
-// Counts one draw of `fragments` fragments.
-void CountDraw(std::uint64_t fragments, BlendOp op, Format tex_format, Format target_format,
-               GpuStats* stats) {
-  stats->draw_calls += 1;
-  stats->fragments_shaded += fragments;
-  stats->texture_fetches += fragments;
-  if (op != BlendOp::kReplace) stats->blend_fragments += fragments;
-  // VRAM traffic: one texel fetch, one framebuffer write, and — when blending
-  // — one framebuffer read per fragment.
-  const std::uint64_t per_fragment =
-      BytesPerTexel(tex_format) + BytesPerTexel(target_format) +
-      (op != BlendOp::kReplace ? BytesPerTexel(target_format) : 0);
-  stats->bytes_vram += fragments * per_fragment;
 }
 
 // Reference semantics: full per-pixel bilinear interpolation.
@@ -266,8 +251,7 @@ void ExecuteGeneric(const Surface& tex, const QuadSetup& s, BlendOp op, const Su
 void ExecuteFast(const Surface& tex, const QuadSetup& s, BlendOp op, const Surface& dsrc,
                  Surface* target) {
   if (TakesUnitRect(s, tex.width(), tex.height())) {
-    ExecuteUnitRect(tex, s.cols.first, s.cols.step, s.rows.first, s.rows.step, op, dsrc,
-                    target, s.px0, s.py0, s.px1 - s.px0, s.py1 - s.py0);
+    ExecuteUnitRect(tex, s, op, dsrc, target);
   } else {
     ExecuteGeneric(tex, s, op, dsrc, target);
   }
@@ -333,36 +317,21 @@ void Rasterizer::DrawQuad(const Surface& tex, const QuadSetup& s, BlendOp op,
   }
   const std::uint64_t fragments = static_cast<std::uint64_t>(s.px1 - s.px0) *
                                   static_cast<std::uint64_t>(s.py1 - s.py0);
-  CountDraw(fragments, op, tex.format(), target->format(), stats);
+  CountDraws(1, fragments, op, tex.format(), target->format(), stats);
 }
 
-bool Rasterizer::Compact(const QuadSetup& s, BlendOp op, int tex_width, int tex_height,
-                         UnitRectDraw* out) {
-  constexpr int kLimit = std::numeric_limits<std::uint16_t>::max();
-  if (s.empty() || s.width > kLimit || s.height > kLimit ||
-      tex_width > kLimit || tex_height > kLimit) {
-    return false;
-  }
-  if (!TakesUnitRect(s, tex_width, tex_height)) return false;
-  *out = {.px0 = static_cast<std::uint16_t>(s.px0),
-          .py0 = static_cast<std::uint16_t>(s.py0),
-          .px1 = static_cast<std::uint16_t>(s.px1),
-          .py1 = static_cast<std::uint16_t>(s.py1),
-          .col_first = static_cast<std::uint16_t>(s.cols.first),
-          .row_first = static_cast<std::uint16_t>(s.rows.first),
-          .col_step = static_cast<std::int8_t>(s.cols.step),
-          .row_step = static_cast<std::int8_t>(s.rows.step),
-          .op = op};
-  return true;
-}
-
-void Rasterizer::DrawUnitRect(const Surface& tex, const UnitRectDraw& d, Surface* target,
-                              GpuStats* stats, const Surface* dst_read) {
-  STREAMGPU_DCHECK(d.px1 <= target->width() && d.py1 <= target->height());
-  ExecuteUnitRect(tex, d.col_first, d.col_step, d.row_first, d.row_step, d.op,
-                  dst_read != nullptr ? *dst_read : *target, target, d.px0, d.py0,
-                  d.px1 - d.px0, d.py1 - d.py0);
-  CountDraw(d.fragments(), d.op, tex.format(), target->format(), stats);
+void Rasterizer::CountDraws(std::uint64_t draws, std::uint64_t fragments, BlendOp op,
+                            Format tex_format, Format target_format, GpuStats* stats) {
+  stats->draw_calls += draws;
+  stats->fragments_shaded += fragments;
+  stats->texture_fetches += fragments;
+  if (op != BlendOp::kReplace) stats->blend_fragments += fragments;
+  // VRAM traffic: one texel fetch, one framebuffer write, and — when blending
+  // — one framebuffer read per fragment.
+  const std::uint64_t per_fragment =
+      BytesPerTexel(tex_format) + BytesPerTexel(target_format) +
+      (op != BlendOp::kReplace ? BytesPerTexel(target_format) : 0);
+  stats->bytes_vram += fragments * per_fragment;
 }
 
 }  // namespace streamgpu::gpu

@@ -63,22 +63,6 @@ struct QuadSetup {
   bool empty() const { return px0 >= px1 || py0 >= py1; }
 };
 
-/// A draw that kFast runs as one rectangle kernel, in 16 bytes: the covered
-/// pixels [px0, px1) x [py0, py1), the texel the first of them fetches, the
-/// +-1 column and row steps, and the blend equation. Rasterizer::Compact
-/// builds it from a QuadSetup; GpuDevice replays recorded stages of these.
-struct UnitRectDraw {
-  std::uint16_t px0 = 0, py0 = 0, px1 = 0, py1 = 0;
-  std::uint16_t col_first = 0, row_first = 0;
-  std::int8_t col_step = 0, row_step = 0;
-  BlendOp op = BlendOp::kReplace;
-
-  std::uint64_t fragments() const {
-    return static_cast<std::uint64_t>(px1 - px0) * static_cast<std::uint64_t>(py1 - py0);
-  }
-};
-static_assert(sizeof(UnitRectDraw) == 16);
-
 /// Executes render passes against a target surface.
 class Rasterizer {
  public:
@@ -113,20 +97,11 @@ class Rasterizer {
   static void DrawQuad(const Surface& tex, const QuadSetup& setup, BlendOp op,
                        Surface* target, GpuStats* stats, const Surface* dst_read = nullptr);
 
-  /// Compacts a quad set up for a draw from a tex_width x tex_height texture
-  /// into `out`. Returns false, leaving `out` as it was, unless the quad
-  /// covers a pixel, both its column and row mappings are closed-form unit
-  /// steps that never clamp (the quads kFast runs as one rectangle kernel;
-  /// every quad the paper's sorting routines emit) and no dimension exceeds
-  /// 65,535.
-  static bool Compact(const QuadSetup& setup, BlendOp op, int tex_width, int tex_height,
-                      UnitRectDraw* out);
-
-  /// Runs a compacted draw with the rectangle kernel kFast runs for the quad
-  /// it came from, whatever path() selects, and counts it as DrawQuad does.
-  /// `dst_read` as in DrawQuad; the draw must fit `target` and `tex`.
-  static void DrawUnitRect(const Surface& tex, const UnitRectDraw& draw, Surface* target,
-                           GpuStats* stats, const Surface* dst_read = nullptr);
+  /// Counts `draws` draws of `fragments` fragments in all, each blended with
+  /// `op` from a `tex_format` texture into a `target_format` target, as
+  /// DrawQuad counts each covering draw.
+  static void CountDraws(std::uint64_t draws, std::uint64_t fragments, BlendOp op,
+                         Format tex_format, Format target_format, GpuStats* stats);
 
   /// Selects the DrawQuad execution path (kFast at startup). Tests switch it
   /// before spawning sort workers. Thread-safe to read concurrently.

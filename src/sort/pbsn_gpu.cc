@@ -212,7 +212,8 @@ void PbsnGpuSorter::SortGroup(const std::array<std::span<float>, gpu::kNumChanne
   const int stages = CeilLog2(static_cast<std::uint64_t>(padded));
   const bool row_blocks = options_.use_row_block_optimization;
   if (stages > 0 && (stage_.width() != width || stage_.height() != height)) {
-    // Counted first, so the record is allocated once at its exact size.
+    // Counted first: a program replays only once exactly the declared
+    // draws were recorded.
     std::size_t draws = 0;
     for (std::int64_t block = padded; block >= 2; block /= 2) {
       SortStep(width, height, block, row_blocks,

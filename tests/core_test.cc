@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <random>
 #include <vector>
 
@@ -206,6 +207,33 @@ TEST(StreamMinerTest, DrivesBothEstimators) {
   EXPECT_EQ(miner.frequencies().processed_length(), 20000u);
   EXPECT_EQ(miner.quantiles().processed_length(), 20000u);
   EXPECT_FALSE(miner.frequencies().HeavyHitters(0.05).items.empty());
+}
+
+// Each estimator of a miner would checkpoint into the one directory under
+// its own epoch counter and prune the other's snapshots, leaving a directory
+// one of them cannot restore from. The miner refuses the option instead,
+// before either estimator touches the directory.
+TEST(StreamMinerTest, RefusesACheckpointDirectory) {
+  Options opt;
+  opt.epsilon = 0.01;
+  opt.backend = Backend::kCpuStdSort;
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "stream_miner_checkpoint";
+  std::filesystem::remove_all(dir);
+  opt.checkpoint_dir = dir.string();
+  opt.checkpoint_every_windows = 64;
+
+  const auto miner = StreamMiner::Create(opt);
+  ASSERT_FALSE(miner.ok());
+  EXPECT_EQ(miner.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(miner.status().message().find("checkpoint_dir"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  EXPECT_DEATH(StreamMiner{opt}, "checkpoint_dir");
+
+  // The estimators checkpoint on their own, each into its own directory.
+  opt.checkpoint_dir.clear();
+  opt.checkpoint_every_windows = 0;
+  EXPECT_TRUE(StreamMiner::Create(opt).ok());
 }
 
 TEST(OptionsTest, InvalidEpsilonDies) {

@@ -502,7 +502,7 @@ TEST(EngineEquivalenceTest, ReplayStageMatchesTheDrawsItRecorded) {
   ScopedRasterPath scoped(gpu::RasterPath::kFast);
   const gpu::StageProgram stage = OneStepStage();
   ASSERT_TRUE(stage.replayable());
-  ASSERT_EQ(stage.draws().size(), 2u);
+  ASSERT_EQ(stage.draws(), 2u);
 
   gpu::GpuDevice replayed;
   gpu::GpuDevice drawn;
@@ -641,7 +641,7 @@ TEST(EngineEquivalenceTest, ReplayStageDeclinesWithoutSideEffects) {
   gpu::StageProgram overlapping;
   overlapping.Reset(4, 4, 2);
   overlapping.Add(kMinQuad, gpu::BlendOp::kMin);
-  overlapping.Add(kMinQuad, gpu::BlendOp::kMax);
+  overlapping.Add(kMinQuad, gpu::BlendOp::kMin);
   overlapping.EndStep();
   EXPECT_FALSE(overlapping.replayable());
   expect_declined("a step whose draws overlap", nothing, overlapping);
@@ -652,6 +652,189 @@ TEST(EngineEquivalenceTest, ReplayStageDeclinesWithoutSideEffects) {
   scaled.EndStep();
   EXPECT_FALSE(scaled.replayable());
   expect_declined("a quad that is not a unit-step rectangle", nothing, scaled);
+
+  // Tiling, unit-step steps that are not a mirror compare-exchange: each
+  // half fetching its own texels, and the comparator halves blending the
+  // other way round.
+  gpu::StageProgram identity;
+  identity.Reset(4, 4, 2);
+  identity.Add(gpu::Quad::Identity(0, 0, 2, 4), gpu::BlendOp::kMin);
+  identity.Add(gpu::Quad::Identity(2, 0, 4, 4), gpu::BlendOp::kMax);
+  identity.EndStep();
+  EXPECT_FALSE(identity.replayable());
+  expect_declined("a step whose columns map to themselves", nothing, identity);
+
+  gpu::StageProgram swapped;
+  swapped.Reset(4, 4, 2);
+  swapped.Add(kMinQuad, gpu::BlendOp::kMax);
+  swapped.Add(kMaxQuad, gpu::BlendOp::kMin);
+  swapped.EndStep();
+  EXPECT_FALSE(swapped.replayable());
+  expect_declined("a step with MIN and MAX swapped", nothing, swapped);
+
+  // Steps whose first pixel fetches its mirror texel but whose other pixels
+  // do not: the MIN half's columns (block 4), or its rows (block 16), walk
+  // up from there instead of down.
+  gpu::StageProgram ascending_columns;
+  ascending_columns.Reset(4, 4, 2);
+  ascending_columns.Add(gpu::Quad::Make(0, 0, 2, 4, 3, 0, 5, 0, 5, 4, 3, 4),
+                        gpu::BlendOp::kMin);
+  ascending_columns.Add(kMaxQuad, gpu::BlendOp::kMax);
+  ascending_columns.EndStep();
+  EXPECT_FALSE(ascending_columns.replayable());
+  expect_declined("a step whose columns ascend from the mirror", nothing,
+                  ascending_columns);
+
+  gpu::StageProgram ascending_rows;
+  ascending_rows.Reset(4, 4, 2);
+  ascending_rows.Add(gpu::Quad::Make(0, 0, 4, 2, 4, 3, 0, 3, 0, 5, 4, 5),
+                     gpu::BlendOp::kMin);
+  ascending_rows.Add(gpu::Quad::Make(0, 2, 4, 4, 4, 2, 0, 2, 0, 0, 4, 0),
+                     gpu::BlendOp::kMax);
+  ascending_rows.EndStep();
+  EXPECT_FALSE(ascending_rows.replayable());
+  expect_declined("a step whose rows ascend from the mirror", nothing, ascending_rows);
+
+  // Mirrors of two block sizes in one step: block 2 on the left half, the
+  // right half of block 4 on the right.
+  gpu::StageProgram mixed;
+  mixed.Reset(4, 4, 3);
+  mixed.Add(gpu::Quad::Make(0, 0, 1, 4, 2, 0, 1, 0, 1, 4, 2, 4), gpu::BlendOp::kMin);
+  mixed.Add(gpu::Quad::Make(1, 0, 2, 4, 1, 0, 0, 0, 0, 4, 1, 4), gpu::BlendOp::kMax);
+  mixed.Add(kMaxQuad, gpu::BlendOp::kMax);
+  mixed.EndStep();
+  EXPECT_FALSE(mixed.replayable());
+  expect_declined("a step that mirrors two block sizes", nothing, mixed);
+}
+
+// The quads of one step with their blend equations, in drawing order.
+using StepQuads = std::vector<std::pair<gpu::BlendOp, gpu::Quad>>;
+
+// One PBSN step at `block` on a width x height texture, as Routine 4.4 and
+// Fig. 2 draw it: per row block a MIN and a MAX quad over all rows, or per
+// tall block a MIN quad over its lower rows and a MAX quad over its upper
+// ones, each fetching the mirrored half.
+StepQuads MirrorStepQuads(int width, int height, int block) {
+  StepQuads quads;
+  const float w = static_cast<float>(width);
+  const float h = static_cast<float>(height);
+  const float b = static_cast<float>(block);
+  if (block <= width) {
+    for (float off = 0; off < w; off += b) {
+      quads.emplace_back(gpu::BlendOp::kMin,
+                         gpu::Quad::Make(off, 0, off + b / 2, h, off + b, 0, off + b / 2,
+                                         0, off + b / 2, h, off + b, h));
+      quads.emplace_back(gpu::BlendOp::kMax,
+                         gpu::Quad::Make(off + b / 2, 0, off + b, h, off + b / 2, 0, off,
+                                         0, off, h, off + b / 2, h));
+    }
+  } else {
+    const float bh = b / w;
+    for (float r = 0; r < h; r += bh) {
+      quads.emplace_back(gpu::BlendOp::kMin,
+                         gpu::Quad::Make(0, r, w, r + bh / 2, w, r + bh, 0, r + bh, 0,
+                                         r + bh / 2, w, r + bh / 2));
+      quads.emplace_back(gpu::BlendOp::kMax,
+                         gpu::Quad::Make(0, r + bh / 2, w, r + bh, w, r + bh / 2, 0,
+                                         r + bh / 2, 0, r, w, r));
+    }
+  }
+  return quads;
+}
+
+// A full PBSN stage on a width x height texture: steps at blocks M, M/2, ...,
+// 2 (M = width * height).
+std::vector<StepQuads> PbsnStage(int width, int height) {
+  std::vector<StepQuads> steps;
+  for (int block = width * height; block >= 2; block /= 2) {
+    steps.push_back(MirrorStepQuads(width, height, block));
+  }
+  return steps;
+}
+
+gpu::StageProgram Record(int width, int height, const std::vector<StepQuads>& steps) {
+  std::size_t draws = 0;
+  for (const auto& step : steps) draws += step.size();
+  gpu::StageProgram program;
+  program.Reset(width, height, draws);
+  for (const auto& step : steps) {
+    for (const auto& [op, quad] : step) program.Add(quad, op);
+    program.EndStep();
+  }
+  return program;
+}
+
+void Draw(gpu::GpuDevice& device, gpu::TextureHandle tex,
+          const std::vector<StepQuads>& steps) {
+  for (const auto& step : steps) {
+    for (const auto& [op, quad] : step) {
+      device.SetBlend(op);
+      device.DrawQuad(tex, quad);
+    }
+    device.CopyFramebufferToTexture(tex);
+  }
+}
+
+// A width x height texture of `format` holding test data with NaNs, ±0 and
+// ±inf, each channel a different rotation of `seed`'s values.
+gpu::TextureHandle UploadTexture(gpu::GpuDevice& device, int width, int height,
+                                 gpu::Format format, std::uint64_t seed) {
+  const gpu::TextureHandle tex = device.CreateTexture(width, height, format);
+  const std::size_t texels = static_cast<std::size_t>(width) * height;
+  std::vector<float> values = WithNaNs(TestData(1, texels + seed, 3), 7);
+  values.erase(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(seed));
+  for (int c = 0; c < gpu::kNumChannels; ++c) {
+    std::vector<float> channel(values.begin(),
+                               values.begin() + static_cast<std::ptrdiff_t>(texels));
+    std::rotate(channel.begin(), channel.begin() + (3 * c) % texels, channel.end());
+    device.UploadChannel(tex, c, channel);
+  }
+  return tex;
+}
+
+// Two stages replayed against two stages drawn, on every texture shape the
+// network passes treat differently: one step (2x1); passes of two, three and
+// four steps (2x2, 4x2, 4x4); 64x32, whose tall blocks of two and four rows
+// hold groups that lie within rows and whose largest block's groups span
+// rows; and 256x256, whose tall-block groups span many rows. The first stage
+// starts with nothing aliased, the framebuffer filled by the Copy pass from
+// the replayed texture or from a second texture of other values: that
+// stage's first step blends into the framebuffer's own values, so a replay
+// that read the replayed texture for both operands would differ from the
+// draws. The second stage starts from the first's last copy.
+TEST(EngineEquivalenceTest, ReplayMatchesDrawsOnNetworkShapes) {
+  ScopedRasterPath scoped(gpu::RasterPath::kFast);
+  for (const auto& [width, height] : {std::pair<int, int>{2, 1}, {2, 2}, {4, 2}, {4, 4},
+                                      {8, 8}, {64, 32}, {256, 256}}) {
+    for (gpu::Format format : {gpu::Format::kFloat16, gpu::Format::kFloat32}) {
+      for (const gpu::TextureHandle copied : {0, 1}) {
+        SCOPED_TRACE(testing::Message() << FormatName(format) << " " << width << "x"
+                                        << height << " framebuffer from texture "
+                                        << copied);
+        const auto steps = PbsnStage(width, height);
+        const gpu::StageProgram program = Record(width, height, steps);
+        ASSERT_TRUE(program.replayable());
+        ASSERT_EQ(program.steps().size(), steps.size());
+
+        gpu::GpuDevice replayed;
+        gpu::GpuDevice drawn;
+        for (gpu::GpuDevice* d : {&replayed, &drawn}) {
+          ASSERT_EQ(UploadTexture(*d, width, height, format, 0), 0);
+          ASSERT_EQ(UploadTexture(*d, width, height, format, 11), 1);
+          d->BindFramebuffer(width, height, format);
+          d->SetBlend(gpu::BlendOp::kReplace);
+          d->DrawQuad(copied, gpu::Quad::Identity(0, 0, static_cast<float>(width),
+                                                  static_cast<float>(height)));
+        }
+        for (int stage = 0; stage < 2; ++stage) {
+          EXPECT_TRUE(replayed.ReplayStage(0, program));
+          Draw(drawn, 0, steps);
+          ExpectSameDevice(replayed, drawn, 0);
+          ExpectSameDevice(replayed, drawn, 1);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

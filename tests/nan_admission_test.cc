@@ -295,9 +295,8 @@ TEST(NanAdmission, FrequencyEstimatorRefusesEveryNanCall) {
 }
 
 TEST(NanAdmission, StreamMinerKeepsItsEstimatorsInStep) {
-  // A refused call reaches neither estimator. (The miner's two estimators
-  // share one checkpoint_dir, so a miner's snapshots are theirs, whose
-  // round trips the two tests above check.)
+  // A refused call reaches neither estimator. (A miner does not checkpoint;
+  // the two tests above check each estimator's snapshot round trips.)
   for (const Backend backend : kBackends) {
     for (const Fault fault : kFaults) {
       for (const bool batch : {false, true}) {
