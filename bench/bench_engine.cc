@@ -19,7 +19,14 @@
 //                    batch, 1,241 draws of at most 512 texels each, where the
 //                    per-draw cost rather than the blend sets the rate (every
 //                    other engine row runs on a 512x512 texture)
-//   two_way_merge / kway8_merge — the CPU merge stage
+//   two_way_merge / kway8_merge — the CPU merge stage (two_way_merge runs
+//                    the co-ranked run merge of common/run_merge.h)
+//   eh_block_merge_32x1000 — EhQuantileSummary::MergeBlock of 32 sorted
+//                    1,000-element windows: a quantile sort worker's five
+//                    levels of run merges per 32-window batch
+//   gk_combine_35k — GkSummary::MergePruned of two 35,001-tuple summaries at
+//                    budget 35,000: one exponential-histogram combine above
+//                    the first prune (ns per input tuple)
 //   radix_1m       — cache-blocked LSD radix passes on 1M ordered keys
 //                    (the radix/merge backend's per-chunk kernel)
 //   loser_merge8   — loser-tree merge of 8 sorted key runs (MergeKeyRuns)
@@ -52,6 +59,8 @@
 #include "sort/pbsn_gpu.h"
 #include "sort/radix_sort.h"
 #include "sort/sample_sort.h"
+#include "sketch/exponential_histogram.h"
+#include "sketch/gk_summary.h"
 
 namespace {
 
@@ -243,6 +252,47 @@ int main() {
                        static_cast<double>(total)});
   }
 
+  // --- The GK+EH summary kernels at the quantile estimator's default
+  // shapes: 1,000-element windows, 32 to a block, and combines pruned to
+  // 35,000 tuples. ---
+  {
+    std::mt19937 rng(19);
+    std::uniform_real_distribution<float> dist(0.0f, 1.0f);
+    constexpr std::size_t kWindow = 1000;
+    std::vector<float> windows(32 * kWindow);
+    for (float& v : windows) v = dist(rng);
+    for (auto it = windows.begin(); it != windows.end(); it += kWindow) {
+      std::sort(it, it + kWindow);
+    }
+    std::vector<float> scratch;
+    std::vector<float> block;
+    results.push_back({"eh_block_merge_32x1000",
+                       NsPerElement(5, 20, static_cast<double>(windows.size()),
+                                    [&] {
+                                      sketch::EhQuantileSummary::MergeBlock(
+                                          windows, kWindow, &scratch, &block);
+                                    }),
+                       static_cast<double>(windows.size())});
+
+    // Each side is the prune of a 64,000-element run, as when two merged
+    // 32-window blocks first exceed the budget.
+    constexpr std::size_t kBudget = 35000;
+    std::vector<float> run(64000);
+    const auto pruned_run = [&] {
+      for (float& v : run) v = dist(rng);
+      std::sort(run.begin(), run.end());
+      return sketch::GkSummary::PruneExact(run, kBudget);
+    };
+    const sketch::GkSummary a = pruned_run();
+    const sketch::GkSummary b = pruned_run();
+    const double tuples = static_cast<double>(a.size() + b.size());
+    sketch::GkSummary combined;
+    results.push_back({"gk_combine_35k",
+                       NsPerElement(5, 10, tuples,
+                                    [&] { combined = sketch::GkSummary::MergePruned(a, b, kBudget); }),
+                       tuples});
+  }
+
   // --- Second-generation sort kernels (radix passes, loser-tree merge,
   // sample sort end to end). ---
   {
@@ -289,10 +339,10 @@ int main() {
                        static_cast<double>(n)});
   }
 
-  std::printf("%-16s %16s %18s\n", "kernel", "ns/element", "vs memcpy(ns/B)");
-  std::printf("%-16s %16.3f %18s\n", "memcpy", memcpy_ns_per_byte, "1 B");
+  std::printf("%-22s %16s %18s\n", "kernel", "ns/element", "vs memcpy(ns/B)");
+  std::printf("%-22s %16.3f %18s\n", "memcpy", memcpy_ns_per_byte, "1 B");
   for (const Result& r : results) {
-    std::printf("%-16s %16.3f %18.2f\n", r.name, r.ns_per_element,
+    std::printf("%-22s %16.3f %18.2f\n", r.name, r.ns_per_element,
                 r.ns_per_element / memcpy_ns_per_byte);
   }
   std::printf("\n");

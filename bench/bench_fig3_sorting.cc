@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -105,23 +104,22 @@ BackendSample Measure(sort::Sorter& sorter, const std::vector<float>& data,
   return b;
 }
 
-// Best-of-N wall clock of one sort run plain and with telemetry enabled,
-// their repetitions interleaved: the paired obs-overhead gate divides the
-// two, so single-run jitter would dominate the < 2% budget it checks.
-// Minimum-of-repeats is the standard stabilizer; interleaving puts both
-// sides under the same host conditions, which matters once a sort takes
-// less time than a slow stretch of a shared host lasts.
-std::pair<BackendSample, BackendSample> MeasureBestPair(sort::Sorter& plain,
-                                                        sort::Sorter& traced,
-                                                        const std::vector<float>& data,
-                                                        double memcpy_ns_per_byte,
-                                                        int reps = 5) {
-  std::pair<BackendSample, BackendSample> best;
+// Best-of-N wall clock of each sorter on the same data, their repetitions
+// interleaved. The gates divide these rows (the obs-overhead pair, and auto
+// against the fastest other backend), so single-run jitter would dominate
+// the budgets they check. Minimum-of-repeats is the standard
+// stabilizer; interleaving puts every row under the same host conditions,
+// which matters once a sort takes less time than a slow stretch of a shared
+// host lasts.
+std::vector<BackendSample> MeasureBest(const std::vector<sort::Sorter*>& sorters,
+                                       const std::vector<float>& data,
+                                       double memcpy_ns_per_byte, int reps = 5) {
+  std::vector<BackendSample> best(sorters.size());
   for (int r = 0; r < reps; ++r) {
-    const BackendSample p = Measure(plain, data, memcpy_ns_per_byte);
-    if (r == 0 || p.wall_ms < best.first.wall_ms) best.first = p;
-    const BackendSample t = Measure(traced, data, memcpy_ns_per_byte);
-    if (r == 0 || t.wall_ms < best.second.wall_ms) best.second = t;
+    for (std::size_t s = 0; s < sorters.size(); ++s) {
+      const BackendSample b = Measure(*sorters[s], data, memcpy_ns_per_byte);
+      if (r == 0 || b.wall_ms < best[s].wall_ms) best[s] = b;
+    }
   }
   return best;
 }
@@ -212,8 +210,10 @@ int main() {
 
     Row row;
     row.n = n;
-    const auto [pbsn_best, obs_best] =
-        MeasureBestPair(pbsn, traced, data, memcpy_ns_per_byte);
+    const std::vector<BackendSample> best =
+        MeasureBest({&pbsn, &traced, &sample, &radix, &autos}, data, memcpy_ns_per_byte);
+    const BackendSample& pbsn_best = best[0];
+    const BackendSample& obs_best = best[1];
     row.pbsn_sim_ms = pbsn_best.sim_ms;
     row.pbsn_wall_ms = pbsn_best.wall_ms;
     row.pbsn_ns_per_key = pbsn_best.ns_per_key;
@@ -221,9 +221,9 @@ int main() {
     row.bitonic_sim_ms = n <= bitonic_cap ? SortSimMs(bitonic, data) : -1.0;
     row.intel_sim_ms = SortSimMs(intel, data);
     row.msvc_sim_ms = SortSimMs(msvc, data);
-    row.sample = Measure(sample, data, memcpy_ns_per_byte);
-    row.radix = Measure(radix, data, memcpy_ns_per_byte);
-    row.autos = Measure(autos, data, memcpy_ns_per_byte);
+    row.sample = best[2];
+    row.radix = best[3];
+    row.autos = best[4];
     row.auto_chosen = hwmodel::SortBackendName(autos.last_choice());
     row.obs_ns_per_key = obs_best.ns_per_key;
     row.obs_rel_memcpy = obs_best.rel_memcpy;

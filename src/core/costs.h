@@ -27,7 +27,9 @@ struct PipelineCosts {
   /// window.
   sort::SortRunInfo sort;
 
-  /// Host wall-clock of the non-sort summary operations.
+  /// Host wall-clock of the non-sort summary operations. A combine that
+  /// merges and prunes in one pass (GkSummary::MergePruned) counts as
+  /// compress time; merge time covers the run merges only.
   double histogram_wall_seconds = 0;
   double merge_wall_seconds = 0;
   double compress_wall_seconds = 0;

@@ -51,7 +51,7 @@ void StreamingSummary::FlushBuffer() {
   // vacant, exactly like binary addition.
   std::size_t k = 0;
   for (; k < levels_.size() && !levels_[k].empty(); ++k) {
-    carry = sketch::GkSummary::Merge(levels_[k], carry).Prune(max_tuples_);
+    carry = sketch::GkSummary::MergePruned(levels_[k], carry, max_tuples_);
     levels_[k] = sketch::GkSummary();
   }
   if (k == levels_.size()) levels_.emplace_back();

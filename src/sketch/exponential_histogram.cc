@@ -6,32 +6,18 @@
 #include <optional>
 
 #include "common/check.h"
+#include "common/run_merge.h"
 #include "common/timer.h"
 
 namespace streamgpu::sketch {
 
 namespace {
 
-/// Merges two ascending runs into `out` (a.size() + b.size() floats) with
-/// GkSummary::Merge's tie rule — a's value first when a <= b, b's otherwise —
-/// so Exact(result) == Merge(Exact(a), Exact(b)).
-void MergeRunsInto(std::span<const float> a, std::span<const float> b, float* out) {
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;
-  while (i < a.size() && j < b.size()) {
-    const bool take_a = a[i] <= b[j];
-    out[k++] = take_a ? a[i] : b[j];
-    i += take_a ? 1 : 0;
-    j += take_a ? 0 : 1;
-  }
-  float* tail = std::copy(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(), out + k);
-  std::copy(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(), tail);
-}
-
-std::vector<float> MergeRuns(std::span<const float> a, std::span<const float> b) {
+/// The merge of two ascending runs, a's values first on ties: Exact of the
+/// result is GkSummary::Merge(Exact(a), Exact(b)).
+std::vector<float> MergedRun(std::span<const float> a, std::span<const float> b) {
   std::vector<float> out(a.size() + b.size());
-  MergeRunsInto(a, b, out.data());
+  MergeRuns(a, b, out.data());
   return out;
 }
 
@@ -211,7 +197,7 @@ void EhQuantileSummary::MergeBlock(std::span<const float> windows,
     const std::size_t half = window_size << (level - 1);
     for (std::size_t off = 0; off < total; off += 2 * half) {
       // The later run is the carry AddWindow brings to the earlier one.
-      MergeRunsInto({src + off + half, half}, {src + off, half}, dst + off);
+      MergeRuns({src + off + half, half}, {src + off, half}, dst + off);
     }
     src = dst;
   }
@@ -256,7 +242,7 @@ EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
   if (!carry.run.empty() && !bucket.run.empty()) {
     // Two exact buckets: their merge is exact, a merge of the values.
     Timer merge_timer;
-    std::vector<float> merged = MergeRuns(carry.run, bucket.run);
+    std::vector<float> merged = MergedRun(carry.run, bucket.run);
     merge_seconds_ += merge_timer.ElapsedSeconds();
     Timer compress_timer;
     if (merged.size() > prune_tuples_ + 1) {
@@ -267,13 +253,11 @@ EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
     compress_seconds_ += compress_timer.ElapsedSeconds();
     return out;
   }
-  Timer merge_timer;
+  // One pass merges and prunes, so its time is all compress time.
+  Timer compress_timer;
   if (!carry.run.empty()) carry.summary = GkSummary::Exact(carry.run);
   if (!bucket.run.empty()) bucket.summary = GkSummary::Exact(bucket.run);
-  GkSummary merged = GkSummary::Merge(carry.summary, bucket.summary);
-  merge_seconds_ += merge_timer.ElapsedSeconds();
-  Timer compress_timer;
-  out.summary = std::move(merged).Prune(prune_tuples_);
+  out.summary = GkSummary::MergePruned(carry.summary, bucket.summary, prune_tuples_);
   compress_seconds_ += compress_timer.ElapsedSeconds();
   return out;
 }
@@ -346,7 +330,7 @@ GkSummary EhQuantileSummary::Flatten() const {
     const EhBucket& bucket = buckets_[i];
     if (bucket.empty()) continue;
     if (bucket.run.empty()) break;
-    run = MergeRuns(run, bucket.run);
+    run = MergedRun(run, bucket.run);
   }
   GkSummary flat = GkSummary::Exact(run);
   for (; i < buckets_.size(); ++i) {

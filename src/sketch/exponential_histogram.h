@@ -74,9 +74,9 @@ class EhQuantileSummary {
   /// Merges the 2^k sorted `window_size`-element windows laid out in
   /// `windows` (stream order) into `out`, bottom up: window pairs, then
   /// pairs of pairs, each merge taking the newer run's value first on ties.
-  /// These are the MergeRuns calls that adding the windows one by one to a
-  /// histogram whose ids 1..k are vacant makes. `scratch` is reused between
-  /// levels. Safe to call from any thread.
+  /// These are the run merges (common/run_merge.h) that adding the windows
+  /// one by one to a histogram whose ids 1..k are vacant makes. `scratch` is
+  /// reused between levels. Safe to call from any thread.
   static void MergeBlock(std::span<const float> windows, std::size_t window_size,
                          std::vector<float>* scratch, std::vector<float>* out);
 
@@ -163,7 +163,9 @@ class EhQuantileSummary {
   void Carry(EhBucket carry, std::size_t id);
 
   /// Merges two same-id buckets (`carry` first on ties) and prunes the
-  /// result with the error parameter of the next id.
+  /// result with the error parameter of the next id: two runs merge as
+  /// values, then prune (PruneExact) past prune_tuples() + 1; any other pair
+  /// merges and prunes in one pass (GkSummary::MergePruned).
   EhBucket Combine(EhBucket carry, EhBucket bucket);
 
   double epsilon_;

@@ -70,6 +70,118 @@ bool GkSummary::FromParts(std::vector<GkTuple> tuples, std::uint64_t count,
   return true;
 }
 
+namespace {
+
+/// GkSummary::Merge's tuples one at a time: the one definition of the merged
+/// rank bounds, which Merge writes out and MergePruned sweeps.
+///
+/// Equal values are ordered consistently — every element of `a` precedes
+/// every equal-valued element of `b`. A consistent tie order keeps the rank
+/// intervals tight on duplicate-heavy data; without it each merge widens
+/// the interval of a repeated value by the partner's multiplicity and the
+/// epsilon invariant collapses.
+///
+/// The merge takes a's tuple x exactly when x.value <= b[j].value, so every
+/// b-tuple already taken lies before x and b[j] does not: the b-elements
+/// certainly before x are those covered by the last b-tuple taken, and at
+/// most b[j].rmax - 1 of b's elements can precede x. A tuple taken from `b`
+/// mirrors this against `a`. Carrying the last taken rmin of each side
+/// makes every output tuple O(1); the side is chosen by masks, not by a
+/// branch the random order of the values would mispredict.
+class MergeCursor {
+ public:
+  MergeCursor(std::span<const GkTuple> a, std::uint64_t a_count, std::span<const GkTuple> b,
+              std::uint64_t b_count)
+      : pa_(a.data()),
+        a_end_(a.data() + a.size()),
+        pb_(b.data()),
+        b_end_(b.data() + b.size()),
+        a_count_(a_count),
+        b_count_(b_count) {}
+
+  /// True while both sides have tuples left, when Step() makes the next one.
+  bool both() const { return pa_ < a_end_ && pb_ < b_end_; }
+
+  GkTuple Step() {
+    const std::uint64_t take_a = pa_->value <= pb_->value ? 1 : 0;
+    const std::uint64_t mask = 0 - take_a;
+    const GkTuple* t = take_a != 0 ? pa_ : pb_;
+    const GkTuple out{t->value, t->rmin + ((b_below_ & mask) | (a_below_ & ~mask)),
+                      t->rmax + ((pb_->rmax & mask) | (pa_->rmax & ~mask)) - 1};
+    a_below_ = (pa_->rmin & mask) | (a_below_ & ~mask);
+    b_below_ = (b_below_ & mask) | (pb_->rmin & ~mask);
+    pa_ += take_a;
+    pb_ += 1 - take_a;
+    return out;
+  }
+
+  /// The next tuple once one side has none left: the other side's, above
+  /// all of the exhausted side's elements.
+  GkTuple Tail() {
+    if (pa_ < a_end_) {
+      const GkTuple out{pa_->value, pa_->rmin + b_below_, pa_->rmax + b_count_};
+      ++pa_;
+      return out;
+    }
+    const GkTuple out{pb_->value, pb_->rmin + a_below_, pb_->rmax + a_count_};
+    ++pb_;
+    return out;
+  }
+
+  GkTuple Next() { return both() ? Step() : Tail(); }
+
+ private:
+  const GkTuple* pa_;
+  const GkTuple* const a_end_;
+  const GkTuple* pb_;
+  const GkTuple* const b_end_;
+  const std::uint64_t a_count_;
+  const std::uint64_t b_count_;
+  std::uint64_t a_below_ = 0;  ///< rmin of the last a-tuple taken
+  std::uint64_t b_below_ = 0;  ///< rmin of the last b-tuple taken
+};
+
+/// Target rank i of Prune(max_tuples), i = 0..max_tuples: evenly spaced over
+/// [1, count] and nondecreasing in i. The rounding is std::llround's, half
+/// away from zero, inline: for x >= 0, x - trunc(x) is exact.
+std::uint64_t PruneRank(std::size_t i, std::uint64_t count, std::size_t max_tuples) {
+  const double x = static_cast<double>(i) * static_cast<double>(count) /
+                   static_cast<double>(max_tuples);
+  const auto whole = static_cast<std::uint64_t>(x);
+  return std::max<std::uint64_t>(1, whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0));
+}
+
+/// Prune's sweep over `size` tuples that `next()` yields in value order,
+/// appending the pruned tuples to `out`. The target ranks never decrease,
+/// so neither does the first tuple with rmin + rmax >= 2*rank that
+/// BestTupleForRank binary-searches for: one sweep finds it for every
+/// target, and BestTupleNear's choice reads only it and its predecessor.
+/// Once the sweep passes the last tuple, `at_first` stays that tuple, which
+/// is BestTupleNear's choice there: its rmin + rmax < 2*rank makes its
+/// deviation rank - rmin, which no predecessor, whose rmin is no larger,
+/// beats.
+template <typename Next>
+void PruneSweep(std::size_t size, std::uint64_t count, std::size_t max_tuples, Next next,
+                std::vector<GkTuple>* out) {
+  std::size_t first = 0;
+  GkTuple at_first = next();
+  GkTuple before_first;
+  for (std::size_t i = 0; i <= max_tuples; ++i) {
+    const std::uint64_t rank = PruneRank(i, count, max_tuples);
+    while (first < size && at_first.rmin + at_first.rmax < 2 * rank) {
+      before_first = at_first;
+      if (++first < size) at_first = next();
+    }
+    const GkTuple& t = first > 0 && GkSummary::RankDeviation(before_first, rank) <
+                                        GkSummary::RankDeviation(at_first, rank)
+                           ? before_first
+                           : at_first;
+    if (out->empty() || !(out->back() == t)) out->push_back(t);
+  }
+}
+
+}  // namespace
+
 GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
   if (a.empty()) return b;
   if (b.empty()) return a;
@@ -78,57 +190,28 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
   out.count_ = a.count_ + b.count_;
   out.epsilon_ = std::max(a.epsilon_, b.epsilon_);
   out.tuples_.resize(a.size() + b.size());
-
-  // Equal values are ordered consistently — every element of `a` precedes
-  // every equal-valued element of `b`. A consistent tie order keeps the rank
-  // intervals tight on duplicate-heavy data; without it each merge widens
-  // the interval of a repeated value by the partner's multiplicity and the
-  // epsilon invariant collapses.
-  //
-  // The merge takes a's tuple x exactly when x.value <= b[j].value, so every
-  // b-tuple already taken lies before x and b[j] does not: the b-elements
-  // certainly before x are those covered by the last b-tuple taken, and at
-  // most b[j].rmax - 1 of b's elements can precede x. A tuple taken from `b`
-  // mirrors this against `a`. Carrying the last taken rmin of each side
-  // makes every output tuple O(1); the side is chosen by masks, not by a
-  // branch the random order of the values would mispredict.
-  const GkTuple* pa = a.tuples_.data();
-  const GkTuple* pb = b.tuples_.data();
-  const GkTuple* const a_end = pa + a.size();
-  const GkTuple* const b_end = pb + b.size();
+  MergeCursor merged(a.tuples_, a.count_, b.tuples_, b.count_);
   GkTuple* o = out.tuples_.data();
-  std::uint64_t a_below = 0;  // rmin of the last a-tuple taken
-  std::uint64_t b_below = 0;  // rmin of the last b-tuple taken
-  while (pa < a_end && pb < b_end) {
-    const std::uint64_t take_a = pa->value <= pb->value ? 1 : 0;
-    const std::uint64_t mask = 0 - take_a;
-    const GkTuple* t = take_a != 0 ? pa : pb;
-    o->value = t->value;
-    o->rmin = t->rmin + ((b_below & mask) | (a_below & ~mask));
-    o->rmax = t->rmax + ((pb->rmax & mask) | (pa->rmax & ~mask)) - 1;
-    ++o;
-    a_below = (pa->rmin & mask) | (a_below & ~mask);
-    b_below = (b_below & mask) | (pb->rmin & ~mask);
-    pa += take_a;
-    pb += 1 - take_a;
-  }
-  for (; pa < a_end; ++pa, ++o) *o = {pa->value, pa->rmin + b_below, pa->rmax + b.count_};
-  for (; pb < b_end; ++pb, ++o) *o = {pb->value, pb->rmin + a_below, pb->rmax + a.count_};
+  GkTuple* const end = o + out.size();
+  while (merged.both()) *o++ = merged.Step();
+  while (o != end) *o++ = merged.Tail();
   return out;
 }
 
-namespace {
-
-/// Target rank i of Prune(max_tuples), i = 0..max_tuples: evenly spaced over
-/// [1, count] and nondecreasing in i.
-std::uint64_t PruneRank(std::size_t i, std::uint64_t count, std::size_t max_tuples) {
-  return std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::llround(static_cast<double>(i) * static_cast<double>(count) /
-                          static_cast<double>(max_tuples))));
+GkSummary GkSummary::MergePruned(const GkSummary& a, const GkSummary& b,
+                                 std::size_t max_tuples) {
+  STREAMGPU_CHECK(max_tuples >= 1);
+  const std::size_t size = a.size() + b.size();
+  if (a.empty() || b.empty() || size <= max_tuples + 1) return Merge(a, b).Prune(max_tuples);
+  GkSummary out;
+  out.count_ = a.count_ + b.count_;
+  out.epsilon_ =
+      std::max(a.epsilon_, b.epsilon_) + 1.0 / (2.0 * static_cast<double>(max_tuples));
+  out.tuples_.reserve(max_tuples + 1);
+  MergeCursor merged(a.tuples_, a.count_, b.tuples_, b.count_);
+  PruneSweep(size, out.count_, max_tuples, [&merged] { return merged.Next(); }, &out.tuples_);
+  return out;
 }
-
-}  // namespace
 
 GkSummary GkSummary::Prune(std::size_t max_tuples) const& {
   STREAMGPU_CHECK(max_tuples >= 1);
@@ -147,18 +230,8 @@ GkSummary GkSummary::Pruned(std::size_t max_tuples) const {
   out.count_ = count_;
   out.epsilon_ = epsilon_ + 1.0 / (2.0 * static_cast<double>(max_tuples));
   out.tuples_.reserve(max_tuples + 1);
-  // The target ranks never decrease, so neither does the first tuple with
-  // rmin + rmax >= 2*rank that BestTupleForRank binary-searches for: one
-  // sweep finds it for every target.
-  std::size_t first = 0;
-  for (std::size_t i = 0; i <= max_tuples; ++i) {
-    const std::uint64_t rank = PruneRank(i, count_, max_tuples);
-    while (first < tuples_.size() && tuples_[first].rmin + tuples_[first].rmax < 2 * rank) {
-      ++first;
-    }
-    const GkTuple& t = tuples_[BestTupleNear(first, rank)];
-    if (out.tuples_.empty() || !(out.tuples_.back() == t)) out.tuples_.push_back(t);
-  }
+  const GkTuple* next = tuples_.data();
+  PruneSweep(size(), count_, max_tuples, [&next] { return *next++; }, &out.tuples_);
   return out;
 }
 

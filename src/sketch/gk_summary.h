@@ -3,7 +3,8 @@
 // (value, rmin, rmax) tuples built from a sorted window by rank sampling,
 // and summaries support the classic MERGE (union with rank recombination)
 // and PRUNE (requery at B+1 evenly spaced ranks, adding 1/(2B) error)
-// operations. Both are single linear passes over the tuples.
+// operations. Both are single linear passes over the tuples, and a merge
+// followed by a prune is one pass (MergePruned).
 
 #ifndef STREAMGPU_SKETCH_GK_SUMMARY_H_
 #define STREAMGPU_SKETCH_GK_SUMMARY_H_
@@ -71,6 +72,13 @@ class GkSummary {
   /// copied, from an rvalue.
   GkSummary Prune(std::size_t max_tuples) const&;
   GkSummary Prune(std::size_t max_tuples) &&;
+
+  /// Merge(a, b).Prune(max_tuples), bit for bit, in one pass: the prune's
+  /// sweep reads the merged tuples as the merge makes them, and the merged
+  /// summary is never built. The exponential histogram's combines and
+  /// obs::StreamingSummary's carries use it.
+  static GkSummary MergePruned(const GkSummary& a, const GkSummary& b,
+                               std::size_t max_tuples);
 
   /// Value whose rank is within epsilon()*count() of ceil(phi * count()),
   /// phi in (0, 1].

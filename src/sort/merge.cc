@@ -4,33 +4,25 @@
 #include <cstddef>
 
 #include "common/check.h"
+#include "common/run_merge.h"
 
 namespace streamgpu::sort {
 
 std::uint64_t TwoWayMerge(std::span<const float> a, std::span<const float> b,
                           std::span<float> out) {
   STREAMGPU_CHECK(out.size() == a.size() + b.size());
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  std::size_t i = 0, j = 0, k = 0;
-  std::uint64_t comparisons = 0;
-  // Branchless main loop: the selection compiles to conditional moves, so
-  // merging random runs costs no branch mispredictions. The count semantics
-  // match the seed implementation exactly: one comparison per output while
-  // both runs are non-empty, ties taken from `a`.
-  while (i < na && j < nb) {
-    ++comparisons;
-    const float av = a[i];
-    const float bv = b[j];
-    const bool take_b = bv < av;
-    out[k++] = take_b ? bv : av;
-    j += static_cast<std::size_t>(take_b);
-    i += static_cast<std::size_t>(!take_b);
+  MergeRuns(a, b, out.data());
+  if (a.empty() || b.empty()) return 0;
+  // A one-slice merge compares once per output until a side runs out. When
+  // a.back() <= b.back() that is a: all of it, plus the b elements below
+  // a.back(). Otherwise b runs out after all of it plus the a elements at
+  // or below b.back().
+  if (a.back() <= b.back()) {
+    return a.size() + static_cast<std::uint64_t>(
+                          std::lower_bound(b.begin(), b.end(), a.back()) - b.begin());
   }
-  std::copy(a.begin() + static_cast<std::ptrdiff_t>(i), a.end(), out.begin() + static_cast<std::ptrdiff_t>(k));
-  k += na - i;
-  std::copy(b.begin() + static_cast<std::ptrdiff_t>(j), b.end(), out.begin() + static_cast<std::ptrdiff_t>(k));
-  return comparisons;
+  return b.size() + static_cast<std::uint64_t>(
+                        std::upper_bound(a.begin(), a.end(), b.back()) - a.begin());
 }
 
 std::uint64_t FourWayMerge(const std::array<std::span<const float>, 4>& runs,

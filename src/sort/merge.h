@@ -4,13 +4,15 @@
 // operation is performed in software. The merge routine performs O(n)
 // comparisons and is very efficient" (§4.4).
 //
-// TwoWayMerge is branchless (conditional-move selection, no unpredictable
-// branch per element); KWayMerge replays a loser tree, so each output costs
-// ceil(log2 k) comparisons instead of the k-1 head comparisons of the naive
-// scan (kept as KWayMergeHeadScan for reference and count-invariant tests).
-// Every routine returns the number of key comparisons it actually performed;
+// TwoWayMerge is the float-run merge the quantile summaries share
+// (common/run_merge.h): four co-ranked slices advanced by one branchless
+// loop. KWayMerge replays a loser tree, so each output costs ceil(log2 k)
+// comparisons instead of the k-1 head comparisons of the naive scan (kept
+// as KWayMergeHeadScan for reference and count-invariant tests). Every
+// routine returns the number of key comparisons of its reference loop;
 // TwoWayMerge/FourWayMerge counts are unchanged from the seed implementation
-// (one comparison per output while both runs are non-empty), so the
+// (one comparison per output while both runs are non-empty), which
+// TwoWayMerge states in closed form from the two runs' last elements, so the
 // comparison totals reported by the PBSN sorter are bit-identical.
 
 #ifndef STREAMGPU_SORT_MERGE_H_
@@ -24,7 +26,10 @@
 namespace streamgpu::sort {
 
 /// Merges two sorted runs into `out` (out.size() == a.size() + b.size()).
-/// Stable toward `a` on ties. Returns the number of comparisons performed.
+/// Stable toward `a` on ties. Returns the comparisons a one-slice merge
+/// makes: 0 when a run is empty, else a.size() plus b's elements below
+/// a.back() when a.back() <= b.back(), else b.size() plus a's elements at or
+/// below b.back().
 std::uint64_t TwoWayMerge(std::span<const float> a, std::span<const float> b,
                           std::span<float> out);
 

@@ -3,6 +3,7 @@
 #include "sort/merge.h"
 
 #include <algorithm>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -18,6 +19,105 @@ std::vector<float> SortedRandom(std::size_t n, unsigned seed) {
   for (float& x : v) x = dist(rng);
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// The one-slice merge under the tie rule TwoWayMerge shares with the
+/// quantile summaries (a's value first when a <= b), counting one comparison
+/// per output while both runs are non-empty.
+std::uint64_t ReferenceMerge(std::span<const float> a, std::span<const float> b,
+                             std::vector<float>* out) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::uint64_t comparisons = 0;
+  out->clear();
+  while (i < a.size() && j < b.size()) {
+    ++comparisons;
+    if (a[i] <= b[j]) {
+      out->push_back(a[i++]);
+    } else {
+      out->push_back(b[j++]);
+    }
+  }
+  out->insert(out->end(), a.begin() + static_cast<std::ptrdiff_t>(i), a.end());
+  out->insert(out->end(), b.begin() + static_cast<std::ptrdiff_t>(j), b.end());
+  return comparisons;
+}
+
+/// n ascending values: continuous in [lo, hi) when domain is 0, drawn from
+/// `domain` distinct integers when it is positive, and -0.0 or +0.0 only when
+/// it is negative (equal values whose bits show which run each came from).
+std::vector<float> SortedRun(std::size_t n, int domain, std::mt19937& rng, float lo = 0.0f,
+                             float hi = 1.0f) {
+  std::vector<float> v(n);
+  std::uniform_real_distribution<float> real(lo, hi);
+  std::uniform_int_distribution<int> pick(0, std::max(domain, 2) - 1);
+  for (float& x : v) {
+    if (domain == 0) {
+      x = real(rng);
+    } else if (domain > 0) {
+      x = static_cast<float>(pick(rng));
+    } else {
+      x = pick(rng) == 0 ? -0.0f : 0.0f;
+    }
+  }
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// TwoWayMerge's output bits and comparison count against ReferenceMerge.
+::testing::AssertionResult MatchesOneSliceMerge(std::span<const float> a,
+                                                std::span<const float> b) {
+  std::vector<float> want;
+  const std::uint64_t want_comparisons = ReferenceMerge(a, b, &want);
+  std::vector<float> got(a.size() + b.size(), -1.0f);
+  const std::uint64_t got_comparisons = TwoWayMerge(a, b, got);
+  if (!got.empty() && std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "output bits differ, sizes " << a.size() << "+"
+                                         << b.size();
+  }
+  if (got_comparisons != want_comparisons) {
+    return ::testing::AssertionFailure() << "comparisons " << got_comparisons << " vs "
+                                         << want_comparisons << ", sizes " << a.size() << "+"
+                                         << b.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MergeTest, SlicedMergeMatchesOneSliceMerge) {
+  // TwoWayMerge runs the co-ranked slices of common/run_merge.h and states
+  // its count in closed form; both must equal the one-slice loop's. Sizes
+  // cover both sides of kMinSlicedMerge and slices of every length.
+  std::mt19937 rng(401);
+  for (const int domain : {0, 5, -1}) {
+    for (std::size_t na = 0; na <= 40; ++na) {
+      for (std::size_t nb = 0; nb <= 40; ++nb) {
+        const auto a = SortedRun(na, domain, rng);
+        const auto b = SortedRun(nb, domain, rng);
+        ASSERT_TRUE(MatchesOneSliceMerge(a, b)) << "domain " << domain;
+      }
+    }
+    for (int trial = 0; trial < 16; ++trial) {
+      const auto a = SortedRun(rng() % 70001, domain, rng);
+      const auto b = SortedRun(rng() % 70001, domain, rng);
+      ASSERT_TRUE(MatchesOneSliceMerge(a, b)) << "domain " << domain << " trial " << trial;
+    }
+  }
+  // Runs that overlap in part or not at all, and a few values spread through
+  // a dense run: cuts fall where a slice holds one side only, or runs out of
+  // a side in its middle.
+  for (const auto& [na, nb] : {std::pair<std::size_t, std::size_t>{1000, 3000},
+                               {70000, 5},
+                               {37, 41},
+                               {4, 20000}}) {
+    const auto low = SortedRun(na, 0, rng, 0.0f, 1.0f);
+    const auto high = SortedRun(nb, 0, rng, 2.0f, 3.0f);
+    const auto mid = SortedRun(nb, 0, rng, 0.5f, 1.5f);
+    const auto wide = SortedRun(nb, 0, rng, -1.0f, 2.0f);
+    for (const auto* other : {&high, &mid, &wide}) {
+      ASSERT_TRUE(MatchesOneSliceMerge(low, *other)) << na << "+" << nb;
+      ASSERT_TRUE(MatchesOneSliceMerge(*other, low)) << nb << "+" << na;
+    }
+  }
 }
 
 TEST(MergeTest, TwoWayBasic) {

@@ -1189,9 +1189,9 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
 }
 
 TEST(GkDifferential, MergeAndPruneMatchReference) {
-  // The two-pointer merge and the one-pass prune against the scanning merge
-  // and the binary-search prune, on continuous, duplicate-heavy and
-  // NaN-bearing inputs.
+  // The two-pointer merge, the one-pass prune and the fused MergePruned
+  // against the scanning merge and the binary-search prune, on continuous,
+  // duplicate-heavy and NaN-bearing inputs.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::mt19937 rng(206);
   for (int trial = 0; trial < 60; ++trial) {
@@ -1216,17 +1216,33 @@ TEST(GkDifferential, MergeAndPruneMatchReference) {
     const ref::Summary rm = ref::Merge(ra, rb);
     const GkSummary gm = GkSummary::Merge(ga, gb);
     ASSERT_TRUE(SameSummary(gm, rm)) << "trial " << trial;
-    ASSERT_TRUE(SameSummary(GkSummary::Merge(gb, ga), ref::Merge(rb, ra))) << "trial " << trial;
+    const ref::Summary rm_swapped = ref::Merge(rb, ra);
+    ASSERT_TRUE(SameSummary(GkSummary::Merge(gb, ga), rm_swapped)) << "trial " << trial;
     // Every budget up to the summary's size: each targets a different rank
     // grid, which exercises the sweep's ties between neighbouring tuples.
     for (std::size_t budget = 1; budget <= gm.size(); budget += 1 + budget / 16) {
-      ASSERT_TRUE(SameSummary(gm.Prune(budget), ref::Prune(rm, budget)))
+      const ref::Summary want = ref::Prune(rm, budget);
+      ASSERT_TRUE(SameSummary(gm.Prune(budget), want))
+          << "trial " << trial << " budget " << budget;
+      ASSERT_TRUE(SameSummary(GkSummary::MergePruned(ga, gb, budget), want))
+          << "trial " << trial << " budget " << budget;
+      ASSERT_TRUE(SameSummary(GkSummary::MergePruned(gb, ga, budget),
+                              ref::Prune(rm_swapped, budget)))
           << "trial " << trial << " budget " << budget;
       if (ga.IsExact() && ga.size() > budget + 1) {
         ASSERT_TRUE(SameSummary(GkSummary::PruneExact(a, budget), ref::Prune(ra, budget)))
             << "trial " << trial << " budget " << budget;
       }
+      // An empty side leaves the other side's prune.
+      ASSERT_TRUE(SameSummary(GkSummary::MergePruned(ga, GkSummary(), budget),
+                              ref::Prune(ra, budget)))
+          << "trial " << trial << " budget " << budget;
+      ASSERT_TRUE(SameSummary(GkSummary::MergePruned(GkSummary(), gb, budget),
+                              ref::Prune(rb, budget)))
+          << "trial " << trial << " budget " << budget;
     }
+    // A budget the merged summary is within prunes nothing.
+    ASSERT_TRUE(SameSummary(GkSummary::MergePruned(ga, gb, gm.size()), rm)) << "trial " << trial;
   }
 }
 
