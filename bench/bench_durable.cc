@@ -16,16 +16,19 @@
 //  * Restore is fast at registry scale. A StreamService with up to 100k
 //    checkpointed streams must come back in seconds: the bench checkpoints
 //    populated services at three stream counts and reports the median of
-//    nine RestoreFrom() calls on each snapshot. Wall-clock seconds vary with
-//    the runner, so the gate on these rows is loose (2x the blessed
-//    baseline).
+//    nine RestoreFrom() calls on each snapshot. Between those calls it times
+//    a fixed-work reference that runs none of the code under test: reading
+//    the snapshot file with plain stdio and copying its bytes once. A slow
+//    stretch of the host moves both, so the gate holds the within-run ratio
+//    of the two medians, loosely (2x the blessed ratio).
 //
-// JSON out (STREAMGPU_BENCH_JSON): overhead ratios and snapshot bytes are
-// within-run / deterministic and gated; raw ns/key and restore seconds are
-// machine-dependent (restore seconds gated loosely).
+// JSON out (STREAMGPU_BENCH_JSON): overhead ratios, restore/reference ratios
+// and snapshot bytes are within-run / deterministic and gated; raw ns/key
+// and seconds are machine-dependent and only reported.
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -96,12 +99,31 @@ struct RestoreRow {
   std::uint64_t streams = 0;
   double checkpoint_seconds = 0;
   std::uint64_t snapshot_bytes = 0;
-  double restore_seconds = 0;  // median over kRestores
+  double restore_seconds = 0;    // median over kRestores
+  double reference_seconds = 0;  // median of the kRestores references
+  double restore_per_reference = 0;  // restore_seconds / reference_seconds
   double streams_per_sec = 0;
 };
 
+// The restore rows' fixed-work reference: reads the snapshot file at `path`
+// with plain stdio and copies its bytes once; returns wall seconds.
+double ReferenceOnce(const std::string& path) {
+  Timer timer;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) std::abort();
+  std::fseek(f, 0, SEEK_END);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  const std::vector<std::uint8_t> copy(bytes);
+  const double seconds = timer.ElapsedSeconds();
+  if (read != bytes.size() || copy != bytes) std::abort();
+  return seconds;
+}
+
 // Checkpoint a populated service at `streams` streams, then time RestoreFrom
-// kRestores times.
+// kRestores times, each followed by the reference.
 RestoreRow RunRestore(std::uint64_t streams) {
   constexpr std::size_t kPerStream = 160;  // one merged window + staged tail
   service::ServiceConfig config;
@@ -138,8 +160,11 @@ RestoreRow RunRestore(std::uint64_t streams) {
   row.checkpoint_seconds = ckpt_timer.ElapsedSeconds();
   row.snapshot_bytes = writer.last_snapshot_bytes();
   service.reset();  // the "crash": only the snapshot survives
+  const std::string snapshot_path =
+      dir + "/snap-" + std::to_string(durable::ReadManifest(dir).back().epoch) + ".ckpt";
 
   std::vector<double> restore_s;
+  std::vector<double> reference_s;
   for (int i = 0; i < kRestores; ++i) {
     Timer restore_timer;
     auto restored = service::StreamService::RestoreFrom(config, dir);
@@ -150,8 +175,12 @@ RestoreRow RunRestore(std::uint64_t streams) {
       std::abort();
     }
     if ((*restored)->stats().streams != streams) std::abort();
+    restored->reset();  // freed before the reference, outside both timers
+    reference_s.push_back(ReferenceOnce(snapshot_path));
   }
   row.restore_seconds = bench::Median(restore_s);
+  row.reference_seconds = bench::Median(reference_s);
+  row.restore_per_reference = row.restore_seconds / row.reference_seconds;
   row.streams_per_sec =
       static_cast<double>(streams) / row.restore_seconds;
   std::filesystem::remove_all(dir);
@@ -219,21 +248,24 @@ int main() {
                 row.gated ? "  <- gated" : "");
   }
 
-  std::printf("\nrestore s: median of %d RestoreFrom() calls per snapshot\n",
+  std::printf("\nrestore s, reference s: medians of %d RestoreFrom() calls per "
+              "snapshot and of the file read + copy timed between them\n",
               kRestores);
-  std::printf("%10s | %10s | %12s | %11s | %12s\n", "streams", "ckpt s",
-              "snapshot B", "restore s", "streams/s");
+  std::printf("%10s | %10s | %12s | %11s | %11s | %9s | %12s\n", "streams",
+              "ckpt s", "snapshot B", "restore s", "reference s", "ratio",
+              "streams/s");
   const std::vector<std::uint64_t> stream_counts = {
       bench::Scaled(1000), bench::Scaled(10'000), bench::Scaled(100'000)};
   std::vector<RestoreRow> restore_rows;
   for (std::uint64_t streams : stream_counts) {
     restore_rows.push_back(RunRestore(streams));
     const RestoreRow& row = restore_rows.back();
-    std::printf("%10llu | %10.2f | %12llu | %11.2f | %12.3g\n",
+    std::printf("%10llu | %10.4f | %12llu | %11.4f | %11.4f | %8.2fx | %12.3g\n",
                 static_cast<unsigned long long>(row.streams),
                 row.checkpoint_seconds,
                 static_cast<unsigned long long>(row.snapshot_bytes),
-                row.restore_seconds, row.streams_per_sec);
+                row.restore_seconds, row.reference_seconds,
+                row.restore_per_reference, row.streams_per_sec);
   }
 
   if (const char* path = bench::JsonOutPath(nullptr)) {
@@ -265,6 +297,8 @@ int main() {
         json.Number("checkpoint_seconds", row.checkpoint_seconds);
         json.Number("snapshot_bytes", row.snapshot_bytes);
         json.Number("restore_seconds", row.restore_seconds);
+        json.Number("reference_seconds", row.reference_seconds);
+        json.Number("restore_per_reference", row.restore_per_reference);
         json.Number("streams_per_sec", row.streams_per_sec);
         json.End('}');
       }

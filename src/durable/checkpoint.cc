@@ -7,15 +7,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
-#include "common/timer.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "sketch/serialize.h"
@@ -34,6 +35,16 @@ std::string SnapshotFileName(std::uint64_t epoch) {
   std::snprintf(name, sizeof(name), "snap-%llu.ckpt",
                 static_cast<unsigned long long>(epoch));
   return name;
+}
+
+/// The epoch of a snapshot file name as SnapshotFileName writes it; false
+/// for any other name.
+bool ParseSnapshotFileName(const std::string& name, std::uint64_t* epoch) {
+  constexpr std::string_view kPrefix = "snap-";
+  if (!name.starts_with(kPrefix)) return false;
+  const char* digits = name.data() + kPrefix.size();
+  return std::from_chars(digits, name.data() + name.size(), *epoch).ec == std::errc() &&
+         name == SnapshotFileName(*epoch);
 }
 
 /// Where the epoch's snapshot is written before its rename.
@@ -141,7 +152,6 @@ void CheckpointWriter::Begin() {
   buffer_.clear();
   written_ = 0;
   write_failed_ = false;
-  write_seconds_ = 0;
   pending_records_ = 0;
   snapshot_crc_ = 0;
   record_open_ = false;
@@ -159,6 +169,7 @@ std::vector<std::uint8_t>* CheckpointWriter::BeginRecord(RecordType type) {
   STREAMGPU_CHECK_MSG(!record_open_, "BeginRecord inside an open record");
   STREAMGPU_CHECK_MSG(pending_records_ > 0 || type == RecordType::kSnapshotHeader,
                       "snapshot must start with a header record");
+  if (pending_records_ == 0) snapshot_timer_.Reset();
   open_type_ = type;
   open_header_ = sketch::BeginFrame(&buffer_);
   record_open_ = true;
@@ -168,22 +179,28 @@ std::vector<std::uint8_t>* CheckpointWriter::BeginRecord(RecordType type) {
 void CheckpointWriter::EndRecord() {
   CloseRecord();
   if (buffer_.size() < kSnapshotFlushBytes || write_failed_) return;
-  Timer timer;
+  const std::uint64_t offset = written_;
   // A failure keeps the bytes buffered; Commit retries the write and
   // reports the error.
   write_failed_ = !(initialized_ || Init().ok()) || !WriteBuffered().ok();
-  write_seconds_ += timer.ElapsedSeconds();
+#if defined(__linux__)
+  // Start the piece's writeback now, so the .tmp fsync in Commit finds most
+  // pages already written. The call waits for nothing, and its result can be
+  // ignored: an I/O error it meets is reported by that fsync, which then
+  // discards the snapshot.
+  if (!write_failed_) {
+    (void)::sync_file_range(fd_, static_cast<off_t>(offset),
+                            static_cast<off_t>(written_ - offset),
+                            SYNC_FILE_RANGE_WRITE);
+  }
+#endif
 }
 
 void CheckpointWriter::CloseRecord() {
   STREAMGPU_CHECK_MSG(record_open_, "EndRecord without an open record");
-  const std::uint32_t payload_crc = FinishRecord(open_type_, open_header_, &buffer_);
-  // Continue the snapshot CRC over the header, then append the payload by
-  // its CRC instead of reading it a second time.
-  const std::uint32_t with_header =
-      sketch::Crc32({buffer_.data() + open_header_, kRecordHeaderSize}, snapshot_crc_);
-  snapshot_crc_ = sketch::Crc32Combine(
-      with_header, payload_crc, buffer_.size() - open_header_ - kRecordHeaderSize);
+  FinishRecord(open_type_, open_header_, &buffer_);
+  // Continue the snapshot CRC over the framed record while it is in cache.
+  snapshot_crc_ = sketch::Crc32(std::span(buffer_).subspan(open_header_), snapshot_crc_);
   record_open_ = false;
   ++pending_records_;
 }
@@ -248,9 +265,14 @@ core::Status CheckpointWriter::Init() {
   for (const ManifestEntry& entry : ReadManifest(dir_)) {
     next_epoch_ = std::max(next_epoch_, entry.epoch + 1);
   }
-  // A crash between write and rename can leave stray .tmp files behind.
+  // A crash between write and rename can leave stray .tmp files behind, and
+  // one between the manifest append and the prune a snapshot older than the
+  // previous epoch. Commit removes only the epoch it retires.
   for (const auto& dirent : std::filesystem::directory_iterator(dir_, ec)) {
-    if (dirent.path().extension() == ".tmp") {
+    std::uint64_t epoch = 0;
+    if (dirent.path().extension() == ".tmp" ||
+        (ParseSnapshotFileName(dirent.path().filename().string(), &epoch) &&
+         epoch + 2 < next_epoch_)) {
       std::filesystem::remove(dirent.path(), ec);
     }
   }
@@ -270,7 +292,6 @@ core::Status CheckpointWriter::Commit(std::uint64_t watermark) {
   if (record_open_) {
     return core::Status::FailedPrecondition("Commit inside an open record");
   }
-  Timer timer;
   if (!initialized_) {
     if (core::Status s = Init(); !s.ok()) return s;
   }
@@ -297,18 +318,17 @@ core::Status CheckpointWriter::Commit(std::uint64_t watermark) {
     return s;
   }
 
-  // Keep the previous epoch as the torn-write fallback; prune older ones.
+  // Keep the previous epoch as the torn-write fallback; retire the one
+  // before it. Older ones are gone already, or Init() swept them.
   if (epoch > 2) {
     std::error_code ec;
-    for (std::uint64_t old = 1; old + 2 <= epoch; ++old) {
-      std::filesystem::remove(dir_ + "/" + SnapshotFileName(old), ec);
-    }
+    std::filesystem::remove(dir_ + "/" + SnapshotFileName(epoch - 2), ec);
   }
 
   last_bytes_ = written_;
   next_epoch_ = epoch + 1;
   ++commits_;
-  const double seconds = write_seconds_ + timer.ElapsedSeconds();
+  const double seconds = snapshot_timer_.ElapsedSeconds();
   Begin();
 
   if (obs_.metrics != nullptr) {

@@ -18,7 +18,8 @@
 // newest to oldest, taking the first snapshot whose size, CRC, and record
 // structure all validate — so a kill inside the checkpoint write falls back
 // to the previous epoch instead of failing. The last two snapshots are
-// retained; older ones are pruned after each commit.
+// retained: each commit removes the one two epochs back, and a writer's
+// first write sweeps older ones a crash left behind.
 //
 // Deterministic crash injection for the kill-matrix harness
 // (tools/crash_harness.py): when STREAMGPU_DURABLE_CRASH_AT is set to
@@ -36,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/status.h"
 #include "durable/record_log.h"
 #include "obs/metrics.h"
@@ -103,16 +105,18 @@ class CheckpointWriter {
   /// record must be kSnapshotHeader; records do not nest.
   std::vector<std::uint8_t>* BeginRecord(RecordType type);
 
-  /// Closes the open record: fills in its header and folds the record into
-  /// the snapshot's running CRC-32 (sketch::Crc32Combine), so Commit never
+  /// Closes the open record: fills in its header and continues the
+  /// snapshot's running CRC-32 over the framed record, so Commit never
   /// re-reads the bytes for the manifest. Once kSnapshotFlushBytes are
-  /// pending, writes them to the .tmp file; a failed open or write keeps
-  /// them buffered for Commit, which retries and reports it.
+  /// pending, writes them to the .tmp file and starts their writeback; a
+  /// failed open or write keeps them buffered for Commit, which retries and
+  /// reports it.
   void EndRecord();
 
   /// Finalizes the pending snapshot (appends the footer), writes what is
   /// still buffered, makes it durable, appends the manifest entry, and
-  /// prunes snapshots older than the previous epoch. `watermark` is the
+  /// removes the snapshot two epochs back. durable.checkpoint_seconds
+  /// observes the time from the snapshot's header record to here. `watermark` is the
   /// element count the snapshot covers; it is echoed into the footer and the
   /// manifest. On error the footer comes off again and the bytes not yet
   /// written stay buffered, so a retried Commit resumes at the last offset
@@ -158,7 +162,7 @@ class CheckpointWriter {
   int fd_ = -1;                ///< the .tmp file, open from its first write
   bool renamed_ = false;       ///< a failed Commit already renamed the .tmp
   bool write_failed_ = false;  ///< EndRecord leaves the writing to Commit
-  double write_seconds_ = 0;   ///< EndRecord's writes for this snapshot
+  Timer snapshot_timer_;       ///< from the snapshot's header record on
   std::uint64_t pending_records_ = 0;
   std::uint32_t snapshot_crc_ = 0;  ///< CRC-32 of the closed records
   bool record_open_ = false;

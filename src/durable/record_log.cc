@@ -33,10 +33,9 @@ void AppendRecord(RecordType type, std::span<const std::uint8_t> payload,
   FinishRecord(type, header, out);
 }
 
-std::uint32_t FinishRecord(RecordType type, std::size_t header,
-                           std::vector<std::uint8_t>* out) {
-  return sketch::EndFrame(kRecordMagic, kRecordVersion,
-                          static_cast<std::uint16_t>(type), header, out);
+void FinishRecord(RecordType type, std::size_t header, std::vector<std::uint8_t>* out) {
+  sketch::EndFrame(kRecordMagic, kRecordVersion, static_cast<std::uint16_t>(type),
+                   header, out);
 }
 
 core::StatusOr<Record> ReadRecord(std::span<const std::uint8_t>* bytes) {

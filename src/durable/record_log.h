@@ -67,10 +67,8 @@ void AppendRecord(RecordType type, std::span<const std::uint8_t> payload,
                   std::vector<std::uint8_t>* out);
 
 /// Frames the payload appended to `out` after the header sketch::BeginFrame
-/// reserved at offset `header` as a record of `type`, in place. Returns the
-/// payload's CRC-32.
-std::uint32_t FinishRecord(RecordType type, std::size_t header,
-                           std::vector<std::uint8_t>* out);
+/// reserved at offset `header` as a record of `type`, in place.
+void FinishRecord(RecordType type, std::size_t header, std::vector<std::uint8_t>* out);
 
 /// Parses one record from the front of `bytes`, advancing the span past it
 /// on success. On error the span is left untouched.

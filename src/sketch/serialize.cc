@@ -6,6 +6,10 @@
 #include <string>
 #include <utility>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 #include "common/float_order.h"
 #include "sketch/wire.h"
 
@@ -45,33 +49,105 @@ struct Crc32Tables {
 
 constexpr Crc32Tables kCrcTables;
 
-/// a * b modulo the CRC polynomial, both in the reflected representation
-/// (bit 31 holds x^0). `a` must be nonzero, as every power of x is.
-constexpr std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
-  std::uint32_t product = 0;
-  for (std::uint32_t m = 1u << 31;; m >>= 1) {
-    if (a & m) {
-      product ^= b;
-      if ((a & (m - 1)) == 0) return product;
-    }
-    b = (b >> 1) ^ ((b & 1) ? kCrcPolynomial : 0);
+/// Runs the CRC register `crc` (pre-conditioned, not yet inverted back)
+/// over n bytes at p with the slicing-by-16 tables.
+std::uint32_t TableUpdate(std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  const auto& t = kCrcTables.entries;
+  for (; n >= 16; n -= 16, p += 16) {
+    crc ^= static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+    crc = t[15][crc & 0xFF] ^ t[14][(crc >> 8) & 0xFF] ^ t[13][(crc >> 16) & 0xFF] ^
+          t[12][crc >> 24] ^ t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+          t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^ t[3][p[12]] ^
+          t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
   }
+  for (; n > 0; --n, ++p) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
+  return crc;
 }
 
-/// Entry j is x^(8 * 2^j) modulo the CRC polynomial: multiplying a CRC
-/// register by it appends 2^j zero bytes.
-struct Crc32ZeroOperators {
-  std::array<std::uint32_t, 64> entries{};
-  constexpr Crc32ZeroOperators() {
-    std::uint32_t power = 1u << 23;  // x^8
-    for (std::uint32_t& entry : entries) {
-      entry = power;
-      power = MultModP(power, power);
-    }
-  }
-};
+std::uint32_t TableCrc32(std::span<const std::uint8_t> bytes, std::uint32_t prefix_crc) {
+  return ~TableUpdate(~prefix_crc, bytes.data(), bytes.size());
+}
 
-constexpr Crc32ZeroOperators kCrcZeros;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define STREAMGPU_CRC32_FOLD 1
+
+#define STREAMGPU_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+/// Shortest input the fold takes: its first step loads four 16-byte lanes.
+constexpr std::size_t kFoldMinBytes = 64;
+
+inline __m128i Load16(const std::uint8_t* at) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+/// Carries lane x forward by the distance the constant pair k encodes (the
+/// low half of x times k's low half, the high half times k's high half) and
+/// adds `next`, the lane's data at that distance.
+STREAMGPU_CLMUL_TARGET inline __m128i Fold(__m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(
+      _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11)),
+      next);
+}
+
+/// CRC-32 folded with the carry-less multiplier (PCLMULQDQ), after Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction" (Intel, 2009). Four 128-bit lanes fold 64 bytes per step,
+/// are folded into one lane, which then takes 16 bytes per step; a Barrett
+/// reduction brings it to the 32-bit register, and the table loop finishes
+/// the under-16-byte tail. The constants are the paper's for the IEEE
+/// polynomial P, each bit-reflected and shifted left by one: k1, k2 =
+/// x^(4*128+32), x^(4*128-32) mod P fold by 512 bits; k3, k4 = x^(128+32),
+/// x^(128-32) mod P by 128; k5 = x^64 mod P takes 64 bits to 32; P' = P and
+/// mu = x^64 div P drive the Barrett reduction.
+STREAMGPU_CLMUL_TARGET std::uint32_t FoldCrc32(std::span<const std::uint8_t> bytes,
+                                               std::uint32_t prefix_crc) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  if (n < kFoldMinBytes) return TableCrc32(bytes, prefix_crc);
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x0 = _mm_xor_si128(Load16(p), _mm_cvtsi32_si128(static_cast<int>(~prefix_crc)));
+  __m128i x1 = Load16(p + 16);
+  __m128i x2 = Load16(p + 32);
+  __m128i x3 = Load16(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = Fold(x0, k1k2, Load16(p));
+    x1 = Fold(x1, k1k2, Load16(p + 16));
+    x2 = Fold(x2, k1k2, Load16(p + 32));
+    x3 = Fold(x3, k1k2, Load16(p + 48));
+  }
+  x0 = Fold(x0, k3k4, x1);
+  x0 = Fold(x0, k3k4, x2);
+  x0 = Fold(x0, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = Fold(x0, k3k4, Load16(p));
+
+  // 128 -> 64 bits, then 64 -> 32 bits with k5.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+  // Barrett reduction: q = low32(low32(x0) * mu), and the register is bits
+  // 32..63 of x0 xor q * P'.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+  const auto crc = static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+  return ~TableUpdate(crc, p, n);
+}
+
+/// Whether this CPU has the instructions FoldCrc32 uses; decided once.
+bool HasCarrylessMultiply() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+}
+#endif  // x86-64 with GCC or Clang
 
 /// Frames the payload appended after the header reserved at `header`
 /// (BeginFrame) as an envelope of `type`.
@@ -372,32 +448,23 @@ StatusOr<T> DeserializeTyped(std::span<const std::uint8_t>* bytes, SketchType wa
 }  // namespace
 
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t prefix_crc) {
-  const auto& t = kCrcTables.entries;
-  std::uint32_t crc = ~prefix_crc;
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 16; n -= 16, p += 16) {
-    crc ^= static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-    crc = t[15][crc & 0xFF] ^ t[14][(crc >> 8) & 0xFF] ^ t[13][(crc >> 16) & 0xFF] ^
-          t[12][crc >> 24] ^ t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
-          t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^ t[3][p[12]] ^
-          t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
-  }
-  for (; n > 0; --n, ++p) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
-  return ~crc;
+#ifdef STREAMGPU_CRC32_FOLD
+  if (HasCarrylessMultiply()) return FoldCrc32(bytes, prefix_crc);
+#endif
+  return TableCrc32(bytes, prefix_crc);
 }
 
-std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                           std::uint64_t len_b) {
-  // The pre- and post-conditioning of the two CRCs cancel, so the combined
-  // CRC is crc_a carried over len_b zero bytes, xor crc_b.
-  for (std::size_t j = 0; len_b != 0; ++j, len_b >>= 1) {
-    if (len_b & 1) crc_a = MultModP(kCrcZeros.entries[j], crc_a);
-  }
-  return crc_a ^ crc_b;
+namespace internal {
+
+Crc32Kernels Crc32KernelsForTest() {
+#ifdef STREAMGPU_CRC32_FOLD
+  return {TableCrc32, HasCarrylessMultiply() ? FoldCrc32 : nullptr};
+#else
+  return {TableCrc32, nullptr};
+#endif
 }
+
+}  // namespace internal
 
 const char* SketchTypeName(SketchType type) {
   switch (type) {
@@ -419,8 +486,8 @@ std::size_t BeginFrame(std::vector<std::uint8_t>* out) {
   return header;
 }
 
-std::uint32_t EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t tag,
-                       std::size_t header, std::vector<std::uint8_t>* out) {
+void EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t tag,
+              std::size_t header, std::vector<std::uint8_t>* out) {
   std::uint8_t* at = out->data() + header;
   const std::uint64_t payload_len = out->size() - header - kFrameHeaderSize;
   const std::uint32_t crc = Crc32({at + kFrameHeaderSize, payload_len});
@@ -429,7 +496,6 @@ std::uint32_t EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t
   std::memcpy(at + 6, &tag, sizeof(tag));
   std::memcpy(at + 8, &payload_len, sizeof(payload_len));
   std::memcpy(at + 16, &crc, sizeof(crc));
-  return crc;
 }
 
 core::Status SerializeSummary(const GkSummary& summary, std::vector<std::uint8_t>* out) {

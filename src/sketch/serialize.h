@@ -80,21 +80,30 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 
 /// In-place framing of one envelope or durable record. BeginFrame reserves
 /// the header at the end of `out` and returns its offset; the caller then
-/// appends the payload; EndFrame fills the header in for the bytes after it
-/// and returns their CRC-32.
+/// appends the payload; EndFrame fills the header in for the bytes after it.
 std::size_t BeginFrame(std::vector<std::uint8_t>* out);
-std::uint32_t EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t tag,
-                       std::size_t header, std::vector<std::uint8_t>* out);
+void EndFrame(std::uint32_t magic, std::uint16_t version, std::uint16_t tag,
+              std::size_t header, std::vector<std::uint8_t>* out);
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the envelope checksum.
 /// `prefix_crc` continues a CRC: Crc32(b, Crc32(a)) == Crc32(a‖b).
-/// Portable slicing-by-16: 16 bytes per step, no intrinsics.
+/// On x86-64 CPUs with PCLMULQDQ it folds 16 bytes per carry-less
+/// multiply; elsewhere it runs a portable slicing-by-16 table loop. Both
+/// give the same value.
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t prefix_crc = 0);
 
-/// Crc32(a‖b) from crc_a = Crc32(a), crc_b = Crc32(b) and len_b = b.size(),
-/// without reading either — O(log len_b).
-std::uint32_t Crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                           std::uint64_t len_b);
+namespace internal {
+
+/// The two kernels Crc32 chooses between, for tests only: the table loop,
+/// and the carry-less-multiply fold, null where the compiler or the CPU
+/// lacks it. Each has Crc32's contract.
+struct Crc32Kernels {
+  std::uint32_t (*table)(std::span<const std::uint8_t>, std::uint32_t);
+  std::uint32_t (*fold)(std::span<const std::uint8_t>, std::uint32_t);
+};
+Crc32Kernels Crc32KernelsForTest();
+
+}  // namespace internal
 
 }  // namespace streamgpu::sketch
 

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "core/frequency_estimator.h"
 #include "core/quantile_estimator.h"
 #include "core/summary_core.h"
+#include "obs/metrics.h"
 #include "service/stream_service.h"
 #include "sketch/serialize.h"
 #include "sketch/wire.h"
@@ -257,6 +260,55 @@ TEST(CheckpointWriter, CommitLoadAndPrune) {
   EXPECT_FALSE(std::filesystem::exists(dir + "/snap-3.ckpt"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/snap-4.ckpt"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/snap-5.ckpt"));
+}
+
+TEST(CheckpointWriter, FirstWriteSweepsSnapshotsACrashLeftBehind) {
+  const std::string dir = FreshDir("sweep");
+  {
+    CheckpointWriter writer(dir);
+    for (std::uint64_t i = 1; i <= 5; ++i) CommitStub(&writer, i * 100);
+  }
+  // A crash between a manifest append and its prune leaves an old epoch;
+  // a file that is not a snapshot stays whatever its name.
+  const std::vector<std::uint8_t> junk = {1, 2, 3};
+  WriteFile(dir + "/snap-1.ckpt", junk);
+  WriteFile(dir + "/snap-1.ckpt.keep", junk);
+
+  CheckpointWriter writer(dir);
+  CommitStub(&writer, 600);
+  std::vector<std::string> names;
+  for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
+    names.push_back(dirent.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{kManifestName, "snap-1.ckpt.keep",
+                                             "snap-5.ckpt", "snap-6.ckpt"}));
+  EXPECT_EQ(LoadLatestSnapshot(dir)->epoch, 6u);
+}
+
+TEST(CheckpointWriter, CheckpointSecondsCoverTheEncode) {
+  const std::string dir = FreshDir("seconds");
+  obs::MetricsRegistry metrics;
+  CheckpointWriter writer(dir);
+  writer.SetObservability({.metrics = &metrics});
+  SnapshotHeader header;
+  header.mode = kSnapshotModeQuantile;
+  writer.Begin();
+  AppendSnapshotHeader(header, writer.BeginRecord(RecordType::kSnapshotHeader));
+  writer.EndRecord();
+  std::vector<std::uint8_t>* state = writer.BeginRecord(RecordType::kQuantileState);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // a slow encode
+  state->push_back(0xAB);
+  writer.EndRecord();
+  ASSERT_TRUE(writer.Commit(100).ok());
+
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  const auto it = std::find_if(
+      snapshot.summaries.begin(), snapshot.summaries.end(),
+      [](const auto& summary) { return summary.name == "durable.checkpoint_seconds"; });
+  ASSERT_NE(it, snapshot.summaries.end());
+  EXPECT_EQ(it->count, 1u);
+  EXPECT_GE(it->sum, 0.02);
 }
 
 TEST(CheckpointWriter, EmptyDirHasNoUsableCheckpoint) {

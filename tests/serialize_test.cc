@@ -2,8 +2,8 @@
 // envelope round trips (including empty summaries), back-to-back framing,
 // type dispatch via PeekSketchType, committed golden wire files
 // (forward-compat detection), a malformed-input corpus — every rejection
-// returns Status, never aborts — and CRC-32 checked against a bitwise
-// reference.
+// returns Status, never aborts — and CRC-32, both its table and its
+// carry-less-multiply kernel, checked against a bitwise reference.
 //
 // Regenerate the golden wire files with:
 //   STREAMGPU_REGEN_GOLDEN=1 ./serialize_test --gtest_filter='*GoldenWire*'
@@ -435,12 +435,14 @@ TEST(SerializeTest, GoldenWireFilesStayReadable) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32: known answers, a bitwise reference and Crc32Combine.
+// CRC-32: known answers, both kernels against a bitwise reference, and
+// continuing a CRC with a prefix.
 
-/// CRC-32 (IEEE, reflected) one bit at a time: the definition the sliced
-/// table implementation must reproduce.
-std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xFFFFFFFFu;
+/// CRC-32 (IEEE, reflected) one bit at a time, continuing `prefix_crc`: the
+/// definition both kernels must reproduce.
+std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> bytes,
+                             std::uint32_t prefix_crc = 0) {
+  std::uint32_t crc = ~prefix_crc;
   for (const std::uint8_t byte : bytes) {
     crc ^= byte;
     for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
@@ -476,7 +478,7 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   EXPECT_EQ(mismatches, 0u);
 }
 
-TEST(Crc32Test, CombineAndPrefixEqualTheCrcOfTheConcatenation) {
+TEST(Crc32Test, PrefixContinuesTheCrcOfTheConcatenation) {
   const std::vector<std::uint8_t> bytes = RandomBytes(5000, 19);
   std::mt19937 rng(23);
   for (int trial = 0; trial < 300; ++trial) {
@@ -488,12 +490,62 @@ TEST(Crc32Test, CombineAndPrefixEqualTheCrcOfTheConcatenation) {
     const std::span<const std::uint8_t> whole(bytes.data(), total);
     const std::span<const std::uint8_t> a = whole.first(split);
     const std::span<const std::uint8_t> b = whole.subspan(split);
-    const std::uint32_t expected = ReferenceCrc32(whole);
-    EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), expected)
+    EXPECT_EQ(Crc32(b, Crc32(a)), ReferenceCrc32(whole))
         << "split " << split << " of " << total;
-    EXPECT_EQ(Crc32(b, Crc32(a)), expected) << "split " << split << " of " << total;
   }
-  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);
+}
+
+using Crc32Kernel = std::uint32_t (*)(std::span<const std::uint8_t>, std::uint32_t);
+
+/// Holds `kernel` to the bitwise reference at every length 0-1,100 and
+/// offset 0-15 (every alignment, the fold's 64-byte entry, every tail
+/// length), from prefix 0 and from a nonzero prefix.
+void ExpectKernelMatchesAtEveryLengthAndOffset(Crc32Kernel kernel) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(1100 + 15, 29);
+  std::size_t mismatches = 0;
+  for (const std::uint32_t prefix : {0u, 0x12345678u}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 1100; ++len) {
+        const std::span<const std::uint8_t> s(bytes.data() + offset, len);
+        if (kernel(s, prefix) != ReferenceCrc32(s, prefix) && ++mismatches <= 5) {
+          ADD_FAILURE() << "prefix " << prefix << " offset " << offset << " length "
+                        << len;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// Holds `kernel` to the bitwise reference on 1 MiB and 4 MiB + 13 B of
+/// random bytes, each read at an odd offset.
+void ExpectKernelMatchesOnLargeBuffers(Crc32Kernel kernel) {
+  for (const std::size_t n : {std::size_t{1} << 20, (std::size_t{4} << 20) + 13}) {
+    const std::vector<std::uint8_t> bytes = RandomBytes(n + 1, 31);
+    const std::span<const std::uint8_t> s = std::span(bytes).subspan(1);
+    EXPECT_EQ(kernel(s, 0), ReferenceCrc32(s)) << n << " bytes";
+    EXPECT_EQ(kernel(s, 0xDEADBEEF), ReferenceCrc32(s, 0xDEADBEEF)) << n << " bytes";
+  }
+}
+
+TEST(Crc32Test, TableKernelMatchesTheReferenceAtEveryLengthAndOffset) {
+  ExpectKernelMatchesAtEveryLengthAndOffset(internal::Crc32KernelsForTest().table);
+}
+
+TEST(Crc32Test, TableKernelMatchesTheReferenceOnLargeBuffers) {
+  ExpectKernelMatchesOnLargeBuffers(internal::Crc32KernelsForTest().table);
+}
+
+TEST(Crc32Test, FoldKernelMatchesTheReferenceAtEveryLengthAndOffset) {
+  const Crc32Kernel fold = internal::Crc32KernelsForTest().fold;
+  if (fold == nullptr) GTEST_SKIP() << "no carry-less multiply (PCLMULQDQ) here";
+  ExpectKernelMatchesAtEveryLengthAndOffset(fold);
+}
+
+TEST(Crc32Test, FoldKernelMatchesTheReferenceOnLargeBuffers) {
+  const Crc32Kernel fold = internal::Crc32KernelsForTest().fold;
+  if (fold == nullptr) GTEST_SKIP() << "no carry-less multiply (PCLMULQDQ) here";
+  ExpectKernelMatchesOnLargeBuffers(fold);
 }
 
 TEST(FromPartsTest, GkValidatesStructure) {
