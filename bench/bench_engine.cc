@@ -27,6 +27,9 @@
 //   gk_combine_35k — GkSummary::MergePruned of two 35,001-tuple summaries at
 //                    budget 35,000: one exponential-histogram combine above
 //                    the first prune (ns per input tuple)
+//   gk_combine_35k_sliced — the same combine cut into 3 co-ranked slices,
+//                    all run on the calling thread: what a pipelined quantile
+//                    stream's drain pays when no sort worker is idle
 //   radix_1m       — cache-blocked LSD radix passes on 1M ordered keys
 //                    (the radix/merge backend's per-chunk kernel)
 //   loser_merge8   — loser-tree merge of 8 sorted key runs (MergeKeyRuns)
@@ -290,6 +293,12 @@ int main() {
     results.push_back({"gk_combine_35k",
                        NsPerElement(5, 10, tuples,
                                     [&] { combined = sketch::GkSummary::MergePruned(a, b, kBudget); }),
+                       tuples});
+    results.push_back({"gk_combine_35k_sliced",
+                       NsPerElement(5, 10, tuples,
+                                    [&] {
+                                      combined = sketch::GkSummary::MergePruned(a, b, kBudget, 3);
+                                    }),
                        tuples});
   }
 

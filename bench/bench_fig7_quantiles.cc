@@ -80,7 +80,7 @@ void RunSketchShootout() {
         const std::size_t len = std::min<std::size_t>(window, data.size() - off);
         chunk.assign(data.begin() + off, data.begin() + off + len);
         std::sort(chunk.begin(), chunk.end());
-        (*sk)->AddSortedWindow(chunk);
+        (*sk)->AddSortedWindow(chunk, nullptr);
       }
       const double ns_per_update =
           timer.ElapsedSeconds() * 1e9 / static_cast<double>(n);

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <span>
 
@@ -55,13 +56,16 @@ inline void MergeOneSlice(const float* a, const float* a_end, const float* b,
 
 /// The number of a's elements among the first k outputs of merging a and b,
 /// searched in [lo, hi]. a[m] goes out before b[k - m - 1] exactly when
-/// a[m] <= b[k - m - 1], and then more than m of a's elements precede the
-/// cut. Requires max(0, k - b.size()) <= lo <= hi <= min(k, a.size()).
-inline std::size_t MergeCoRank(std::span<const float> a, std::span<const float> b,
-                               std::size_t k, std::size_t lo, std::size_t hi) {
+/// key(a[m]) <= key(b[k - m - 1]), and then more than m of a's elements
+/// precede the cut. Requires max(0, k - b.size()) <= lo <= hi <= min(k,
+/// a.size()). `key` orders elements that are not floats themselves (a GK
+/// summary's tuples merge by value, sketch/gk_summary.cc).
+template <typename T, typename Key = std::identity>
+inline std::size_t MergeCoRank(std::span<const T> a, std::span<const T> b, std::size_t k,
+                               std::size_t lo, std::size_t hi, Key key = {}) {
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (a[mid] <= b[k - mid - 1]) {
+    if (std::invoke(key, a[mid]) <= std::invoke(key, b[k - mid - 1])) {
       lo = mid + 1;
     } else {
       hi = mid;

@@ -67,13 +67,14 @@ QuantileSummaryCore::QuantileSummaryCore(double epsilon,
   }
 }
 
-std::size_t QuantileSummaryCore::MergeSortedWindow(std::span<const float> window) {
+std::size_t QuantileSummaryCore::MergeSortedWindow(std::span<const float> window,
+                                                   ForkJoin* runner) {
   std::size_t summary_tuples;
   if (whole_ != nullptr) {
     // The backend condenses the sorted window itself (GK rank-sampling — the
     // "histogram subset" of §3.2's quantile path — or direct KLL inserts)
     // and times the step into its summarize_seconds() mirror.
-    summary_tuples = whole_->AddSortedWindow(window);
+    summary_tuples = whole_->AddSortedWindow(window, runner);
   } else {
     Timer hist_timer;
     sketch::GkSummary summary =
@@ -92,9 +93,9 @@ int QuantileSummaryCore::max_block_level() const {
 }
 
 bool QuantileSummaryCore::MergeSortedBlock(std::vector<float>& run, int level,
-                                           double merge_seconds) {
+                                           double merge_seconds, ForkJoin* runner) {
   const std::size_t elements = run.size();
-  if (whole_ == nullptr || !whole_->AddSortedBlock(run, level, merge_seconds)) {
+  if (whole_ == nullptr || !whole_->AddSortedBlock(run, level, merge_seconds, runner)) {
     return false;
   }
   histogram_elements_ += elements;

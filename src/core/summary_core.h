@@ -61,8 +61,11 @@ class QuantileSummaryCore {
                           sketch::QuantileSketchKind::kGk);
 
   /// Folds one sorted window into the backend sketch. Returns the condensed
-  /// per-window summary's tuple count (trace metadata).
-  std::size_t MergeSortedWindow(std::span<const float> window);
+  /// per-window summary's tuple count (trace metadata). `runner` may run
+  /// slices of the combines the window sets off (sketch::QuantileSketch::
+  /// AddSortedWindow); null, the default, keeps them on the caller.
+  std::size_t MergeSortedWindow(std::span<const float> window,
+                                ForkJoin* runner = nullptr);
 
   /// The deepest aligned block MergeSortedBlock can take: 2^k full windows
   /// (sketch::QuantileSketch::max_block_level; 0 in sliding mode and for
@@ -73,7 +76,9 @@ class QuantileSummaryCore {
   /// `run` (sketch::EhQuantileSummary::MergeBlock), when that equals
   /// MergeSortedWindow on each of them in turn. Returns false and changes
   /// nothing otherwise; the caller then merges the windows one by one.
-  bool MergeSortedBlock(std::vector<float>& run, int level, double merge_seconds);
+  /// `runner` is MergeSortedWindow's.
+  bool MergeSortedBlock(std::vector<float>& run, int level, double merge_seconds,
+                        ForkJoin* runner = nullptr);
 
   /// Accounts one unrecoverable window: not merged, not counted as
   /// processed; widens the error bound by its element count.

@@ -313,7 +313,9 @@ void SummaryEstimator<Core>::MergeSortedWindow(std::span<float> window) {
   const double t0 = traced ? obs_.trace->NowMicros() : 0;
 
   Timer merge_timer;
-  const std::size_t entries = core_.MergeSortedWindow(window);
+  // The drain's larger combines run as slices on the sort workers idle at
+  // that moment (in one slice inline, where the executor has none).
+  const std::size_t entries = Traits::MergeWindow(core_, window, executor_.get());
 
   if (obs_.metrics != nullptr) {
     obs_.metrics->Add(ids_.windows_merged);
@@ -337,7 +339,7 @@ bool SummaryEstimator<Core>::MergeBlock(stream::MergedRun& block) {
 
   Timer merge_timer;
   const std::size_t elements = block.values.size();
-  if (!Traits::MergeBlock(core_, block)) return false;
+  if (!Traits::MergeBlock(core_, block, executor_.get())) return false;
   window_seq_ += block.windows;
 
   if (obs_.metrics != nullptr) {

@@ -66,9 +66,16 @@ struct SummaryTraits<QuantileSummaryCore> {
   static int MaxBlockLevel(const QuantileSummaryCore& core) {
     return core.max_block_level();
   }
-  static bool MergeBlock(QuantileSummaryCore& core, stream::MergedRun& block) {
+  // `runner` (the executor) runs slices of the larger GK combines a window
+  // or block sets off.
+  static std::size_t MergeWindow(QuantileSummaryCore& core, std::span<const float> window,
+                                 ForkJoin* runner) {
+    return core.MergeSortedWindow(window, runner);
+  }
+  static bool MergeBlock(QuantileSummaryCore& core, stream::MergedRun& block,
+                         ForkJoin* runner) {
     return core.MergeSortedBlock(block.values, std::countr_zero(block.windows),
-                                 block.merge_seconds);
+                                 block.merge_seconds, runner);
   }
 };
 
@@ -88,7 +95,11 @@ struct SummaryTraits<FrequencySummaryCore> {
   }
   static std::uint16_t Kind(const FrequencySummaryCore&) { return 0; }
   static int MaxBlockLevel(const FrequencySummaryCore&) { return 0; }
-  static bool MergeBlock(FrequencySummaryCore&, stream::MergedRun&) { return false; }
+  static std::size_t MergeWindow(FrequencySummaryCore& core, std::span<const float> window,
+                                 ForkJoin* /*runner*/) {
+    return core.MergeSortedWindow(window);
+  }
+  static bool MergeBlock(FrequencySummaryCore&, stream::MergedRun&, ForkJoin*) { return false; }
 };
 
 /// Streaming estimator over one summary core. Not used directly: construct a

@@ -161,12 +161,12 @@ void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
   AddWindow(EhBucket::FromSummary(std::move(window_summary)));
 }
 
-void EhQuantileSummary::AddWindow(EhBucket window) {
+void EhQuantileSummary::AddWindow(EhBucket window, ForkJoin* runner) {
   if (window.empty()) return;
   STREAMGPU_CHECK_MSG(window.epsilon() <= LevelBudget(1) + 1e-12,
                       "window summary must be (epsilon/2)-approximate");
   count_ += window.count();
-  Carry(std::move(window), 1);
+  Carry(std::move(window), 1, runner);
 }
 
 int EhQuantileSummary::max_block_level() const {
@@ -204,7 +204,7 @@ void EhQuantileSummary::MergeBlock(std::span<const float> windows,
 }
 
 bool EhQuantileSummary::AddBlock(std::vector<float>& run, int level,
-                                 double merge_seconds) {
+                                 double merge_seconds, ForkJoin* runner) {
   STREAMGPU_CHECK(level >= 1 && run.size() <= prune_tuples_ + 1);
   const std::size_t vacant_below = std::min(static_cast<std::size_t>(level), buckets_.size());
   for (std::size_t i = 0; i < vacant_below; ++i) {
@@ -218,13 +218,13 @@ bool EhQuantileSummary::AddBlock(std::vector<float>& run, int level,
   merge_seconds_ += merge_seconds;
   EhBucket block;
   block.run = std::move(run);
-  Carry(std::move(block), static_cast<std::size_t>(level) + 1);
+  Carry(std::move(block), static_cast<std::size_t>(level) + 1, runner);
   return true;
 }
 
-void EhQuantileSummary::Carry(EhBucket carry, std::size_t id) {
+void EhQuantileSummary::Carry(EhBucket carry, std::size_t id, ForkJoin* runner) {
   while (id <= buckets_.size() && !buckets_[id - 1].empty()) {
-    carry = Combine(std::move(carry), std::move(buckets_[id - 1]));
+    carry = Combine(std::move(carry), std::move(buckets_[id - 1]), runner);
     buckets_[id - 1] = EhBucket();
     ++id;
   }
@@ -232,7 +232,7 @@ void EhQuantileSummary::Carry(EhBucket carry, std::size_t id) {
   buckets_[id - 1] = std::move(carry);
 }
 
-EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
+EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket, ForkJoin* runner) {
   // Merge, then prune with the error parameter of bucket id + 1 (§5.2). Both
   // counters count the merged summary's tuples, implicit ones included.
   const std::size_t merged_size = carry.size() + bucket.size();
@@ -253,11 +253,15 @@ EhBucket EhQuantileSummary::Combine(EhBucket carry, EhBucket bucket) {
     compress_seconds_ += compress_timer.ElapsedSeconds();
     return out;
   }
-  // One pass merges and prunes, so its time is all compress time.
+  // One pass merges and prunes, so its time is all compress time, slices
+  // run on other threads included.
   Timer compress_timer;
   if (!carry.run.empty()) carry.summary = GkSummary::Exact(carry.run);
   if (!bucket.run.empty()) bucket.summary = GkSummary::Exact(bucket.run);
-  out.summary = GkSummary::MergePruned(carry.summary, bucket.summary, prune_tuples_);
+  const std::size_t slices =
+      runner != nullptr && merged_size >= kMinSlicedGkMerge ? runner->width() : 1;
+  out.summary =
+      GkSummary::MergePruned(carry.summary, bucket.summary, prune_tuples_, slices, runner);
   compress_seconds_ += compress_timer.ElapsedSeconds();
   return out;
 }

@@ -59,8 +59,12 @@ class EhQuantileSummary {
 
   /// Inserts the summary of one new window at bucket id 1 and performs the
   /// combine cascade. `window` must be (epsilon/2)-approximate (e.g.
-  /// EhBucket::FromSorted(sorted_window, epsilon/2)).
-  void AddWindow(EhBucket window);
+  /// EhBucket::FromSorted(sorted_window, epsilon/2)). `runner` lends the
+  /// cascade threads: a combine of two tuple buckets that merges at least
+  /// kMinSlicedGkMerge tuples is cut into runner->width() co-ranked slices
+  /// that it runs (GkSummary::MergePruned). Null, the default, combines in
+  /// one slice. The buckets and counters do not depend on it.
+  void AddWindow(EhBucket window, ForkJoin* runner = nullptr);
 
   /// AddWindow(EhBucket::FromSummary(window_summary)).
   void AddWindowSummary(GkSummary window_summary);
@@ -86,8 +90,9 @@ class EhQuantileSummary {
   /// windows one by one makes the same combines. Counts the block's own
   /// combines (level tuples per element, merged and pruned) and adds
   /// `merge_seconds`, the time MergeBlock took. Otherwise returns false and
-  /// changes nothing, `run` included.
-  bool AddBlock(std::vector<float>& run, int level, double merge_seconds);
+  /// changes nothing, `run` included. `runner` is AddWindow's.
+  bool AddBlock(std::vector<float>& run, int level, double merge_seconds,
+                ForkJoin* runner = nullptr);
 
   /// Reconstructs a summary from checkpointed parts (the durability restore
   /// path, docs/DURABILITY.md). `buckets` lists slots() slots: index i
@@ -160,13 +165,14 @@ class EhQuantileSummary {
  private:
   /// Places `carry` at bucket id `id`, combining it upwards while that id
   /// is occupied.
-  void Carry(EhBucket carry, std::size_t id);
+  void Carry(EhBucket carry, std::size_t id, ForkJoin* runner);
 
   /// Merges two same-id buckets (`carry` first on ties) and prunes the
   /// result with the error parameter of the next id: two runs merge as
   /// values, then prune (PruneExact) past prune_tuples() + 1; any other pair
-  /// merges and prunes in one pass (GkSummary::MergePruned).
-  EhBucket Combine(EhBucket carry, EhBucket bucket);
+  /// merges and prunes in one pass (GkSummary::MergePruned), sliced over
+  /// `runner`'s threads when the merge is large enough.
+  EhBucket Combine(EhBucket carry, EhBucket bucket, ForkJoin* runner);
 
   double epsilon_;
   std::uint64_t window_size_;

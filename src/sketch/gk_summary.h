@@ -13,7 +13,18 @@
 #include <span>
 #include <vector>
 
+#include "common/fork_join.h"
+
 namespace streamgpu::sketch {
+
+/// Merges of fewer tuples than this are combined in one slice whatever
+/// threads a runner offers (EhQuantileSummary's combines): below it, waking
+/// other threads for the slices costs more than they save. Streaming 2^20
+/// values through a 2-worker estimator on a 4-vCPU VM, slicing over 3
+/// threads changed ingest by about -12 % where each combine merged 1,402
+/// tuples (epsilon 0.05), by nothing measurable at 3,502 (0.02), and by
+/// +20 % and +35 % at 7,002 (0.01) and 14,002 (0.005).
+inline constexpr std::size_t kMinSlicedGkMerge = 4096;
 
 /// One summary tuple: an observed value together with lower/upper bounds on
 /// its rank (1-based) among the elements the summary covers.
@@ -77,8 +88,15 @@ class GkSummary {
   /// sweep reads the merged tuples as the merge makes them, and the merged
   /// summary is never built. The exponential histogram's combines and
   /// obs::StreamingSummary's carries use it.
+  ///
+  /// `slices` > 1 cuts the merged order into that many co-ranked slices
+  /// (at most one per merged tuple), each sweeping its own share of the
+  /// prune's targets into the result; `runner` runs them at once (null: one
+  /// after another on the caller). The result is the same bit for bit
+  /// whenever no value is NaN (docs/ALGORITHMS.md, "Sliced combines").
   static GkSummary MergePruned(const GkSummary& a, const GkSummary& b,
-                               std::size_t max_tuples);
+                               std::size_t max_tuples, std::size_t slices = 1,
+                               ForkJoin* runner = nullptr);
 
   /// Value whose rank is within epsilon()*count() of ceil(phi * count()),
   /// phi in (0, 1].

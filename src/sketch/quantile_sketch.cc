@@ -68,18 +68,19 @@ class GkEhSketch final : public QuantileSketch {
              std::uint64_t expected_length)
       : epsilon_(epsilon), eh_(epsilon, window_size, expected_length) {}
 
-  std::size_t AddSortedWindow(std::span<const float> window) override {
+  std::size_t AddSortedWindow(std::span<const float> window, ForkJoin* runner) override {
     Timer timer;
     EhBucket window_summary = EhBucket::FromSorted(window, epsilon_ / 2.0);
     summarize_seconds_ += timer.ElapsedSeconds();
     const std::size_t tuples = window_summary.size();
-    eh_.AddWindow(std::move(window_summary));
+    eh_.AddWindow(std::move(window_summary), runner);
     return tuples;
   }
 
   int max_block_level() const override { return eh_.max_block_level(); }
-  bool AddSortedBlock(std::vector<float>& run, int level, double merge_seconds) override {
-    return eh_.AddBlock(run, level, merge_seconds);
+  bool AddSortedBlock(std::vector<float>& run, int level, double merge_seconds,
+                      ForkJoin* runner) override {
+    return eh_.AddBlock(run, level, merge_seconds, runner);
   }
 
   float Query(double phi) const override { return eh_.Query(phi); }
@@ -190,7 +191,7 @@ class GkAdaptiveSketch final : public QuantileSketch {
  public:
   explicit GkAdaptiveSketch(double epsilon) : gk_(epsilon) {}
 
-  std::size_t AddSortedWindow(std::span<const float> window) override {
+  std::size_t AddSortedWindow(std::span<const float> window, ForkJoin* /*runner*/) override {
     Timer timer;
     gk_.ObserveBatch(window);
     summarize_seconds_ += timer.ElapsedSeconds();
@@ -290,7 +291,7 @@ class KllQuantileSketch final : public QuantileSketch {
  public:
   explicit KllQuantileSketch(double epsilon) : kll_(epsilon) {}
 
-  std::size_t AddSortedWindow(std::span<const float> window) override {
+  std::size_t AddSortedWindow(std::span<const float> window, ForkJoin* /*runner*/) override {
     // Keep the summarize/compress mirrors disjoint: compaction time is
     // tracked inside the sketch and subtracted from the insert wall time.
     const double compress_before = kll_.compress_seconds();

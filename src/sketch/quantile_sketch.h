@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "common/fork_join.h"
 #include "core/status.h"
 
 namespace streamgpu::sketch {
@@ -48,8 +49,11 @@ class QuantileSketch {
   /// Folds one ascending-sorted window (the repo's canonical bit-pattern
   /// order, any backend) into the sketch. Returns the size of the condensed
   /// per-window summary (trace metadata; the window size for backends that
-  /// insert elements directly).
-  virtual std::size_t AddSortedWindow(std::span<const float> window) = 0;
+  /// insert elements directly). `runner` may run slices of the summary
+  /// combines the window sets off (GK+EH only: EhQuantileSummary::
+  /// AddWindow); null runs everything on the caller. The sketch does not
+  /// depend on it.
+  virtual std::size_t AddSortedWindow(std::span<const float> window, ForkJoin* runner) = 0;
 
   /// The deepest block AddSortedBlock takes: 2^k windows of the configured
   /// size (0 = none; GK+EH only, docs/ALGORITHMS.md).
@@ -59,9 +63,9 @@ class QuantileSketch {
   /// run by EhQuantileSummary::MergeBlock (`merge_seconds` long), when that
   /// leaves the sketch exactly as AddSortedWindow on each window would.
   /// Otherwise returns false and changes nothing: the caller then adds the
-  /// windows one by one.
+  /// windows one by one. `runner` is AddSortedWindow's.
   virtual bool AddSortedBlock(std::vector<float>& /*run*/, int /*level*/,
-                              double /*merge_seconds*/) {
+                              double /*merge_seconds*/, ForkJoin* /*runner*/) {
     return false;
   }
 

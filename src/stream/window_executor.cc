@@ -250,6 +250,42 @@ void WindowExecutor::RecycleLocked(WindowBatch&& batch) {
   free_batches_.push_back(std::move(batch));
 }
 
+void WindowExecutor::Run(std::size_t tasks, const std::function<void(std::size_t)>& task) {
+  if (!threaded() || tasks < 2) {
+    for (std::size_t i = 0; i < tasks; ++i) task(i);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    STREAMGPU_CHECK_MSG(task_ == nullptr, "one fork-join at a time, from the drain");
+    task_ = &task;
+    next_task_ = 1;
+    end_task_ = tasks;
+  }
+  work_ready_.notify_all();
+  task(0);
+  std::unique_lock<std::mutex> lock(mu_);
+  while (RunDrainTask(lock, /*on_worker=*/false)) {
+  }
+  tasks_done_.wait(lock, [&] { return worker_tasks_running_ == 0; });
+  task_ = nullptr;
+}
+
+bool WindowExecutor::RunDrainTask(std::unique_lock<std::mutex>& lock, bool on_worker) {
+  if (next_task_ == end_task_) return false;
+  const std::size_t index = next_task_++;
+  const std::function<void(std::size_t)>& task = *task_;
+  if (on_worker) ++worker_tasks_running_;
+  lock.unlock();
+  task(index);
+  lock.lock();
+  if (on_worker) {
+    ++stats_.worker_tasks;
+    if (--worker_tasks_running_ == 0) tasks_done_.notify_one();
+  }
+  return true;
+}
+
 void WindowExecutor::WorkerLoop(int worker_index) {
   if (trace_ != nullptr) {
     trace_->NameCurrentThread(std::string(label_) + ".sort-" +
@@ -259,7 +295,11 @@ void WindowExecutor::WorkerLoop(int worker_index) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [&] { return stop_ || pending_count_ != 0; });
+      work_ready_.wait(lock, [&] {
+        return stop_ || pending_count_ != 0 || next_task_ != end_task_;
+      });
+      // The drain waits on its tasks, and every batch waits on the drain.
+      if (RunDrainTask(lock, /*on_worker=*/true)) continue;
       if (pending_count_ == 0) return;  // stop_ set and queue drained
       pending = std::move(pending_ring_[pending_head_]);
       pending_head_ = (pending_head_ + 1) % pending_ring_.size();

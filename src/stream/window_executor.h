@@ -8,6 +8,7 @@
 //   caller thread          N sort workers                  1 drain thread
 //   Submit(batch) ──queue──> SortRuns(<= 64 windows) ──reorder──> drain(batch)
 //                            [+ prepare(batch)]
+//                            [+ drain's tasks] <──── Run(n tasks) ──┘
 //
 // * A batch is a list of chunks, each holding whole windows of one stream. A
 //   dedicated estimator submits one-chunk batches; the service coalesces many
@@ -21,6 +22,10 @@
 // * An optional prepare stage runs on the worker after the sort, so work
 //   that only reads the sorted batch leaves the drain: a dedicated quantile
 //   stream pre-merges aligned blocks of windows into MergedRuns there.
+// * The drain callback can borrow the workers that are waiting for a batch
+//   (Run, a ForkJoin): a dedicated quantile stream runs the slices of its
+//   larger GK combines there (sketch::GkSummary::MergePruned). No thread is
+//   added, and a task no idle worker claims runs on the drain.
 // * Submit() blocks once `max_batches_in_flight` batches are in flight
 //   (backpressure, accounted as ingest stall time).
 // * Each worker owns its own Sorter — for the GPU backends one simulated
@@ -53,6 +58,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fork_join.h"
 #include "core/status.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -153,6 +159,10 @@ struct PipelineWaitStats {
 
   /// Batches drained.
   std::uint64_t batches = 0;
+
+  /// Tasks of the drain's fork-joins (WindowExecutor::Run) that sort
+  /// workers ran, such as the slices of a GK combine.
+  std::uint64_t worker_tasks = 0;
 };
 
 /// Sorts window batches and drains them in submission order, on a worker
@@ -164,7 +174,7 @@ struct PipelineWaitStats {
 /// (inline); WaitIdle() establishes a happens-before with every drain
 /// completed so far, after which the caller may safely read drain-side
 /// state. The destructor finishes all submitted work before joining.
-class WindowExecutor {
+class WindowExecutor : public ForkJoin {
  public:
   /// Consumes one sorted batch, strictly in submission order. The batch is
   /// on loan: read it, but do not keep references past the call — the
@@ -262,6 +272,18 @@ class WindowExecutor {
   /// True when worker threads sort and a drain thread merges.
   bool threaded() const { return !workers_.empty(); }
 
+  /// The threads Run() can spread tasks over: the sort workers and the drain
+  /// in threaded mode, the caller alone inline.
+  std::size_t width() const override { return threaded() ? sorters_.size() + 1 : 1; }
+
+  /// The drain callback's fork-join: runs task(0) on the drain, and every
+  /// other task on a sort worker waiting for a batch or on the drain,
+  /// whichever claims it first. The drain then waits only for the tasks
+  /// workers claimed, so with every worker busy it runs them all itself, in
+  /// order, as inline mode always does. Call it only from the drain
+  /// callback; the tasks must not call back into the executor.
+  void Run(std::size_t tasks, const std::function<void(std::size_t)>& task) override;
+
  private:
   struct PendingBatch {
     std::uint64_t seq = 0;
@@ -292,6 +314,10 @@ class WindowExecutor {
   bool WaitWithDeadline(std::unique_lock<std::mutex>& lock,
                         std::condition_variable& cv, Pred ready);
 
+  /// Claims the drain's next unclaimed task and runs it with mu_ released;
+  /// false when there is none (mu_ held on entry and on return).
+  bool RunDrainTask(std::unique_lock<std::mutex>& lock, bool on_worker);
+
   void WorkerLoop(int worker_index);
   void DrainLoop();
 
@@ -310,6 +336,7 @@ class WindowExecutor {
   std::condition_variable work_ready_;    // pending ring non-empty (or stopping)
   std::condition_variable sorted_ready_;  // reorder buffer advanced (or stopping)
   std::condition_variable idle_;          // a batch finished draining
+  std::condition_variable tasks_done_;    // workers finished the drain's tasks
 
   bool stop_ = false;
   // First drain failure (sticky). While non-OK nothing drains any more:
@@ -319,6 +346,13 @@ class WindowExecutor {
   int in_flight_ = 0;
   std::uint64_t next_submit_seq_ = 0;
   std::uint64_t next_drain_seq_ = 0;
+
+  // The drain's fork-join (Run): its task, the next index no thread has
+  // claimed, the end, and the tasks workers are running.
+  const std::function<void(std::size_t)>* task_ = nullptr;
+  std::size_t next_task_ = 0;
+  std::size_t end_task_ = 0;
+  std::size_t worker_tasks_running_ = 0;
 
   // Submit queue: fixed ring of max_in_flight_ slots (the in-flight cap
   // bounds its population), consumed FIFO by the workers.

@@ -9,13 +9,16 @@
 // deadline).
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <random>
 #include <set>
 #include <span>
 #include <string>
@@ -25,12 +28,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fork_join.h"
 #include "core/stream_miner.h"
 #include "core/summary_core.h"
 #include "gpu/half.h"
 #include "hwmodel/hardware_profiles.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "sketch/gk_summary.h"
 #include "sort/cpu_sort.h"
 #include "stream/generator.h"
 #include "stream/window_buffer.h"
@@ -250,11 +255,15 @@ TEST(PipelineDeterminismTest, BackpressureCapStillDeterministic) {
 }
 
 // Everything a quantile estimator run leaves behind: its reports, its
-// export and its checkpoint directory's files.
+// export, its checkpoint directory's files and its deterministic costs.
 struct QuantileRun {
   std::vector<QuantileReport> reports;
   std::vector<std::uint8_t> summary;
   std::map<std::string, std::string> checkpoint_files;
+  std::uint64_t merged_entries = 0;
+  std::uint64_t compressed_entries = 0;
+  std::uint64_t histogram_elements = 0;
+  double simulated_seconds = 0;
 
   friend bool operator==(const QuantileRun&, const QuantileRun&) = default;
 };
@@ -271,56 +280,83 @@ std::map<std::string, std::string> ReadDirectory(const std::filesystem::path& di
 
 constexpr double kRunPhis[] = {0.01, 0.5, 0.99};
 
+// Feeds `data` to a quantile estimator (epsilon 1e-3, W = 1,000) in 4,096-
+// element calls with `workers` sort workers, checkpointing every 37 windows
+// and once more after call 20, and queries after every `query_every` calls
+// and at the end.
+QuantileRun RunQuantiles(const std::vector<float>& data, Backend backend, int workers,
+                         std::size_t query_every, const std::string& label) {
+  constexpr std::size_t kChunk = 4096;
+  SCOPED_TRACE(testing::Message() << BackendName(backend) << " workers=" << workers);
+  const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) /
+                                    ("pipeline_ck_" + label + BackendName(backend) +
+                                     std::to_string(workers));
+  std::filesystem::remove_all(dir);
+  Options opt;
+  opt.epsilon = 0.001;
+  opt.backend = backend;
+  opt.num_sort_workers = workers;
+  opt.checkpoint_dir = dir.string();
+  opt.checkpoint_every_windows = 37;
+  QuantileEstimator qe(opt);
+  QuantileRun out;
+  for (std::size_t off = 0; off < data.size(); off += kChunk) {
+    const std::size_t len = std::min(kChunk, data.size() - off);
+    EXPECT_TRUE(qe.ObserveBatch(std::span(data).subspan(off, len)).ok());
+    if (off / kChunk == 20) {
+      EXPECT_TRUE(qe.Checkpoint().ok());
+    }
+    if ((off / kChunk + 1) % query_every != 0) continue;
+    if (backend != Backend::kGpuPbsn) {
+      // Every full window observed is processed.
+      EXPECT_EQ(qe.processed_length(), (off + len) / 1000 * 1000);
+    }
+    for (double phi : kRunPhis) out.reports.push_back(qe.Quantile(phi));
+  }
+  EXPECT_TRUE(qe.Flush().ok());
+  for (double phi : kRunPhis) out.reports.push_back(qe.Quantile(phi));
+  out.summary = qe.SerializedSummary().value();
+  out.checkpoint_files = ReadDirectory(dir);
+  EXPECT_GE(out.checkpoint_files.size(), 2u);
+  out.merged_entries = qe.costs().merged_entries;
+  out.compressed_entries = qe.costs().compressed_entries;
+  out.histogram_elements = qe.costs().histogram_elements;
+  out.simulated_seconds = qe.SimulatedSeconds();
+  return out;
+}
+
 TEST(PipelineDeterminismTest, QuantileBatchesMatchSerialWithQueriesAndCheckpoints) {
   // Host backends batch 32 windows and pre-merge aligned blocks on the sort
   // workers; PBSN batches one texture. Queries every 4,096 elements land
   // mid-window (W = 1,000), so Sync() cuts host batches short and the next
   // batch realigns; an explicit Checkpoint() lands mid-batch, beside the
   // 37-window cadence. Every worker count must leave the same reports,
-  // export and checkpoint bytes.
+  // export, checkpoint bytes and costs.
   stream::StreamGenerator gen(
       {.distribution = stream::Distribution::kUniformReal, .seed = 21});
   const std::vector<float> data = gen.Take(150000);
-  constexpr std::size_t kChunk = 4096;
   for (Backend backend : {Backend::kCpuRadixMerge, Backend::kGpuPbsn}) {
-    const bool host = backend == Backend::kCpuRadixMerge;
-    auto run = [&](int workers) {
-      SCOPED_TRACE(testing::Message() << BackendName(backend) << " workers=" << workers);
-      const std::filesystem::path dir =
-          std::filesystem::path(::testing::TempDir()) /
-          ("pipeline_ck_" + std::string(BackendName(backend)) + std::to_string(workers));
-      std::filesystem::remove_all(dir);
-      Options opt;
-      opt.epsilon = 0.001;
-      opt.backend = backend;
-      opt.num_sort_workers = workers;
-      opt.checkpoint_dir = dir.string();
-      opt.checkpoint_every_windows = 37;
-      QuantileEstimator qe(opt);
-      QuantileRun out;
-      for (std::size_t off = 0; off < data.size(); off += kChunk) {
-        const std::size_t len = std::min(kChunk, data.size() - off);
-        EXPECT_TRUE(qe.ObserveBatch(std::span(data).subspan(off, len)).ok());
-        if (off / kChunk == 20) {
-          EXPECT_TRUE(qe.Checkpoint().ok());
-        }
-        if (host) {
-          // Every full window observed is processed.
-          EXPECT_EQ(qe.processed_length(), (off + len) / 1000 * 1000);
-        }
-        for (double phi : kRunPhis) out.reports.push_back(qe.Quantile(phi));
-      }
-      EXPECT_TRUE(qe.Flush().ok());
-      for (double phi : kRunPhis) out.reports.push_back(qe.Quantile(phi));
-      out.summary = qe.SerializedSummary().value();
-      out.checkpoint_files = ReadDirectory(dir);
-      EXPECT_GE(out.checkpoint_files.size(), 2u);
-      return out;
-    };
-    const QuantileRun serial = run(1);
+    const QuantileRun serial = RunQuantiles(data, backend, 1, 1, "short");
     for (int workers : {2, 4}) {
-      EXPECT_TRUE(run(workers) == serial) << BackendName(backend) << " workers=" << workers;
+      EXPECT_TRUE(RunQuantiles(data, backend, workers, 1, "short") == serial)
+          << BackendName(backend) << " workers=" << workers;
     }
+  }
+}
+
+TEST(PipelineDeterminismTest, SlicedCombinesMatchSerial) {
+  // 2^19 elements: combines above the first prune (two 35,001-tuple GK
+  // summaries) fire at windows 128, 256, 384 and 512, in chains of 2 and 3
+  // at windows 256 and 512. With 2 and 4 sort workers the drain cuts each
+  // into co-ranked slices that idle workers run; serially each is one pass.
+  // A query every 8 calls leaves batches of up to 32 windows between them.
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 22});
+  const std::vector<float> data = gen.Take(std::size_t{1} << 19);
+  const QuantileRun serial = RunQuantiles(data, Backend::kCpuRadixMerge, 1, 8, "long");
+  for (int workers : {2, 4}) {
+    EXPECT_TRUE(RunQuantiles(data, Backend::kCpuRadixMerge, workers, 8, "long") == serial)
+        << "workers=" << workers;
   }
 }
 
@@ -537,6 +573,165 @@ TEST(WindowExecutorTest, DrainsInSubmissionOrderAndSortsEveryWindow) {
   EXPECT_TRUE(all_sorted);
   EXPECT_EQ(drained_elements, submitted_elements);
   EXPECT_EQ(executor.stats().batches, static_cast<std::uint64_t>(kBatches));
+}
+
+// A descending batch of `windows` windows, so that sorting it is real work.
+std::vector<float> DescendingBatch(std::size_t windows, std::uint64_t window) {
+  std::vector<float> batch(windows * window);
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    batch[j] = static_cast<float>(batch.size() - j);
+  }
+  return batch;
+}
+
+// Forwards to `inner`, holding task 0 on the calling thread until every
+// other task has run, so that only other threads can run those.
+class OthersFirst final : public ForkJoin {
+ public:
+  explicit OthersFirst(ForkJoin& inner) : inner_(inner) {}
+  std::size_t width() const override { return inner_.width(); }
+  void Run(std::size_t tasks, const std::function<void(std::size_t)>& task) override {
+    std::atomic<std::size_t> done{0};
+    inner_.Run(tasks, [&](std::size_t i) {
+      while (i == 0 && done.load() + 1 < tasks) std::this_thread::yield();
+      task(i);
+      ++done;
+    });
+  }
+
+ private:
+  ForkJoin& inner_;
+};
+
+TEST(WindowExecutorTest, RunSpreadsTheDrainsTasksOverIdleWorkers) {
+  // The drain callback forks tasks while the workers sort later batches.
+  // Every task runs exactly once, whoever claims it; on every fourth batch
+  // task 0 waits for the others, which only the workers can then run.
+  constexpr int kWorkers = 2;
+  constexpr std::uint64_t kWindow = 256;
+  constexpr std::size_t kBatches = 40;
+  constexpr std::size_t kTasks = 5;
+  std::vector<sort::StdSortSorter> sorters(static_cast<std::size_t>(kWorkers),
+                                           sort::StdSortSorter(hwmodel::kPentium4_3400));
+  std::vector<sort::Sorter*> sorter_ptrs;
+  for (auto& sorter : sorters) sorter_ptrs.push_back(&sorter);
+  std::vector<std::atomic<int>> runs(kBatches * kTasks);
+  std::size_t drained = 0;
+  stream::WindowExecutor* self = nullptr;
+  stream::WindowExecutor executor({}, sorter_ptrs, [&](stream::WindowBatch&) {
+    const std::size_t b = drained++;
+    const auto task = [&runs, b](std::size_t i) { ++runs[b * kTasks + i]; };
+    if (b % 4 == 0) {
+      OthersFirst forced(*self);
+      forced.Run(kTasks, task);
+    } else {
+      self->Run(kTasks, task);
+    }
+    return core::Status::Ok();
+  });
+  self = &executor;
+  EXPECT_EQ(executor.width(), static_cast<std::size_t>(kWorkers) + 1);
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(SubmitChunk(executor, DescendingBatch(16, kWindow), kWindow).ok());
+  }
+  ASSERT_TRUE(executor.WaitIdle().ok());
+  ASSERT_EQ(drained, kBatches);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "batch " << i / kTasks << " task " << i % kTasks;
+  }
+  // The forced batches' tasks 1..4 ran on workers; others may have too.
+  const std::uint64_t on_workers = executor.stats().worker_tasks;
+  EXPECT_GE(on_workers, kBatches / 4 * (kTasks - 1));
+  EXPECT_LE(on_workers, kBatches * (kTasks - 1));
+}
+
+TEST(WindowExecutorTest, InlineRunRunsEveryTaskOnTheCallerInOrder) {
+  sort::StdSortSorter sorter(hwmodel::kPentium4_3400);
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> threads;
+  stream::WindowExecutor* self = nullptr;
+  stream::WindowExecutor executor({}, {&sorter}, [&](stream::WindowBatch&) {
+    self->Run(6, [&](std::size_t i) {
+      order.push_back(i);
+      threads.push_back(std::this_thread::get_id());
+    });
+    return core::Status::Ok();
+  });
+  self = &executor;
+  EXPECT_EQ(executor.width(), 1u);
+  ASSERT_TRUE(SubmitChunk(executor, DescendingBatch(2, 8), 8).ok());
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  for (const std::thread::id& id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_EQ(executor.stats().worker_tasks, 0u);
+}
+
+TEST(WindowExecutorTest, DestructionWhileTasksRunLosesNone) {
+  // The executor is destroyed with batches in flight whose drains fork
+  // slow tasks: the destructor drains every batch, and every task runs.
+  constexpr std::size_t kBatches = 12;
+  constexpr std::size_t kTasks = 4;
+  std::vector<std::atomic<int>> runs(kBatches * kTasks);
+  {
+    std::vector<sort::StdSortSorter> sorters(3, sort::StdSortSorter(hwmodel::kPentium4_3400));
+    std::vector<sort::Sorter*> sorter_ptrs;
+    for (auto& sorter : sorters) sorter_ptrs.push_back(&sorter);
+    std::size_t drained = 0;
+    stream::WindowExecutor* self = nullptr;
+    stream::WindowExecutor executor({}, sorter_ptrs, [&](stream::WindowBatch&) {
+      const std::size_t b = drained++;
+      self->Run(kTasks, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        ++runs[b * kTasks + i];
+      });
+      return core::Status::Ok();
+    });
+    self = &executor;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(SubmitChunk(executor, DescendingBatch(4, 64), 64).ok());
+    }
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "batch " << i / kTasks << " task " << i % kTasks;
+  }
+}
+
+TEST(WindowExecutorTest, GkCombineSlicesOnWorkersMatchTheOnePass) {
+  // The sliced GkSummary::MergePruned with its slices forced onto the sort
+  // workers, as a quantile stream's drain runs it, equals the one pass.
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<float> dist(0.0f, 1.0f);
+  const auto side = [&](std::size_t n) {
+    std::vector<float> values(n);
+    for (float& v : values) v = dist(rng);
+    std::sort(values.begin(), values.end());
+    return sketch::GkSummary::PruneExact(values, n / 2);
+  };
+  const sketch::GkSummary a = side(12000);
+  const sketch::GkSummary b = side(9000);
+  std::vector<sort::StdSortSorter> sorters(2, sort::StdSortSorter(hwmodel::kPentium4_3400));
+  std::vector<sort::Sorter*> sorter_ptrs{&sorters[0], &sorters[1]};
+  std::vector<sketch::GkSummary> combined;
+  stream::WindowExecutor* self = nullptr;
+  stream::WindowExecutor executor({}, sorter_ptrs, [&](stream::WindowBatch&) {
+    OthersFirst forced(*self);
+    for (std::size_t budget : {50u, 3000u, 7000u}) {
+      combined.push_back(sketch::GkSummary::MergePruned(a, b, budget, 3, &forced));
+    }
+    return core::Status::Ok();
+  });
+  self = &executor;
+  ASSERT_TRUE(SubmitChunk(executor, DescendingBatch(2, 8), 8).ok());
+  ASSERT_TRUE(executor.WaitIdle().ok());
+  ASSERT_EQ(combined.size(), 3u);
+  std::size_t i = 0;
+  for (std::size_t budget : {50u, 3000u, 7000u}) {
+    const sketch::GkSummary want = sketch::GkSummary::MergePruned(a, b, budget);
+    EXPECT_EQ(combined[i].tuples(), want.tuples()) << "budget " << budget;
+    EXPECT_EQ(combined[i].count(), want.count());
+    EXPECT_EQ(combined[i].epsilon(), want.epsilon());
+    ++i;
+  }
+  EXPECT_EQ(executor.stats().worker_tasks, 6u);
 }
 
 // Sorts every run and reports a fixed quarantine mask for one chosen

@@ -4,19 +4,23 @@
 // histogram against a tuple-only reference cascade.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/float_order.h"
+#include "common/fork_join.h"
 #include "sketch/exact.h"
 #include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
@@ -373,7 +377,7 @@ TEST(EhTest, StatedBoundFollowsTheBucketsPastExpectedLength) {
     std::vector<float> window(stream.begin() + static_cast<std::ptrdiff_t>(off),
                               stream.begin() + static_cast<std::ptrdiff_t>(off + w));
     std::sort(window.begin(), window.end());
-    (*sketch)->AddSortedWindow(window);
+    (*sketch)->AddSortedWindow(window, nullptr);
   }
   std::vector<std::uint8_t> wire_bytes;
   ASSERT_TRUE((*sketch)->AppendWireSummary(&wire_bytes).ok());
@@ -900,8 +904,8 @@ bool ExpectSameAsReference(double eps, const std::vector<std::size_t>& window_si
     want.AddWindowSummary(ref::FromSorted(w, eps / 2.0));
     by_window.AddWindow(EhBucket::FromSorted(w, eps / 2.0));
     by_summary.AddWindowSummary(GkSummary::FromSorted(w, eps / 2.0));
-    (*sketch)->AddSortedWindow(w);
-    if (restored != nullptr) restored->AddSortedWindow(w);
+    (*sketch)->AddSortedWindow(w, nullptr);
+    if (restored != nullptr) restored->AddSortedWindow(w, nullptr);
 
     bool tuples_below = false;
     for (const EhBucket& bucket : by_window.buckets()) {
@@ -1126,7 +1130,7 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
     ASSERT_TRUE(one_sketch.ok() && block_sketch.ok());
     for (std::size_t i = 0; i < prior; ++i) {
       blocked.AddWindow(EhBucket::FromSorted(windows[i], eps / 2.0));
-      (*block_sketch)->AddSortedWindow(windows[i]);
+      (*block_sketch)->AddSortedWindow(windows[i], nullptr);
     }
 
     std::vector<float> joined;
@@ -1141,20 +1145,20 @@ TEST(EhDifferential, InsertedBlockEqualsWindowByWindowCascade) {
     const EhQuantileSummary before = blocked;
     const bool aligned = prior % block_windows == 0;
     ASSERT_EQ(blocked.AddBlock(run, level, 0.0), aligned);
-    ASSERT_EQ((*block_sketch)->AddSortedBlock(sketch_run, level, 0.0), aligned);
+    ASSERT_EQ((*block_sketch)->AddSortedBlock(sketch_run, level, 0.0, nullptr), aligned);
     if (!aligned) {
       // Refused: the histogram and the run are as they were.
       EXPECT_TRUE(SameBuckets(blocked, before));
       EXPECT_TRUE(std::equal(run.begin(), run.end(), built.begin(), built.end(), SameBits));
       for (std::size_t i = prior; i < windows.size(); ++i) {
         blocked.AddWindow(EhBucket::FromSorted(windows[i], eps / 2.0));
-        (*block_sketch)->AddSortedWindow(windows[i]);
+        (*block_sketch)->AddSortedWindow(windows[i], nullptr);
       }
     }
     for (std::size_t i = 0; i < windows.size(); ++i) {
       one.AddWindow(EhBucket::FromSorted(windows[i], eps / 2.0));
       want.AddWindowSummary(ref::FromSorted(windows[i], eps / 2.0));
-      (*one_sketch)->AddSortedWindow(windows[i]);
+      (*one_sketch)->AddSortedWindow(windows[i], nullptr);
     }
 
     EXPECT_TRUE(SameBuckets(blocked, one));
@@ -1271,6 +1275,189 @@ TEST(GkDifferential, PruneMatchesReferenceOnAnyValidSummary) {
           << "trial " << trial << " budget " << budget;
     }
   }
+}
+
+/// Runs each Run()'s tasks on the caller and on two threads started for it,
+/// every thread taking the next task no other has taken.
+class ThreeThreadRunner final : public ForkJoin {
+ public:
+  std::size_t width() const override { return 3; }
+  void Run(std::size_t tasks, const std::function<void(std::size_t)>& task) override {
+    std::atomic<std::size_t> next{1};
+    const auto take = [&] {
+      for (std::size_t i = next++; i < tasks; i = next++) task(i);
+    };
+    std::jthread first(take);
+    std::jthread second(take);
+    task(0);
+    take();
+  }
+};
+
+/// A side of a sliced combine: `n` values of one class, sorted, summarized
+/// and pruned to a random budget. Class 0 is continuous, 1 five distinct
+/// values, 2 only -0.0 and +0.0, 3 continuous with infinities mixed in.
+GkSummary SlicedCombineSide(std::size_t n, int value_class, std::mt19937& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> values(n);
+  for (float& v : values) {
+    switch (value_class) {
+      case 0: v = static_cast<float>(rng() % 10000000) / 7.0f; break;
+      case 1: v = static_cast<float>(rng() % 5); break;
+      case 2: v = rng() % 2 == 0 ? -0.0f : 0.0f; break;
+      default: v = rng() % 8 == 0 ? (rng() % 2 == 0 ? inf : -inf)
+                                  : static_cast<float>(rng() % 1000) - 500.0f;
+    }
+  }
+  SortCanonical(&values);
+  const GkSummary exact = GkSummary::FromSorted(values, 1e-6);
+  return n == 0 ? exact : exact.Prune(1 + rng() % n);
+}
+
+/// A side whose rank bounds repeat, as FromParts accepts them: runs of
+/// neighbouring tuples share rmin + rmax, so cuts fall inside such runs.
+GkSummary RepeatedBoundsSide(std::size_t n, std::mt19937& rng) {
+  if (n == 0) return GkSummary();
+  std::vector<GkTuple> tuples(n);
+  std::uint64_t rmin = 1;
+  std::uint64_t rmax = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng() % 4 == 0) {
+      rmin += 1 + rng() % 3;
+      rmax = std::max(rmax, rmin) + rng() % 3;
+    }
+    tuples[i] = {static_cast<float>(i / 3), rmin, rmax};
+  }
+  GkSummary out;
+  EXPECT_TRUE(GkSummary::FromParts(tuples, rmax + rng() % 3, 0.01, &out));
+  return out;
+}
+
+TEST(GkDifferential, SlicedMergePrunedMatchesOnePass) {
+  // MergePruned cut into 2..8 co-ranked slices, run one after another and
+  // on three threads, against the one pass and against the scanning merge
+  // and binary-search prune, bit for bit, in both argument orders. Sides
+  // hold 0..5,000 elements pruned to random budgets, combined at budgets
+  // 1..2,500. The coverage counters check that some cuts leave a slice
+  // without a target and that some fall inside a run of tuples with equal
+  // rmin + rmax.
+  ThreeThreadRunner runner;
+  std::mt19937 rng(213);
+  std::size_t empty_slices = 0;
+  std::size_t cuts_in_equal_runs = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int value_class = trial % 5;
+    const auto side = [&] {
+      const std::size_t n = trial % 17 == 0 ? rng() % 3 : rng() % 5001;
+      return value_class == 4 ? RepeatedBoundsSide(n, rng)
+                              : SlicedCombineSide(n, value_class, rng);
+    };
+    const GkSummary a = side();
+    const GkSummary b = side();
+    // Budgets below the slice count leave slices without a target.
+    const std::size_t budget = 1 + rng() % (trial % 6 == 0 ? 6 : 2500);
+    for (const auto& [x, y] : {std::pair(&a, &b), std::pair(&b, &a)}) {
+      const ref::Summary rx{x->tuples(), x->count(), x->epsilon()};
+      const ref::Summary ry{y->tuples(), y->count(), y->epsilon()};
+      const ref::Summary merged = ref::Merge(rx, ry);
+      const ref::Summary want = ref::Prune(merged, budget);
+      const GkSummary one = GkSummary::MergePruned(*x, *y, budget);
+      ASSERT_TRUE(SameSummary(one, want)) << "budget " << budget;
+      const std::size_t size = merged.tuples.size();
+      for (std::size_t k = 2; k <= 8; ++k) {
+        ASSERT_TRUE(SameSummary(GkSummary::MergePruned(*x, *y, budget, k), want))
+            << "budget " << budget << ", " << k << " slices";
+        ASSERT_TRUE(SameSummary(GkSummary::MergePruned(*x, *y, budget, k, &runner), want))
+            << "budget " << budget << ", " << k << " slices on three threads";
+        if (x->empty() || y->empty() || size <= budget + 1 || k > size) continue;
+        // Slice q sweeps merged tuples [q * size / k, (q + 1) * size / k); a
+        // target falls to the slice holding its first tuple with rmin + rmax
+        // >= 2*rank.
+        std::vector<std::size_t> targets(k, 0);
+        for (std::size_t i = 0; i <= budget; ++i) {
+          const auto rank = std::max<std::uint64_t>(
+              1, static_cast<std::uint64_t>(std::llround(static_cast<double>(i) *
+                                                         static_cast<double>(merged.count) /
+                                                         static_cast<double>(budget))));
+          const auto crossing = static_cast<std::size_t>(
+              std::partition_point(merged.tuples.begin(), merged.tuples.end(),
+                                   [rank](const GkTuple& t) {
+                                     return t.rmin + t.rmax < 2 * rank;
+                                   }) -
+              merged.tuples.begin());
+          std::size_t q = k - 1;
+          while (q * size / k > crossing) --q;
+          ++targets[q];
+        }
+        for (std::size_t q = 0; q < k; ++q) {
+          if (targets[q] == 0) ++empty_slices;
+          const std::size_t p = q * size / k;
+          const GkTuple& before = merged.tuples[p - (q > 0 ? 1 : 0)];
+          const GkTuple& at = merged.tuples[p];
+          if (q > 0 && before.rmin + before.rmax == at.rmin + at.rmax) ++cuts_in_equal_runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty_slices, 0u);
+  EXPECT_GT(cuts_in_equal_runs, 0u);
+}
+
+TEST(EhDifferential, SlicedCombinesLeaveTheCascadeUnchanged) {
+  // 2^19 elements at epsilon 1e-3 in 1,000-element windows: combines above
+  // the first prune (two 35,001-tuple summaries) fire at windows 128, 256,
+  // 384 and 512, in chains of up to three. Fed window by window and as
+  // aligned 32-window blocks, each with a three-thread runner and with
+  // none, every histogram must hold the same buckets and counters.
+  constexpr double kEps = 0.001;
+  constexpr std::uint64_t kWindow = 1000;
+  constexpr std::uint64_t kBigN = kWindow << 32;  // a core's default provisioning
+  const std::vector<float> stream = RandomValues(std::size_t{1} << 19, 214);
+  ThreeThreadRunner runner;
+  EhQuantileSummary by_window(kEps, kWindow, kBigN);
+  EhQuantileSummary by_window_sliced(kEps, kWindow, kBigN);
+  EhQuantileSummary by_block(kEps, kWindow, kBigN);
+  EhQuantileSummary by_block_sliced(kEps, kWindow, kBigN);
+  ASSERT_EQ(by_block.max_block_level(), 5);
+  ASSERT_GT(2 * (by_block.prune_tuples() + 1), kMinSlicedGkMerge);
+  std::vector<std::vector<float>> windows;
+  for (std::size_t off = 0; off < stream.size(); off += kWindow) {
+    const std::size_t end = std::min<std::size_t>(stream.size(), off + kWindow);
+    windows.emplace_back(stream.begin() + static_cast<std::ptrdiff_t>(off),
+                         stream.begin() + static_cast<std::ptrdiff_t>(end));
+    SortCanonical(&windows.back());
+  }
+  for (const std::vector<float>& w : windows) {
+    by_window.AddWindow(EhBucket::FromSorted(w, kEps / 2.0));
+    by_window_sliced.AddWindow(EhBucket::FromSorted(w, kEps / 2.0), &runner);
+  }
+  constexpr std::size_t kBlock = 32;
+  std::vector<float> scratch;
+  std::size_t first = 0;
+  // Blocks never take the partial last window.
+  for (; first + kBlock < windows.size(); first += kBlock) {
+    std::vector<float> joined;
+    for (std::size_t i = first; i < first + kBlock; ++i) {
+      joined.insert(joined.end(), windows[i].begin(), windows[i].end());
+    }
+    std::vector<float> run;
+    EhQuantileSummary::MergeBlock(joined, kWindow, &scratch, &run);
+    std::vector<float> run_copy = run;
+    ASSERT_TRUE(by_block.AddBlock(run, 5, 0.0));
+    ASSERT_TRUE(by_block_sliced.AddBlock(run_copy, 5, 0.0, &runner));
+  }
+  for (; first < windows.size(); ++first) {
+    by_block.AddWindow(EhBucket::FromSorted(windows[first], kEps / 2.0));
+    by_block_sliced.AddWindow(EhBucket::FromSorted(windows[first], kEps / 2.0), &runner);
+  }
+  ASSERT_EQ(by_window.count(), stream.size());
+  EXPECT_TRUE(SameBuckets(by_window_sliced, by_window));
+  EXPECT_TRUE(SameBuckets(by_block, by_window));
+  EXPECT_TRUE(SameBuckets(by_block_sliced, by_window));
+  // The stream reached bucket id 10: three sliced combines in a row at
+  // window 512.
+  EXPECT_GE(by_window.buckets().size(), 10u);
 }
 
 }  // namespace
